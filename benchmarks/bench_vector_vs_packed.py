@@ -15,7 +15,8 @@ A second table row times the raw wave kernels in isolation
 kernel and in the sharding overhead can be told apart.
 
 Run standalone (``python benchmarks/bench_vector_vs_packed.py
-[--quick] [--report-only]``) for a CI-friendly run, or through
+[--quick] [--report-only]``) for a CI-friendly run that also appends a
+``vector_vs_packed`` record to the bench ledger, or through
 pytest-benchmark for the timed kernels.  ``--report-only`` writes the
 artifact and always exits 0 — CI gates conformance, not the speedup.
 """
@@ -24,7 +25,7 @@ import time
 
 import numpy as np
 
-from _common import MC_SAMPLES, emit
+from _common import MC_SAMPLES, emit, publish
 from repro.core.online_multiplier import OnlineMultiplier
 from repro.runners import RunConfig
 from repro.sim.montecarlo import run_montecarlo, uniform_digit_batch
@@ -119,6 +120,10 @@ def _mc_speedup(rows) -> float:
     return float(rows[0][3].rstrip("x"))
 
 
+def _wave_speedup(rows) -> float:
+    return float(rows[1][3].rstrip("x"))
+
+
 def test_vector_speedup(benchmark):
     rows = report(MC_SAMPLES)
     speedup = _mc_speedup(rows)
@@ -159,6 +164,12 @@ def main(argv=None) -> int:
         num_samples = 4000 if args.quick else MC_SAMPLES
     rows = report(num_samples, repeats=1 if args.quick else 3)
     speedup = _mc_speedup(rows)
+    publish(
+        "vector_vs_packed",
+        {"speedup": speedup, "wave_speedup": _wave_speedup(rows)},
+        samples=num_samples,
+        quick=args.quick,
+    )
     if not (args.quick or args.report_only) and speedup < 20.0:
         print(f"FAIL: speedup {speedup:.1f}x < 20x")
         return 1

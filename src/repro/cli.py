@@ -12,8 +12,8 @@ Installed as ``repro-overclock`` (see ``pyproject.toml``), or run as
     conventional baseline (raw-operator version of the case study).
 ``sweep``
     Stage-delay latency-accuracy sweep of the online multiplier over a
-    normalized-period grid; ``--backend vector`` evaluates the whole
-    grid in one fused pass (:mod:`repro.vec.fused`).
+    normalized-period grid, evaluated in one fused pass on the default
+    vector engine (:mod:`repro.vec.fused`).
 ``synth``
     Latency-accuracy auto-synthesis of a demo datapath: search
     per-operator implementation (online / traditional), word length and
@@ -460,6 +460,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ServiceConfig, run_service
 
     config = _config_from_args(args)
+
+    def announce(port: int) -> None:
+        print(
+            f"repro service on {args.host}:{port} "
+            f"(ndigits={config.ndigits}, jobs={config.jobs}, "
+            f"concurrency={args.concurrency}, workers={args.workers}, "
+            f"batch_window={args.batch_window:g}s); "
+            f"SIGTERM drains gracefully",
+            flush=True,
+        )
+
     service_config = ServiceConfig(
         run_config=config,
         host=args.host,
@@ -472,15 +483,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         reset_timeout=args.reset_timeout,
         drain_timeout=args.drain_timeout,
     )
-    print(
-        f"repro service on {args.host}:{args.port or '(ephemeral)'} "
-        f"(ndigits={config.ndigits}, jobs={config.jobs}, "
-        f"concurrency={args.concurrency}, workers={args.workers}, "
-        f"batch_window={args.batch_window:g}s); "
-        f"SIGTERM drains gracefully",
-        flush=True,
-    )
-    run_service(service_config)
+    run_service(service_config, on_start=announce)
     return 0
 
 
@@ -489,11 +492,12 @@ def _add_backend_flag(p: argparse.ArgumentParser) -> None:
 
     p.add_argument(
         "--backend",
-        default="packed",
+        default=None,
         choices=list(BACKENDS),
-        help="simulation engine: compiled bit-packed (default), "
-             "interpreting waveform, auto (packed with fallback), or "
-             "vector (digit-level behavioral; netlist runs use packed)",
+        help="simulation engine (default: chosen per workload — vector "
+             "for OM-wave runs, packed for gate-level netlists): "
+             "compiled bit-packed, interpreting waveform, or vector "
+             "(digit-level behavioral; netlist runs use packed)",
     )
 
 
@@ -560,8 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        help="stage-delay latency-accuracy sweep (fused under "
-             "--backend vector)",
+        help="stage-delay latency-accuracy sweep (fused on the "
+             "default vector engine)",
     )
     p.add_argument("--ndigits", type=int, default=8)
     p.add_argument("--samples", type=int, default=20000)

@@ -181,7 +181,7 @@ class OnlineMultiplier:
         xdigits: np.ndarray,
         ydigits: np.ndarray,
         max_ticks: Optional[int] = None,
-        backend: str = "packed",
+        backend: Optional[str] = None,
     ) -> np.ndarray:
         """Stage-delay timing simulation of a batch of multiplications.
 
@@ -199,12 +199,14 @@ class OnlineMultiplier:
             Number of ticks to simulate (default ``N + delta``, after which
             the wave has fully settled).
         backend:
-            ``"packed"`` (default) runs the recurrence on bit-packed
-            uint64 words (64 samples per word, :class:`PackedOps`);
-            ``"wave"`` uses the original uint8-lane :class:`NumpyOps`
-            evaluation; ``"vector"`` dispatches to the digit-level
-            behavioral engine (:func:`repro.vec.om_wave_vector`).  All
-            three produce bit-identical results at every tick.
+            ``"vector"`` dispatches to the digit-level behavioral engine
+            (:func:`repro.vec.om_wave_vector`); ``"packed"`` runs the
+            recurrence on bit-packed uint64 words (64 samples per word,
+            :class:`PackedOps`); ``"wave"`` uses the original uint8-lane
+            :class:`NumpyOps` evaluation.  None (default) takes the
+            engine :func:`repro.netlist.compiled.resolve_backend` picks
+            for OM waves (``"vector"``).  All three produce bit-identical
+            results at every tick.
 
         Returns
         -------
@@ -214,7 +216,7 @@ class OnlineMultiplier:
         """
         from repro.netlist.compiled import resolve_backend
 
-        resolved = resolve_backend(backend)
+        resolved = resolve_backend(backend, "om-wave")
         n, delta = self.ndigits, self.delta
         xdigits = np.asarray(xdigits)
         ydigits = np.asarray(ydigits)

@@ -40,7 +40,11 @@ from repro.faults.models import (
 )
 from repro.faults.stuck import apply_stuck_faults
 from repro.faults.timing import DriftedDelayModel
-from repro.netlist.compiled import circuit_fingerprint, make_simulator
+from repro.netlist.compiled import (
+    circuit_fingerprint,
+    make_simulator,
+    resolve_backend,
+)
 from repro.netlist.delay import DelayModel, FpgaDelay, delay_signature
 from repro.netlist.sta import static_timing
 from repro.obs.trace import current_tracer
@@ -344,8 +348,8 @@ def run_fault_campaign(
     Parameters
     ----------
     config:
-        The unified run parameters (geometry, backend, seed, jobs,
-        cache_dir, shard_size, shard_timeout).
+        The unified run parameters (geometry, seed, jobs, cache_dir,
+        shard_size, shard_timeout, engine override).
     model:
         Fault-model family (see :data:`repro.faults.FAULT_MODELS`).
     rates:
@@ -364,22 +368,31 @@ def run_fault_campaign(
     order.  Returns a :class:`FaultCampaignResult` with ``run_stats``
     and ``fault_stats`` attached.
     """
+    engine = resolve_backend(config.backend, "netlist")
     with current_tracer().span(
         "run.fault_campaign",
         model=model,
         ndigits=config.ndigits,
-        backend=config.backend,
+        engine=engine,
         rates=[float(r) for r in rates],
         num_samples=int(num_samples),
         overclock=float(overclock),
     ):
         return _run_fault_campaign(
-            config, model, rates, num_samples, overclock, delay_model, runner
+            config,
+            engine,
+            model,
+            rates,
+            num_samples,
+            overclock,
+            delay_model,
+            runner,
         )
 
 
 def _run_fault_campaign(
     config: RunConfig,
+    engine: str,
     model: str,
     rates: Sequence[float],
     num_samples: int,
@@ -432,7 +445,7 @@ def _run_fault_campaign(
         hit = cache.get(key)
         if hit is not None:
             hit.run_stats = runner.finalize_stats(
-                experiment, cache="hit", backend=config.backend
+                experiment, cache="hit"
             )
             hit.fault_stats = FaultStats(model=model)
             return attach_metrics(hit)
@@ -481,7 +494,7 @@ def _run_fault_campaign(
                         "rate": rate,
                         "shard": index,
                         "ndigits": config.ndigits,
-                        "backend": config.backend,
+                        "backend": engine,
                         "delay_model": base_model,
                         "fault_config": fc,
                         "capture_step": capture_steps[design],
@@ -527,7 +540,7 @@ def _run_fault_campaign(
     result.run_stats = runner.finalize_stats(
         experiment,
         cache="miss" if cache is not None else "off",
-        backend=config.backend,
+        engine=engine,
     )
     attach_metrics(result)
     stats = FaultStats(

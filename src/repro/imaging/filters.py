@@ -47,7 +47,7 @@ from repro.core.ops import NetOps
 from repro.imaging.metrics import mre_percent as _mre_percent
 from repro.imaging.metrics import snr_db as _snr_db
 from repro.imaging.synthetic import benchmark_image
-from repro.netlist.compiled import make_simulator
+from repro.netlist.compiled import make_simulator, resolve_backend
 from repro.netlist.delay import DelayModel, FpgaDelay, delay_signature
 from repro.netlist.gates import Circuit
 from repro.numrep.rounding import floor_ratio
@@ -232,16 +232,17 @@ class ConvolutionDatapath:
         non-negative kernels support this mode (the port encoder feeds
         plain binary digits).
     backend:
-        Simulation engine: ``"packed"`` (default) compiles the datapath
-        to the bit-packed engine; ``"wave"`` uses the interpreting
+        Simulation engine: ``"packed"`` (the default,
+        :func:`~repro.netlist.compiled.resolve_backend`) compiles the
+        datapath to the bit-packed engine; ``"wave"`` uses the interpreting
         waveform simulator; ``"vector"`` falls back to the packed engine
         (the behavioral engine has no gate-level netlist semantics).
         Outputs are bit-identical in every case.
     config:
         Optional :class:`~repro.runners.RunConfig`; when given, its
-        ``ndigits`` and ``backend`` override the corresponding keyword
-        arguments, so CLI/experiment code can thread one parameter block
-        through every layer.
+        ``ndigits`` and ``backend`` (when set) override the corresponding
+        keyword arguments, so CLI/experiment code can thread one
+        parameter block through every layer.
     """
 
     def __init__(
@@ -252,14 +253,14 @@ class ConvolutionDatapath:
         ndigits: int = 8,
         delay_model: Optional[DelayModel] = None,
         coefficients_as_inputs: bool = False,
-        backend: str = "packed",
+        backend: Optional[str] = None,
         config: Optional[RunConfig] = None,
         *,
         _spec=None,
     ) -> None:
         if config is not None:
             ndigits = config.ndigits
-            backend = config.backend
+            backend = config.backend or backend
         if _spec is None:
             warnings.warn(
                 "ConvolutionDatapath(arithmetic, ...) is deprecated; use "
@@ -296,12 +297,14 @@ class ConvolutionDatapath:
         self.delay_model = (
             delay_model if delay_model is not None else FpgaDelay()
         )
-        self.backend = backend
         if arithmetic == "online":
             self.circuit, self._out_positions = self._build_online()
         else:
             self.circuit, self._out_positions = self._build_traditional()
-        self.simulator = make_simulator(self.circuit, self.delay_model, backend)
+        self.backend = resolve_backend(backend, "netlist")
+        self.simulator = make_simulator(
+            self.circuit, self.delay_model, self.backend
+        )
         self.rated_step = static_timing(
             self.circuit, self.delay_model
         ).critical_delay
@@ -515,7 +518,7 @@ class GaussianFilterDatapath(ConvolutionDatapath):
         ndigits: int = 8,
         delay_model: Optional[DelayModel] = None,
         coefficients_as_inputs: bool = False,
-        backend: str = "packed",
+        backend: Optional[str] = None,
         *,
         _spec=None,
     ) -> None:
@@ -546,7 +549,7 @@ class SobelFilterDatapath(ConvolutionDatapath):
         ndigits: int = 8,
         delay_model: Optional[DelayModel] = None,
         vertical: bool = False,
-        backend: str = "packed",
+        backend: Optional[str] = None,
         *,
         _spec=None,
     ) -> None:
@@ -734,7 +737,7 @@ def run_filter_study(
     across ``config.jobs`` worker processes.  The benchmark images are
     generated from fixed per-image seeds and the datapaths are fully
     deterministic, so ``config.seed`` (and ``shard_size``) do not enter
-    the result or its cache key; ``ndigits``/``backend`` do.
+    the result or its cache key; ``ndigits`` does.
     """
     images = [str(name) for name in images]
     arithmetics = [str(a) for a in arithmetics]
@@ -748,6 +751,7 @@ def run_filter_study(
         if arith not in ("online", "traditional"):
             raise ValueError("arithmetics must be 'online' or 'traditional'")
     model = delay_model if delay_model is not None else FpgaDelay()
+    engine = resolve_backend(config.backend, "netlist")
 
     with current_tracer().span(
         "run.filter_study",
@@ -756,15 +760,24 @@ def run_filter_study(
         arithmetics=arithmetics,
         size=int(size),
         ndigits=config.ndigits,
-        backend=config.backend,
+        engine=engine,
     ):
         return _run_filter_study(
-            config, images, arithmetics, factors, size, kernel, model, runner
+            config,
+            engine,
+            images,
+            arithmetics,
+            factors,
+            size,
+            kernel,
+            model,
+            runner,
         )
 
 
 def _run_filter_study(
     config: RunConfig,
+    engine: str,
     images: List[str],
     arithmetics: List[str],
     factors: List[float],
@@ -796,7 +809,7 @@ def _run_filter_study(
         hit = cache.get(key)
         if hit is not None:
             hit.run_stats = runner.finalize_stats(
-                "filter_study", cache="hit", backend=config.backend
+                "filter_study", cache="hit"
             )
             return attach_metrics(hit)
 
@@ -807,7 +820,7 @@ def _run_filter_study(
             "kernel": kernel,
             "size": int(size),
             "ndigits": config.ndigits,
-            "backend": config.backend,
+            "backend": engine,
             "delay_model": model,
             "factors": factors,
         }
@@ -849,6 +862,6 @@ def _run_filter_study(
     result.run_stats = runner.finalize_stats(
         "filter_study",
         cache="miss" if cache is not None else "off",
-        backend=config.backend,
+        engine=engine,
     )
     return attach_metrics(result)

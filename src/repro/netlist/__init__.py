@@ -24,6 +24,7 @@ from repro.netlist.delay import (
 from repro.netlist.sim import WaveformSimulator, SimulationResult, run_chunked
 from repro.netlist.compiled import (
     BACKENDS,
+    DEFAULT_ENGINES,
     CompiledCircuit,
     PackedSimulationResult,
     circuit_fingerprint,
@@ -32,6 +33,7 @@ from repro.netlist.compiled import (
     compile_circuit,
     evaluate_packed,
     make_simulator,
+    resolve_backend,
 )
 from repro.netlist.packing import pack_bits, unpack_bits, packed_width
 from repro.netlist.sta import static_timing, critical_path, ArrivalTimes
@@ -59,6 +61,7 @@ __all__ = [
     "SimulationResult",
     "run_chunked",
     "BACKENDS",
+    "DEFAULT_ENGINES",
     "CompiledCircuit",
     "PackedSimulationResult",
     "circuit_fingerprint",
@@ -67,6 +70,7 @@ __all__ = [
     "compile_circuit",
     "evaluate_packed",
     "make_simulator",
+    "resolve_backend",
     "pack_bits",
     "unpack_bits",
     "packed_width",

@@ -28,8 +28,10 @@ equivalence suite in ``tests/netlist/test_packed_equivalence.py``
 enforces exactly that.
 
 Use :func:`make_simulator` to pick an engine by name (``"packed"`` |
-``"wave"`` | ``"auto"``); ``"packed"`` falls back to the waveform
-simulator automatically if compilation fails.
+``"wave"``, or None for the default); ``"packed"`` falls back to the
+waveform simulator automatically if compilation fails.
+:func:`resolve_backend` is the one place an engine is chosen for a
+workload that does not name one.
 """
 
 from __future__ import annotations
@@ -60,9 +62,17 @@ from repro.netlist.sim import (
 #: engine names accepted by :func:`make_simulator` and every ``backend=``
 #: parameter downstream.  ``"vector"`` is the digit-level behavioral
 #: engine (:mod:`repro.vec`): gate-level netlist simulations fall back to
-#: the packed engine under it (see :func:`make_simulator`), while the
+#: the packed engine under it (see :func:`resolve_backend`), while the
 #: online-operator wave recurrences dispatch to the vectorized kernels.
-BACKENDS = ("packed", "wave", "auto", "vector")
+BACKENDS = ("packed", "wave", "vector")
+
+#: the engine each workload runs on when the caller names none: the
+#: fastest engine whose conformance suite proves it bit-identical there.
+#: ``"om-wave"`` is the stage-delay OM recurrence (Monte-Carlo, stage
+#: sweeps and profiles, the stage probe; ``tests/vec``); ``"netlist"``
+#: is gate-level simulation of a circuit (FpgaDelay sweeps, fault
+#: campaigns, imaging; ``tests/netlist/test_packed_equivalence.py``).
+DEFAULT_ENGINES = {"om-wave": "vector", "netlist": "packed"}
 
 # integer opcodes (the compiled program's instruction set)
 _OP_AND = 0
@@ -96,12 +106,35 @@ _OPCODES: Dict[str, int] = {
 }
 
 
-def resolve_backend(backend: str) -> str:
-    """Validate a backend name; raises ``ValueError`` on unknown names."""
+def resolve_backend(
+    backend: Optional[str] = None, workload: str = "om-wave"
+) -> str:
+    """The engine that runs *workload*: *backend* if named, else the rule.
+
+    ``None`` picks :data:`DEFAULT_ENGINES` for the workload; an explicit
+    name is honoured (``ValueError`` on unknown names).  ``"vector"``
+    has no gate-level semantics, so a ``"netlist"`` workload asking for
+    it gets the packed engine instead (bit-identical results; a
+    ``backend.vector_fallback`` trace event and the
+    ``vec.netlist_fallbacks`` metric record the substitution).
+    """
+    if workload not in DEFAULT_ENGINES:
+        raise ValueError(
+            f"unknown workload {workload!r}; expected one of "
+            f"{tuple(DEFAULT_ENGINES)}"
+        )
+    if backend is None:
+        return DEFAULT_ENGINES[workload]
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
         )
+    if backend == "vector" and workload == "netlist":
+        from repro.obs.trace import current_tracer
+
+        current_tracer().event("backend.vector_fallback", to="packed")
+        metrics().count("vec.netlist_fallbacks")
+        return "packed"
     return backend
 
 
@@ -515,28 +548,19 @@ Simulator = Union[CompiledCircuit, WaveformSimulator]
 def make_simulator(
     circuit: Circuit,
     delay_model: Optional[DelayModel] = None,
-    backend: str = "packed",
+    backend: Optional[str] = None,
 ) -> Simulator:
     """Build a simulator for *circuit* by backend name.
 
     ``"wave"`` returns the interpreting :class:`WaveformSimulator`;
-    ``"packed"`` (the default) and ``"auto"`` return a cached
-    :class:`CompiledCircuit`, falling back to the waveform simulator
-    automatically should compilation fail.  ``"vector"`` — the
-    digit-level behavioral engine in :mod:`repro.vec` — has no gate-level
-    netlist semantics, so netlist simulations run on the packed engine
-    instead (bit-identical results; a ``backend.vector_fallback`` trace
-    event records the substitution).
+    ``"packed"`` (the default for netlists, :func:`resolve_backend`)
+    returns a cached :class:`CompiledCircuit`, falling back to the
+    waveform simulator automatically should compilation fail.
+    ``"vector"`` — the digit-level behavioral engine in :mod:`repro.vec`
+    — has no gate-level netlist semantics, so netlist simulations run on
+    the packed engine instead.
     """
-    resolve_backend(backend)
-    if backend == "vector":
-        from repro.obs.trace import current_tracer
-
-        current_tracer().event(
-            "backend.vector_fallback", circuit=circuit.name, to="packed"
-        )
-        metrics().count("vec.netlist_fallbacks")
-    if backend == "wave":
+    if resolve_backend(backend, "netlist") == "wave":
         return WaveformSimulator(circuit, delay_model)
     try:
         return compile_circuit(circuit, delay_model)

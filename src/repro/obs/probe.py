@@ -195,8 +195,8 @@ def _probe_shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     independent of ``jobs`` (same guarantee as ``_mc_shard_worker``).
     """
     from repro.sim.montecarlo import (
-        _settle_depths,
         _worker_om,
+        settle_depths,
         uniform_digit_batch,
     )
 
@@ -227,7 +227,7 @@ def _probe_shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
             int((digits_to_scaled_int(sampled) != final_vals).sum())
         )
 
-    depth = _settle_depths(om, xd, yd, payload["backend"])
+    depth = settle_depths(waves)
     chain = np.bincount(depth, minlength=om.num_stages + 1).astype(int)
     return {
         "first_error": first_error,
@@ -250,11 +250,13 @@ def run_stage_probe(
     deterministic across ``jobs``, cached under ``config.cache_dir``,
     traced under the ambient tracer.
     """
+    from repro.netlist.compiled import resolve_backend
     from repro.sim.montecarlo import default_depths
 
     if depths is None:
         depths = default_depths(config.ndigits, config.delta)
     depths_arr = np.asarray(sorted(int(b) for b in depths), dtype=np.int64)
+    engine = resolve_backend(config.backend, "om-wave")
 
     tracer = current_tracer()
     cache = cache_for(config)
@@ -270,7 +272,7 @@ def run_stage_probe(
         "run.stage_probe",
         ndigits=config.ndigits,
         delta=config.delta,
-        backend=config.backend,
+        engine=engine,
         num_samples=int(num_samples),
         depths=[int(b) for b in depths_arr],
     ):
@@ -278,7 +280,7 @@ def run_stage_probe(
             hit = cache.get(key)
             if hit is not None:
                 hit.run_stats = runner.finalize_stats(
-                    "stage_probe", cache="hit", backend=config.backend
+                    "stage_probe", cache="hit"
                 )
                 return attach_metrics(hit)
 
@@ -288,7 +290,7 @@ def run_stage_probe(
             {
                 "ndigits": config.ndigits,
                 "delta": config.delta,
-                "backend": config.backend,
+                "backend": engine,
                 "depths": [int(b) for b in depths_arr],
                 "seed_seq": ss,
                 "samples": m,
@@ -318,7 +320,7 @@ def run_stage_probe(
         result.run_stats = runner.finalize_stats(
             "stage_probe",
             cache="miss" if cache is not None else "off",
-            backend=config.backend,
+            engine=engine,
         )
         attach_metrics(result)
     return result

@@ -3,11 +3,11 @@
 A cache entry is addressed by the blake2b digest of the canonical JSON of
 its *key components* — the experiment name plus everything that
 determines the result: netlist structural fingerprint and exact delay
-assignment for gate-level experiments, operand geometry, backend, master
-seed, shard size and per-experiment parameters (sample counts, depths,
-steps, images, frequency factors).  Execution details — ``jobs``,
+assignment for gate-level experiments, operand geometry, master seed,
+shard size and per-experiment parameters (sample counts, depths, steps,
+images, frequency factors).  Execution details — ``jobs``, ``backend``,
 ``cache_dir`` — never enter the key, so a result computed by one worker
-layout is served to every other.
+layout or engine is served to every other.
 
 Storage is the split format the :mod:`repro.runners.results` protocol is
 designed around:
@@ -63,7 +63,8 @@ from repro.obs.trace import current_tracer
 from repro.runners.results import jsonable, result_from_dict
 
 #: bump to invalidate every existing cache entry on a format change
-CACHE_FORMAT_VERSION = 1
+#: (2: the engine left the key components)
+CACHE_FORMAT_VERSION = 2
 
 #: ``kind`` tag of raw (non-Result) JSON payload entries
 RAW_KIND = "_raw"

@@ -3,10 +3,10 @@
 Every batch experiment in the repository — the stage-delay Monte-Carlo,
 the gate-level overclocking sweeps, the per-digit error-profile grids and
 the image-filter case study — is parameterised by the same handful of
-knobs: operand geometry (``ndigits``/``delta``), the simulation engine
-(``backend``), the master ``seed``, and the execution environment
-(``jobs`` worker processes, ``cache_dir`` for the persistent result
-cache).  Historically each entry point grew its own ad-hoc subset of
+knobs: operand geometry (``ndigits``/``delta``), the master ``seed``,
+and the execution environment (``jobs`` worker processes, ``cache_dir``
+for the persistent result cache, an optional ``backend`` engine
+override).  Historically each entry point grew its own ad-hoc subset of
 these as keyword arguments; :class:`RunConfig` replaces that with one
 immutable dataclass consumed uniformly by
 
@@ -15,7 +15,7 @@ immutable dataclass consumed uniformly by
 * :func:`repro.sim.error_profile.run_error_profile`, and
 * :func:`repro.imaging.filters.run_filter_study`.
 
-Two fields deserve emphasis:
+Three fields deserve emphasis:
 
 ``jobs``
     Number of worker processes.  **Results never depend on it**: the
@@ -28,6 +28,12 @@ Two fields deserve emphasis:
     changing it regroups the per-shard RNG streams and therefore changes
     the drawn samples — so it participates in cache keys while ``jobs``
     and ``cache_dir`` do not.
+``backend``
+    The simulation engine override, None by default: each workload
+    then runs on the engine :func:`repro.netlist.compiled.resolve_backend`
+    picks for it (``vector`` for OM-wave experiments, ``packed`` for
+    gate-level netlists).  Every engine is proven bit-identical on the
+    workloads it serves, so like ``jobs`` it never enters cache keys.
 
 Environment defaults: ``REPRO_JOBS`` seeds the default ``jobs`` and
 ``REPRO_CACHE_DIR`` the default ``cache_dir``, so CI legs and benchmark
@@ -71,18 +77,18 @@ class RunConfig:
     ----------
     ndigits / delta:
         Operand geometry (word length ``N`` and online delay).
-    backend:
-        Simulation engine: ``"packed"`` (default), ``"wave"``, ``"auto"``
-        or ``"vector"`` — all bit-identical.  ``"vector"`` runs online-
-        operator waves on the digit-level behavioral engine
-        (:mod:`repro.vec`); gate-level netlist experiments fall back to
-        the packed engine under it.
     seed:
         Master seed; per-shard streams are spawned from it via
         :class:`numpy.random.SeedSequence`.
     jobs:
         Worker processes (>= 1).  Execution detail only — never affects
         results.  Defaults to ``$REPRO_JOBS`` or 1.
+    backend:
+        Engine override: ``"packed"``, ``"wave"`` or ``"vector"``, or
+        None (default) to let each workload run on the engine chosen
+        per workload by :func:`~repro.netlist.compiled.resolve_backend`.
+        Execution detail like ``jobs`` — all engines are bit-identical
+        where they serve a workload, so it never affects results.
     cache_dir:
         Directory of the persistent result cache, or None to disable
         caching.  Defaults to ``$REPRO_CACHE_DIR`` or None.  Validated
@@ -98,9 +104,9 @@ class RunConfig:
 
     ndigits: int = 8
     delta: int = 3
-    backend: str = "packed"
     seed: int = 2014
     jobs: int = field(default_factory=_default_jobs)
+    backend: Optional[str] = None
     cache_dir: Optional[str] = field(default_factory=_default_cache_dir)
     shard_size: int = DEFAULT_SHARD_SIZE
     shard_timeout: Optional[float] = None
@@ -130,7 +136,8 @@ class RunConfig:
                 "shard_timeout must be a positive number of seconds or "
                 f"None, got {self.shard_timeout!r}"
             )
-        resolve_backend(self.backend)
+        if self.backend is not None:
+            resolve_backend(self.backend)
         self._check_cache_dir()
 
     def _check_cache_dir(self) -> None:
@@ -159,13 +166,12 @@ class RunConfig:
     def describe(self) -> Dict[str, object]:
         """The fields that define *what* is computed (cache-key material).
 
-        Excludes ``jobs`` and ``cache_dir`` on purpose: they change how a
-        result is produced, never the result itself.
+        Excludes ``jobs``, ``backend`` and ``cache_dir`` on purpose: they
+        change how a result is produced, never the result itself.
         """
         return {
             "ndigits": self.ndigits,
             "delta": self.delta,
-            "backend": self.backend,
             "seed": self.seed,
             "shard_size": self.shard_size,
         }

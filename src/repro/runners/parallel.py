@@ -194,6 +194,7 @@ class RunStats:
     samples: int = 0
     elapsed: float = 0.0
     cache: str = "off"  # "off" | "miss" | "hit"
+    engine: Optional[str] = None  # engine that ran the shards; None on a hit
     pool_failures: int = 0
     retries: int = 0
     timeouts: int = 0
@@ -539,21 +540,23 @@ class ParallelRunner:
         self,
         experiment: str,
         cache: str = "off",
-        backend: Optional[str] = None,
+        engine: Optional[str] = None,
     ) -> RunStats:
         """Label the stats of the last :meth:`map` call and return them.
 
-        When the run actually executed shards (``elapsed > 0``), records
-        throughput gauges — per experiment, and per *backend* when the
-        caller names one.
+        *engine* is the resolved engine that computed the shards; a cache
+        hit computed none, so its stats carry ``engine=None``.  When the
+        run actually executed shards (``elapsed > 0``), records
+        throughput gauges — per experiment, and per engine.
         """
         self.stats.experiment = experiment
         self.stats.cache = cache
+        self.stats.engine = None if cache == "hit" else engine
         if self.stats.elapsed > 0 and self.stats.samples:
             rate = self.stats.samples_per_second
             metrics().gauge(f"samples_per_sec.{experiment}", rate)
-            if backend:
-                metrics().gauge(f"samples_per_sec.{backend}", rate)
+            if self.stats.engine:
+                metrics().gauge(f"samples_per_sec.{self.stats.engine}", rate)
         return self.stats
 
 

@@ -724,11 +724,21 @@ class EvalService:
         }
 
 
-def run_service(config: Optional[ServiceConfig] = None) -> None:
-    """Blocking entry point for ``repro serve``."""
+def run_service(
+    config: Optional[ServiceConfig] = None,
+    on_start: Optional[Callable[[int], None]] = None,
+) -> None:
+    """Blocking entry point for ``repro serve``.
+
+    *on_start* is called with the bound port once the listener is up
+    (``port=0`` binds an ephemeral one).
+    """
     service = EvalService(config)
 
     async def main() -> None:
+        await service.start()
+        if on_start is not None:
+            on_start(service.port)
         await service.serve_forever()
 
     asyncio.run(main())

@@ -23,8 +23,10 @@ Next to the identity key sits the **compatibility key** (``batch_key``):
 two requests with the same batch key differ only along an axis the
 vector engine evaluates in one pass anyway — the montecarlo depth grid,
 or the stage-sweep step grid — while everything that changes the sample
-stream or the evaluation semantics (geometry, backend, seed, shard
-size, sample budget, deadline) is part of the key.  The service's
+stream or the evaluation semantics (geometry, seed, shard size, sample
+budget, deadline) is part of the key.  The ``backend`` param is an
+engine override: engines are bit-identical where they serve a request,
+so like ``jobs`` it enters neither key.  The service's
 micro-batcher merges same-``batch_key`` requests into one fused
 evaluation; synthesis requests have no batchable axis and carry
 ``batch_key=None``.
@@ -102,8 +104,8 @@ def batch_compatibility_key(
     """Compatibility class of one request for the service micro-batcher.
 
     Everything but the depth/step grid must match for two requests to
-    fuse: the :meth:`RunConfig.describe` fields (geometry, backend,
-    seed, shard size) pin the sample stream, ``samples`` pins the shard
+    fuse: the :meth:`RunConfig.describe` fields (geometry, seed, shard
+    size) pin the sample stream, ``samples`` pins the shard
     layout, and ``deadline`` keeps the fused evaluation's cancellation
     semantics identical to each member's solo run.  Only montecarlo and
     sweep requests batch — synthesis has no shared-grid axis.

@@ -25,7 +25,7 @@ from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.netlist.compiled import circuit_fingerprint
+from repro.netlist.compiled import circuit_fingerprint, resolve_backend
 from repro.netlist.delay import DelayModel, FpgaDelay, delay_signature
 from repro.netlist.sim import SimulationResult
 from repro.netlist.sta import static_timing
@@ -159,7 +159,7 @@ def profile_circuit(
     labels: Sequence[str],
     steps: Sequence[int],
     delay_model=None,
-    backend: str = "packed",
+    backend: Optional[str] = None,
 ) -> DigitErrorProfile:
     """Simulate *circuit* and profile its per-digit error rates in one call.
 
@@ -169,10 +169,11 @@ def profile_circuit(
         run the simulator yourself and call :func:`digit_error_profile`.
 
     Convenience wrapper around :func:`digit_error_profile` that runs the
-    simulation itself with the chosen engine (``backend="packed"`` uses
-    the compiled bit-packed simulator, ``"wave"`` the interpreting one;
-    both are bit-identical).  Only the nets named in *digit_groups* are
-    retained, which keeps memory proportional to the profiled outputs.
+    simulation itself with the chosen engine (``backend="packed"``, the
+    default, uses the compiled bit-packed simulator, ``"wave"`` the
+    interpreting one; both are bit-identical).  Only the nets named in
+    *digit_groups* are retained, which keeps memory proportional to the
+    profiled outputs.
     """
     warnings.warn(
         "profile_circuit(..., backend=) is deprecated; use "
@@ -245,13 +246,12 @@ def _profile_shard_worker(payload: Dict[str, Any]) -> np.ndarray:
 def _stage_profile_shard_worker(payload: Dict[str, Any]) -> np.ndarray:
     """One stage-timing profile shard: per-(depth, digit) mismatch counts.
 
-    ``backend="vector"`` captures every requested depth plus the settled
+    The vector engine captures every requested depth plus the settled
     reference in one fused :func:`repro.vec.fused.om_sweep_vector` pass;
-    other backends run one truncated wave per depth (the per-period
+    other engines run one truncated wave per depth (the per-period
     oracle).  Both feed the same counting helper, so the grids are
     bit-identical.
     """
-    from repro.netlist.compiled import resolve_backend
     from repro.sim.montecarlo import uniform_digit_batch
     from repro.vec.fused import stage_digit_mismatch_counts
 
@@ -263,7 +263,7 @@ def _stage_profile_shard_worker(payload: Dict[str, Any]) -> np.ndarray:
     rng = np.random.default_rng(payload["seed_seq"])
     xd = uniform_digit_batch(ndigits, m, rng)
     yd = uniform_digit_batch(ndigits, m, rng)
-    if resolve_backend(payload["backend"]) == "vector":
+    if payload["backend"] == "vector":
         from repro.obs.metrics import metrics
         from repro.vec.fused import om_sweep_vector
 
@@ -325,6 +325,7 @@ def _run_stage_error_profile(
         raise ValueError("the profile grid must contain at least one period")
     if steps_arr[0] < 0:
         raise ValueError("capture depths must be >= 0")
+    engine = resolve_backend(config.backend, "om-wave")
 
     cache = cache_for(config)
     runner = runner or ParallelRunner.from_config(config)
@@ -334,7 +335,7 @@ def _run_stage_error_profile(
         design=design,
         timing="stage",
         ndigits=config.ndigits,
-        backend=config.backend,
+        engine=engine,
         num_samples=int(num_samples),
     ):
         key = None
@@ -351,7 +352,7 @@ def _run_stage_error_profile(
             hit = cache.get(key)
             if hit is not None:
                 hit.run_stats = runner.finalize_stats(
-                    experiment, cache="hit", backend=config.backend
+                    experiment, cache="hit"
                 )
                 return attach_metrics(hit)
 
@@ -363,7 +364,7 @@ def _run_stage_error_profile(
             {
                 "ndigits": config.ndigits,
                 "delta": config.delta,
-                "backend": config.backend,
+                "backend": engine,
                 "steps": [int(t) for t in steps_arr],
                 "seed_seq": ss,
                 "samples": m,
@@ -381,7 +382,7 @@ def _run_stage_error_profile(
         result.run_stats = runner.finalize_stats(
             experiment,
             cache="miss" if cache is not None else "off",
-            backend=config.backend,
+            engine=engine,
         )
         attach_metrics(result)
     return result
@@ -407,8 +408,9 @@ def run_error_profile(
     are integers, so the merged grid is independent of ``config.jobs``.
 
     ``timing="stage"`` profiles under the analytical stage-delay model
-    instead (online design only, *steps* are chain-cut depths); with
-    ``backend="vector"`` the whole grid is captured in one fused pass.
+    instead (online design only, *steps* are chain-cut depths); on the
+    vector engine (the default there) the whole grid is captured in one
+    fused pass.
     """
     from repro.sim.sweep import _sweep_circuit
 
@@ -431,6 +433,7 @@ def run_error_profile(
         settle = static_timing(circuit, model).critical_delay
         steps = range(settle + 1)
     steps_arr = np.asarray(sorted(int(t) for t in steps), dtype=np.int64)
+    engine = resolve_backend(config.backend, "netlist")
 
     cache = cache_for(config)
     runner = runner or ParallelRunner.from_config(config)
@@ -439,7 +442,7 @@ def run_error_profile(
         "run.error_profile",
         design=design,
         ndigits=config.ndigits,
-        backend=config.backend,
+        engine=engine,
         num_samples=int(num_samples),
     ):
         key = None
@@ -459,7 +462,7 @@ def run_error_profile(
             hit = cache.get(key)
             if hit is not None:
                 hit.run_stats = runner.finalize_stats(
-                    experiment, cache="hit", backend=config.backend
+                    experiment, cache="hit"
                 )
                 return attach_metrics(hit)
 
@@ -471,7 +474,7 @@ def run_error_profile(
             {
                 "design": design,
                 "ndigits": config.ndigits,
-                "backend": config.backend,
+                "backend": engine,
                 "delay_model": model,
                 "steps": [int(t) for t in steps_arr],
                 "seed_seq": ss,
@@ -490,7 +493,7 @@ def run_error_profile(
         result.run_stats = runner.finalize_stats(
             experiment,
             cache="miss" if cache is not None else "off",
-            backend=config.backend,
+            engine=engine,
         )
         attach_metrics(result)
     return result

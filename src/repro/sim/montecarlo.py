@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.core.conversion import digits_to_scaled_int
 from repro.core.online_multiplier import OnlineMultiplier
+from repro.netlist.compiled import resolve_backend
 from repro.obs.trace import current_tracer
 from repro.runners.cache import cache_for, cache_key
 from repro.runners.config import RunConfig
@@ -195,17 +196,18 @@ def _settle_shard_worker(payload: Dict[str, Any]) -> Dict[int, int]:
     m = payload["samples"]
     xd = uniform_digit_batch(ndigits, m, rng)
     yd = uniform_digit_batch(ndigits, m, rng)
-    depth = _settle_depths(om, xd, yd, payload["backend"])
+    depth = settle_depths(om.wave(xd, yd, backend=payload["backend"]))
     values, counts = np.unique(depth, return_counts=True)
     return {int(v): int(c) for v, c in zip(values, counts)}
 
 
-def _settle_depths(
-    om: OnlineMultiplier, xd: np.ndarray, yd: np.ndarray, backend: str
-) -> np.ndarray:
-    """Per-sample settling depth (smallest ``b`` whose sample is final)."""
-    num_samples = xd.shape[1]
-    waves = om.wave(xd, yd, backend=backend)
+def settle_depths(waves: np.ndarray) -> np.ndarray:
+    """Per-sample settling depth (smallest ``b`` whose sample is final).
+
+    *waves* is an :meth:`OnlineMultiplier.wave` result, shape
+    ``(ticks + 1, N, S)``.
+    """
+    num_samples = waves.shape[2]
     final_vals = digits_to_scaled_int(waves[-1])
     depth = np.zeros(num_samples, dtype=np.int64)
     unset = np.ones(num_samples, dtype=bool)
@@ -257,14 +259,15 @@ def run_montecarlo(
     and the per-shard exact partials merge in shard order — so the result
     depends on ``(seed, shard_size, num_samples)`` but never on ``jobs``.
     With ``config.cache_dir`` set, repeated runs are served from the
-    persistent cache.  ``config.backend`` selects the wave engine per
-    shard — ``"vector"`` runs the digit-level behavioral engine
-    (:mod:`repro.vec`), bit-identical to ``"packed"``/``"wave"`` and far
-    faster on large batches.
+    persistent cache.  Shards run on the digit-level behavioral engine
+    (:mod:`repro.vec`) unless ``config.backend`` names another; every
+    engine is bit-identical here, the vector one far faster on large
+    batches.
     """
     if depths is None:
         depths = default_depths(config.ndigits, config.delta)
     depths_arr = np.asarray(sorted(int(b) for b in depths), dtype=np.int64)
+    engine = resolve_backend(config.backend, "om-wave")
 
     tracer = current_tracer()
     cache = cache_for(config)
@@ -277,7 +280,7 @@ def run_montecarlo(
         "run.montecarlo",
         ndigits=config.ndigits,
         delta=config.delta,
-        backend=config.backend,
+        engine=engine,
         num_samples=int(num_samples),
         depths=[int(b) for b in depths_arr],
     ):
@@ -285,7 +288,7 @@ def run_montecarlo(
             hit = cache.get(key)
             if hit is not None:
                 hit.run_stats = runner.finalize_stats(
-                    "montecarlo", cache="hit", backend=config.backend
+                    "montecarlo", cache="hit"
                 )
                 return attach_metrics(hit)
 
@@ -295,7 +298,7 @@ def run_montecarlo(
             {
                 "ndigits": config.ndigits,
                 "delta": config.delta,
-                "backend": config.backend,
+                "backend": engine,
                 "depths": [int(b) for b in depths_arr],
                 "seed_seq": ss,
                 "samples": m,
@@ -318,7 +321,7 @@ def run_montecarlo(
         result.run_stats = runner.finalize_stats(
             "montecarlo",
             cache="miss" if cache is not None else "off",
-            backend=config.backend,
+            engine=engine,
         )
         attach_metrics(result)
     return result
@@ -336,13 +339,14 @@ def run_settle_histogram(
     ``config.jobs``.  Returns a plain dict (not cached — recomputation is
     cheap and the dict is not a :class:`~repro.runners.results.Result`).
     """
+    engine = resolve_backend(config.backend, "om-wave")
     sizes = split_samples(num_samples, config.shard_size)
     seeds = spawn_seeds(config.seed, len(sizes), seed_tag("settle"))
     payloads = [
         {
             "ndigits": config.ndigits,
             "delta": config.delta,
-            "backend": config.backend,
+            "backend": engine,
             "seed_seq": ss,
             "samples": m,
         }
@@ -353,7 +357,7 @@ def run_settle_histogram(
         "run.settle_histogram",
         ndigits=config.ndigits,
         delta=config.delta,
-        backend=config.backend,
+        engine=engine,
         num_samples=int(num_samples),
     ):
         parts = runner.map(_settle_shard_worker, payloads, samples=sizes)
@@ -361,7 +365,7 @@ def run_settle_histogram(
         for part in parts:
             for depth, c in part.items():
                 counts[depth] = counts.get(depth, 0) + c
-        runner.finalize_stats("settle_histogram", backend=config.backend)
+        runner.finalize_stats("settle_histogram", engine=engine)
     return {
         depth: counts[depth] / num_samples for depth in sorted(counts)
     }
@@ -374,7 +378,7 @@ def settle_depth_histogram(
     num_samples: int = 20000,
     seed: int = 2014,
     delta: int = 3,
-    backend: str = "packed",
+    backend: Optional[str] = None,
 ) -> dict:
     """Empirical distribution of per-sample settling depths.
 
@@ -404,7 +408,7 @@ def settle_depth_histogram(
     rng = np.random.default_rng(seed)
     xd = uniform_digit_batch(ndigits, num_samples, rng)
     yd = uniform_digit_batch(ndigits, num_samples, rng)
-    depth = _settle_depths(om, xd, yd, backend)
+    depth = settle_depths(om.wave(xd, yd, backend=backend))
     values, counts = np.unique(depth, return_counts=True)
     return {int(v): float(cnt) / num_samples for v, cnt in zip(values, counts)}
 
@@ -415,7 +419,7 @@ def mc_expected_error(
     seed: int = 2014,
     delta: int = 3,
     depths: Optional[List[int]] = None,
-    backend: str = "packed",
+    backend: Optional[str] = None,
 ) -> MonteCarloResult:
     """Monte-Carlo ``E|eps|`` versus sampling depth for an ``N``-digit OM.
 
@@ -435,9 +439,10 @@ def mc_expected_error(
     depths:
         Sampling depths ``b`` to report (default: ``delta+1 .. N+delta``).
     backend:
-        Wave-evaluation engine, ``"packed"`` (default) or ``"wave"``;
-        both are bit-identical (``tests/sim/test_determinism.py``), so
-        every statistic is backend-independent.
+        Wave-evaluation engine override (default: the OM-wave engine of
+        :func:`~repro.netlist.compiled.resolve_backend`); all engines are
+        bit-identical (``tests/sim/test_determinism.py``), so every
+        statistic is backend-independent.
     """
     warnings.warn(
         "mc_expected_error(ndigits, ..., seed=, backend=) is deprecated; "

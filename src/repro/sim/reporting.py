@@ -77,6 +77,9 @@ def format_run_stats(stats) -> str:
         f"samples/s={stats.samples_per_second:.0f}",
         f"cache={stats.cache}",
     ]
+    engine = getattr(stats, "engine", None)
+    if engine:
+        fields.append(f"engine={engine}")
     if stats.retries:
         fields.append(f"retries={stats.retries}")
     if getattr(stats, "timeouts", 0):

@@ -24,15 +24,16 @@ paper's analytical timing model, Fig. 4 top row): every stage costs one
 delay unit ``mu``, a clock period cuts every chain at depth
 ``b = ceil(T_S / mu)``, and the sweep grid is a set of such depths
 (optionally derived from normalized periods via
-:func:`stage_steps_for_periods`).  Under ``backend="vector"`` the whole
-grid is evaluated in **one fused pass** over the operand batch
-(:func:`repro.vec.fused.om_sweep_vector` — span ``vec.fused_sweep``,
-metric ``vec.fused_periods``); every other backend runs the per-period
-reference oracle (:func:`stage_sweep_partial`, one truncated wave per
-depth).  Both paths feed their capture snapshots through the same
-statistics helper, so the resulting :class:`SweepResult` is
-bit-identical across backends — the fused kernel changes the cost of a
-sweep, never a digit of it (``tests/vec/test_fused_conformance.py``).
+:func:`stage_steps_for_periods`).  On the vector engine (the default
+for stage sweeps) the whole grid is evaluated in **one fused pass**
+over the operand batch (:func:`repro.vec.fused.om_sweep_vector` — span
+``vec.fused_sweep``, metric ``vec.fused_periods``); an explicit
+``backend="packed"``/``"wave"`` runs the per-period reference oracle
+(:func:`stage_sweep_partial`, one truncated wave per depth).  Both paths
+feed their capture snapshots through the same statistics helper, so the
+resulting :class:`SweepResult` is bit-identical across backends — the
+fused kernel changes the cost of a sweep, never a digit of it
+(``tests/vec/test_fused_conformance.py``).
 """
 
 from __future__ import annotations
@@ -51,7 +52,11 @@ from repro.core.conversion import (
 )
 from repro.core.online_multiplier import OnlineMultiplier
 from repro.arith.array_multiplier import build_array_multiplier
-from repro.netlist.compiled import circuit_fingerprint, make_simulator
+from repro.netlist.compiled import (
+    circuit_fingerprint,
+    make_simulator,
+    resolve_backend,
+)
 from repro.netlist.delay import DelayModel, FpgaDelay, UnitDelay, delay_signature
 from repro.netlist.sta import static_timing
 from repro.numrep.rounding import ceil_scaled, floor_ratio
@@ -213,8 +218,9 @@ class SweepResult:
 class SweepHarness:
     """Shared machinery: build once, sweep many batches.
 
-    ``backend`` selects the simulation engine: ``"packed"`` (default)
-    compiles the netlist to the bit-packed engine of
+    ``backend`` selects the simulation engine: ``"packed"`` (the
+    default, :func:`~repro.netlist.compiled.resolve_backend`) compiles
+    the netlist to the bit-packed engine of
     :mod:`repro.netlist.compiled`; ``"wave"`` uses the interpreting
     :class:`repro.netlist.sim.WaveformSimulator`; ``"vector"`` has no
     gate-level semantics, so :func:`make_simulator` substitutes the
@@ -225,12 +231,14 @@ class SweepHarness:
         self,
         circuit,
         delay_model: Optional[DelayModel],
-        backend: str = "packed",
+        backend: Optional[str] = None,
     ) -> None:
         self.circuit = circuit
         self.delay_model = delay_model if delay_model is not None else UnitDelay()
-        self.backend = backend
-        self.simulator = make_simulator(circuit, self.delay_model, backend)
+        self.backend = resolve_backend(backend, "netlist")
+        self.simulator = make_simulator(
+            circuit, self.delay_model, self.backend
+        )
         self.rated_step = static_timing(circuit, self.delay_model).critical_delay
 
     def decode(self, outputs: Dict[str, np.ndarray]) -> np.ndarray:
@@ -373,7 +381,7 @@ class OnlineMultiplierHarness(SweepHarness):
         self,
         ndigits: int,
         delay_model: Optional[DelayModel] = None,
-        backend: str = "packed",
+        backend: Optional[str] = None,
         *,
         _spec=None,
     ) -> None:
@@ -402,7 +410,7 @@ class OnlineMultiplierHarness(SweepHarness):
         return cls(
             fmt.pop("ndigits", 8),
             fmt.pop("delay_model", None),
-            fmt.pop("backend", "packed"),
+            fmt.pop("backend", None),
             _spec=resolved,
             **fmt,
         )
@@ -446,7 +454,7 @@ class TraditionalMultiplierHarness(SweepHarness):
         self,
         width: int,
         delay_model: Optional[DelayModel] = None,
-        backend: str = "packed",
+        backend: Optional[str] = None,
         *,
         _spec=None,
     ) -> None:
@@ -488,7 +496,7 @@ class TraditionalMultiplierHarness(SweepHarness):
         return cls(
             int(width),
             fmt.pop("delay_model", None),
-            fmt.pop("backend", "packed"),
+            fmt.pop("backend", None),
             _spec=resolved,
             **fmt,
         )
@@ -662,7 +670,7 @@ def stage_sweep_partial(
     xdigits: np.ndarray,
     ydigits: np.ndarray,
     steps,
-    backend: str = "packed",
+    backend: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Per-period reference oracle of the stage-timing sweep.
 
@@ -700,12 +708,10 @@ def stage_sweep_partial(
 def _stage_sweep_shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     """One stage-timing shard: draw operands, evaluate the depth grid.
 
-    ``backend="vector"`` takes the fused fast path — the whole grid in a
-    single stage-by-stage pass; every other backend runs the per-period
+    The vector engine takes the fused fast path — the whole grid in a
+    single stage-by-stage pass; every other engine runs the per-period
     oracle.  Identical partials either way.
     """
-    from repro.netlist.compiled import resolve_backend
-
     ndigits = payload["ndigits"]
     delta = payload["delta"]
     steps = payload["steps"]
@@ -713,7 +719,7 @@ def _stage_sweep_shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     rng = np.random.default_rng(payload["seed_seq"])
     xd = uniform_digit_batch(ndigits, m, rng)
     yd = uniform_digit_batch(ndigits, m, rng)
-    if resolve_backend(payload["backend"]) == "vector":
+    if payload["backend"] == "vector":
         from repro.obs.metrics import metrics
         from repro.vec.fused import fused_sweep_partial
 
@@ -799,6 +805,7 @@ def _run_stage_sweep(
             "netlist)"
         )
     requested, grid = stage_sweep_plan(config, periods=periods, steps=steps)
+    engine = resolve_backend(config.backend, "om-wave")
 
     cache = cache_for(config)
     runner = runner or ParallelRunner.from_config(config)
@@ -808,7 +815,7 @@ def _run_stage_sweep(
         design=design,
         timing="stage",
         ndigits=config.ndigits,
-        backend=config.backend,
+        engine=engine,
         num_samples=int(num_samples),
         periods=len(requested),
         depths=len(grid),
@@ -823,7 +830,7 @@ def _run_stage_sweep(
             hit = cache.get(key)
             if hit is not None:
                 hit.run_stats = runner.finalize_stats(
-                    experiment, cache="hit", backend=config.backend
+                    experiment, cache="hit"
                 )
                 return attach_metrics(hit)
 
@@ -835,7 +842,7 @@ def _run_stage_sweep(
             {
                 "ndigits": config.ndigits,
                 "delta": config.delta,
-                "backend": config.backend,
+                "backend": engine,
                 "steps": [int(b) for b in grid],
                 "requested_periods": len(requested),
                 "seed_seq": ss,
@@ -852,7 +859,7 @@ def _run_stage_sweep(
         result.run_stats = runner.finalize_stats(
             experiment,
             cache="miss" if cache is not None else "off",
-            backend=config.backend,
+            engine=engine,
         )
         attach_metrics(result)
     return result
@@ -886,9 +893,9 @@ def run_sweep(
     timing:
         ``"gate"`` (default) simulates the netlist under *delay_model*;
         ``"stage"`` uses the paper's analytical stage-delay model —
-        online design only, each stage costs one unit ``mu``, and
-        ``backend="vector"`` evaluates the whole period grid in one
-        fused pass (:mod:`repro.vec.fused`).
+        online design only, each stage costs one unit ``mu``, and the
+        vector engine (the default) evaluates the whole period grid in
+        one fused pass (:mod:`repro.vec.fused`).
     periods, steps:
         The ``timing="stage"`` sweep grid — either normalized periods
         (fractions of the structural delay, mapped through
@@ -922,6 +929,7 @@ def run_sweep(
             "gate-level sweep always covers every period up to settling"
         )
     model = delay_model if delay_model is not None else FpgaDelay()
+    engine = resolve_backend(config.backend, "netlist")
     cache = cache_for(config)
     runner = runner or ParallelRunner.from_config(config)
     experiment = f"sweep:{design}"
@@ -929,7 +937,7 @@ def run_sweep(
         "run.sweep",
         design=design,
         ndigits=config.ndigits,
-        backend=config.backend,
+        engine=engine,
         num_samples=int(num_samples),
     ):
         key = None
@@ -949,7 +957,7 @@ def run_sweep(
             hit = cache.get(key)
             if hit is not None:
                 hit.run_stats = runner.finalize_stats(
-                    experiment, cache="hit", backend=config.backend
+                    experiment, cache="hit"
                 )
                 return attach_metrics(hit)
 
@@ -961,7 +969,7 @@ def run_sweep(
             {
                 "design": design,
                 "ndigits": config.ndigits,
-                "backend": config.backend,
+                "backend": engine,
                 "delay_model": model,
                 "seed_seq": ss,
                 "samples": m,
@@ -975,7 +983,7 @@ def run_sweep(
         result.run_stats = runner.finalize_stats(
             experiment,
             cache="miss" if cache is not None else "off",
-            backend=config.backend,
+            engine=engine,
         )
         attach_metrics(result)
     return result

@@ -771,7 +771,7 @@ def run_synthesis(
                 if cache is None
                 else ("hit" if groups and not pending else "miss")
             ),
-            backend=config.backend,
+            engine="vector",  # fused verification runs on no other engine
         )
         attach_metrics(report)
     return report

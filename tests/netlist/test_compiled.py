@@ -160,11 +160,26 @@ def test_resolve_backend():
         resolve_backend("quantum")
 
 
+def test_resolve_backend_rule():
+    assert resolve_backend(None, "om-wave") == "vector"
+    assert resolve_backend(None, "netlist") == "packed"
+    # explicit engines are honoured; vector has no netlist semantics
+    assert resolve_backend("wave", "netlist") == "wave"
+    assert resolve_backend("packed", "om-wave") == "packed"
+    assert resolve_backend("vector", "netlist") == "packed"
+    with pytest.raises(ValueError, match="unknown workload"):
+        resolve_backend(None, "imaging")
+
+
 def test_make_simulator_dispatch():
     c = _toy_circuit()
     assert isinstance(make_simulator(c, backend="wave"), WaveformSimulator)
     assert isinstance(make_simulator(c, backend="packed"), CompiledCircuit)
-    assert isinstance(make_simulator(c, backend="auto"), CompiledCircuit)
+    assert isinstance(make_simulator(c), CompiledCircuit)
+    assert isinstance(make_simulator(c, backend="vector"), CompiledCircuit)
+    # the old "auto" alias is gone
+    with pytest.raises(ValueError, match="unknown backend"):
+        make_simulator(c, backend="auto")
     with pytest.raises(ValueError):
         make_simulator(c, backend="nope")
 

@@ -12,7 +12,7 @@ class TestDefaults:
         config = RunConfig()
         assert config.ndigits == 8
         assert config.delta == 3
-        assert config.backend == "packed"
+        assert config.backend is None  # each workload's engine by rule
         assert config.seed == 2014
         assert config.jobs == 1
         assert config.cache_dir is None
@@ -100,14 +100,19 @@ class TestWith:
 
 class TestDescribe:
     def test_excludes_execution_details(self, tmp_path):
-        described = RunConfig(jobs=8, cache_dir=str(tmp_path)).describe()
+        described = RunConfig(
+            jobs=8, cache_dir=str(tmp_path), backend="wave"
+        ).describe()
         assert "jobs" not in described
         assert "cache_dir" not in described
+        assert "backend" not in described
 
     def test_execution_details_share_a_description(self, tmp_path):
         a = RunConfig(jobs=1, cache_dir=None)
         b = RunConfig(jobs=8, cache_dir=str(tmp_path), shard_timeout=5.0)
         assert a.describe() == b.describe()
+        for engine in ("packed", "wave", "vector"):
+            assert RunConfig(backend=engine).describe() == a.describe()
 
     def test_statistical_identity_differs(self):
         assert RunConfig().describe() != RunConfig(shard_size=100).describe()

@@ -47,16 +47,25 @@ class TestWarmWorkers:
     def test_worker_processes_persist_across_maps(self):
         pool = WorkerPool(jobs=2)
         try:
+            # every resident worker is started by the first warm-up; under
+            # CPU load one of them may absorb both barrier tasks, so keep
+            # warming until each has reported its pid
+            warm = set()
+            for _ in range(50):
+                warm |= set(pool.warm_up())
+                if len(warm) == 2:
+                    break
+            assert len(warm) == 2
             first = set(ParallelRunner(worker_pool=pool).map(
                 _pid, list(range(6)), samples=[1] * 6
             ))
             second = set(ParallelRunner(worker_pool=pool).map(
                 _pid, list(range(6)), samples=[1] * 6
             ))
-            # same resident processes, not respawns — a fast worker may
-            # drain the whole second batch alone, so subset, not equality
-            assert second <= first
-            assert 1 <= len(first) <= 2
+            # same resident processes, not respawns — which of them a
+            # map happens to use is up to the scheduler
+            assert first <= warm
+            assert second <= warm
             assert pool.restarts == 0
         finally:
             pool.shutdown()

@@ -4,7 +4,14 @@ import math
 
 import pytest
 
-from repro.sim.reporting import format_table, geomean, percent
+from repro.runners import RunConfig, RunStats
+from repro.sim.montecarlo import run_montecarlo
+from repro.sim.reporting import (
+    format_run_stats,
+    format_table,
+    geomean,
+    percent,
+)
 
 
 class TestFormatTable:
@@ -53,3 +60,30 @@ class TestGeomean:
 class TestPercent:
     def test_format(self):
         assert percent(0.123) == "12.30%"
+
+
+class TestRunStatsLine:
+    def test_engine_field(self):
+        line = format_run_stats(
+            RunStats(experiment="montecarlo", cache="off", engine="vector")
+        )
+        assert line.startswith("[runner] ")
+        assert "engine=vector" in line.split()
+
+    def test_no_engine_on_a_cache_hit(self):
+        line = format_run_stats(RunStats(experiment="x", cache="hit"))
+        assert "cache=hit" in line.split()
+        assert "engine=" not in line
+
+    def test_entry_point_reports_the_resolved_engine(self, tmp_path):
+        config = RunConfig(ndigits=4, cache_dir=str(tmp_path))
+        fresh = run_montecarlo(config, num_samples=300)
+        assert fresh.run_stats.engine == "vector"  # the OM-wave rule
+        assert "engine=vector" in format_run_stats(fresh.run_stats)
+        hit = run_montecarlo(config.with_(backend="packed"), num_samples=300)
+        assert hit.run_stats.cache == "hit"
+        assert hit.run_stats.engine is None
+        packed = run_montecarlo(
+            config.with_(backend="packed", cache_dir=None), num_samples=300
+        )
+        assert "engine=packed" in format_run_stats(packed.run_stats)

@@ -14,6 +14,8 @@ The vector-engine acceptance gate distinguishes two kinds of agreement:
   re-hardcoding literals.
 """
 
+import json
+
 import numpy as np
 
 #: max |difference| of per-depth violation probabilities across seeds
@@ -48,3 +50,15 @@ def assert_histograms_close(counts_a, counts_b, num_samples):
     q = np.asarray(counts_b, dtype=np.float64) / num_samples
     tv = 0.5 * np.abs(p - q).sum(axis=1)
     assert np.max(tv) < TV_TOL
+
+
+def payload_bytes(result) -> bytes:
+    """Canonical wire bytes of a result: ``to_dict()`` without metrics.
+
+    The byte-equality currency of the engine contract — a cached answer
+    and a fresh one, or the answers of two engines, must serialize to
+    the same bytes.
+    """
+    payload = result.to_dict()
+    payload.pop("metrics", None)
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()

@@ -31,6 +31,7 @@ from repro.sim.montecarlo import run_montecarlo, uniform_digit_batch
 from tests.vec.conftest import (
     assert_histograms_close,
     assert_sweep_statistics_close,
+    payload_bytes,
 )
 
 NDIGITS = 8
@@ -132,13 +133,16 @@ class TestRunnerContract:
         np.testing.assert_array_equal(
             first.mean_abs_error, second.mean_abs_error
         )
-        # packed must not be served the vector entry (nor vice versa) —
-        # the backend is part of the cache key even though results match
+        # the engine is not part of the cache key: packed is served the
+        # vector entry, and that answer is byte-equal to a fresh packed run
         packed = run_montecarlo(
             RunConfig(ndigits=6, backend="packed", cache_dir=str(tmp_path)),
             2000,
         )
-        assert packed.run_stats.cache == "miss"
-        np.testing.assert_array_equal(
-            packed.mean_abs_error, first.mean_abs_error
+        assert packed.run_stats.cache == "hit"
+        assert packed.run_stats.engine is None
+        fresh = run_montecarlo(
+            RunConfig(ndigits=6, backend="packed", cache_dir=None), 2000
         )
+        assert fresh.run_stats.engine == "packed"
+        assert payload_bytes(packed) == payload_bytes(fresh)

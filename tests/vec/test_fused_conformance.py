@@ -43,7 +43,10 @@ from repro.sim.sweep import (
 )
 from repro.vec.fused import fused_sweep_partial, om_sweep_vector
 
-from tests.vec.conftest import assert_sweep_statistics_close
+from tests.vec.conftest import (
+    assert_sweep_statistics_close,
+    payload_bytes,
+)
 
 NDIGITS = 8
 S_TOT = NDIGITS + 3
@@ -232,16 +235,22 @@ class TestHarnessConformance:
         )
         assert sparse.run_stats.cache == "miss"
         assert len(sparse.steps) == 2
-        # the packed oracle must not be served the fused entry
+        # the engine is not part of the cache key: the packed oracle is
+        # served the fused entry, byte-equal to a fresh packed run
         packed = run_sweep(
             RunConfig(ndigits=5, backend="packed", cache_dir=str(tmp_path)),
             num_samples=600,
             timing="stage",
         )
-        assert packed.run_stats.cache == "miss"
-        np.testing.assert_array_equal(
-            packed.mean_abs_error, first.mean_abs_error
+        assert packed.run_stats.cache == "hit"
+        assert packed.run_stats.engine is None
+        fresh = run_sweep(
+            RunConfig(ndigits=5, backend="packed", cache_dir=None),
+            num_samples=600,
+            timing="stage",
         )
+        assert fresh.run_stats.engine == "packed"
+        assert payload_bytes(packed) == payload_bytes(fresh)
         # and the gate-level sweep is keyed apart from the stage sweep
         gate = run_sweep(
             RunConfig(ndigits=5, backend="packed", cache_dir=str(tmp_path)),
