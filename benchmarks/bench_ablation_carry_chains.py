@@ -32,6 +32,12 @@ SAMPLES = 3000
 FACTORS = (1.05, 1.15, 1.25)
 
 
+def _array_baseline(width, delay_model):
+    return TraditionalMultiplierHarness.from_spec(
+        "array-mult", width=width, delay_model=delay_model
+    )
+
+
 class _RippleBaseline(TraditionalMultiplierHarness):
     """Baugh-Wooley compressor + ripple final adder (carry-chain style)."""
 
@@ -52,14 +58,16 @@ def test_ablation_carry_chains(benchmark):
     ys = rng.integers(-255, 256, SAMPLES)
 
     scenarios = [
-        ("LUT-only fabric", FpgaDelay, TraditionalMultiplierHarness),
+        ("LUT-only fabric", FpgaDelay, _array_baseline),
         ("carry-chain fabric", CarryChainDelay, _RippleBaseline),
     ]
     rows = []
     gaps = {}
-    for label, delay_factory, baseline_cls in scenarios:
-        online = OnlineMultiplierHarness(N, delay_factory()).sweep(xd, yd)
-        trad = baseline_cls(N + 1, delay_factory()).sweep(xs, ys)
+    for label, delay_factory, baseline in scenarios:
+        online = OnlineMultiplierHarness.from_spec(
+            "online-mult", ndigits=N, delay_model=delay_factory()
+        ).sweep(xd, yd)
+        trad = baseline(N + 1, delay_factory()).sweep(xs, ys)
         for factor in FACTORS:
             e_o = online.at_normalized_frequency(factor)
             e_t = trad.at_normalized_frequency(factor)
@@ -92,7 +100,9 @@ def test_ablation_carry_chains(benchmark):
         assert gaps[("carry-chain fabric", factor)] > 5.0
 
     benchmark(
-        OnlineMultiplierHarness(N, CarryChainDelay()).sweep,
+        OnlineMultiplierHarness.from_spec(
+            "online-mult", ndigits=N, delay_model=CarryChainDelay()
+        ).sweep,
         xd[:, :500],
         yd[:, :500],
     )

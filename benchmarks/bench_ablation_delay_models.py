@@ -33,7 +33,9 @@ def test_ablation_delay_models(benchmark):
     rows = []
     headrooms = {}
     for name, model in models:
-        harness = OnlineMultiplierHarness(N, model)
+        harness = OnlineMultiplierHarness.from_spec(
+            "online-mult", ndigits=N, delay_model=model
+        )
         res = harness.sweep(xd, yd)
         headroom = res.rated_step / res.error_free_step - 1
         headrooms[name] = headroom
@@ -61,5 +63,7 @@ def test_ablation_delay_models(benchmark):
     assert all(h > 0 for h in headrooms.values())
     assert headrooms["unit"] >= headrooms["fpga jitter +-2"] - 0.02
 
-    harness = OnlineMultiplierHarness(N, UnitDelay())
+    harness = OnlineMultiplierHarness.from_spec(
+        "online-mult", ndigits=N, delay_model=UnitDelay()
+    )
     benchmark(harness.sweep, xd[:, :500], yd[:, :500])

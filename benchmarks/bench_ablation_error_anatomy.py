@@ -26,7 +26,9 @@ FRACTIONS = (0.95, 0.85, 0.75, 0.6)
 
 def _profile_online():
     rng = np.random.default_rng(41)
-    harness = OnlineMultiplierHarness(N, FpgaDelay())
+    harness = OnlineMultiplierHarness.from_spec(
+        "online-mult", ndigits=N, delay_model=FpgaDelay()
+    )
     ports = harness.encode(
         uniform_digit_batch(N, SAMPLES, rng),
         uniform_digit_batch(N, SAMPLES, rng),
@@ -39,7 +41,9 @@ def _profile_online():
 
 def _profile_traditional():
     rng = np.random.default_rng(42)
-    harness = TraditionalMultiplierHarness(N + 1, FpgaDelay())
+    harness = TraditionalMultiplierHarness.from_spec(
+        "array-mult", width=N + 1, delay_model=FpgaDelay()
+    )
     ports = harness.encode(
         rng.integers(-255, 256, SAMPLES), rng.integers(-255, 256, SAMPLES)
     )

@@ -23,7 +23,9 @@ SAMPLES = 4000
 @pytest.mark.parametrize("ndigits", [8, 12])
 def test_fig4_model_vs_gatelevel(benchmark, ndigits):
     rng = np.random.default_rng(4)
-    harness = OnlineMultiplierHarness(ndigits, FpgaDelay())
+    harness = OnlineMultiplierHarness.from_spec(
+        "online-mult", ndigits=ndigits, delay_model=FpgaDelay()
+    )
     xd = uniform_digit_batch(ndigits, SAMPLES, rng)
     yd = uniform_digit_batch(ndigits, SAMPLES, rng)
     sweep = harness.sweep(xd, yd)

@@ -37,7 +37,9 @@ OVERHEAD_BUDGET = 0.03  # relative; the DESIGN.md budget
 
 def _shard_ports(num_shards: int, shard_samples: int):
     rng = np.random.default_rng(2014)
-    harness = OnlineMultiplierHarness(NDIGITS)
+    harness = OnlineMultiplierHarness.from_spec(
+        "online-mult", ndigits=NDIGITS
+    )
     return [
         harness.encode(
             uniform_digit_batch(NDIGITS, shard_samples, rng),

@@ -32,7 +32,9 @@ NDIGITS = 8
 
 def _ports(num_samples: int, seed: int = 2014):
     rng = np.random.default_rng(seed)
-    harness = OnlineMultiplierHarness(NDIGITS)
+    harness = OnlineMultiplierHarness.from_spec(
+        "online-mult", ndigits=NDIGITS
+    )
     return harness.encode(
         uniform_digit_batch(NDIGITS, num_samples, rng),
         uniform_digit_batch(NDIGITS, num_samples, rng),

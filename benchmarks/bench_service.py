@@ -1,6 +1,6 @@
 """Acceptance load test of the evaluation daemon (:mod:`repro.service`).
 
-Six phases, each asserting one robustness guarantee end to end over
+Five phases, each asserting one robustness guarantee end to end over
 the real socket protocol:
 
 * **coalescing** — N identical concurrent requests perform exactly ONE
@@ -11,10 +11,6 @@ the real socket protocol:
   admission → coalesce → breaker → pool pipeline and reports req/s,
   p50 and p99 latency; a second leg measures the persistent-cache
   short-circuit path.
-* **warm workers** — the same real multi-shard requests against cold
-  per-request process pools vs the resident
-  :class:`~repro.runners.workerpool.WorkerPool`; publishes
-  ``warm_speedup`` to the ledger.
 * **batching** — a compatible depth fan-out against the micro-batcher
   vs serial evaluation; asserts every batched response is
   byte-identical to its serial twin and publishes ``batch_speedup``.
@@ -227,65 +223,6 @@ def phase_throughput(num_requests, cache_dir):
     return rows, measures
 
 
-def phase_warm(num_requests, samples):
-    """Cold per-request process pools vs the resident warm worker pool.
-
-    Real evaluator, real multi-shard pool runs: the cold leg pays
-    process spin-up plus cold per-process caches on *every* request, the
-    warm leg pays it once (excluded from the measurement via
-    ``warm_up``) and reuses the resident workers after that.
-    """
-    base = run_config(
-        ndigits=NDIGITS, jobs=2, cache_dir=None, shard_size=max(1, samples // 4)
-    )
-    # distinct seeds: no coalescing/caching, identical per-request work
-    requests = [
-        ("montecarlo", {"samples": samples, "depths": [4, 6],
-                        "seed": 1000 + i})
-        for i in range(num_requests)
-    ]
-
-    async def body(service):
-        if service.worker_pool is not None:
-            service.worker_pool.warm_up()
-        return await _run_load(
-            service, num_clients=1, requests=requests, max_inflight=1,
-        )
-
-    cold = asyncio.run(
-        _with_service(_service_config(run_config=base), None, body)
-    )
-    warm = asyncio.run(
-        _with_service(
-            _service_config(run_config=base, workers=2), None, body
-        )
-    )
-    warm_speedup = cold["elapsed"] / warm["elapsed"]
-    measures = {
-        "all_ok": all(
-            r["ok"] and not r.get("degraded")
-            for load in (cold, warm) for r in load["responses"]
-        ),
-        "cold_req_per_s": cold["req_per_s"],
-        "warm_req_per_s": warm["req_per_s"],
-        "warm_speedup": warm_speedup,
-    }
-    rows = [
-        [
-            "cold pools", f"{num_requests} x {samples}",
-            f"{cold['req_per_s']:.1f}", f"{cold['p50'] * 1e3:.1f}",
-            f"{cold['p99'] * 1e3:.1f}", "pool spawned per request",
-        ],
-        [
-            "warm pool", f"{num_requests} x {samples}",
-            f"{warm['req_per_s']:.1f}", f"{warm['p50'] * 1e3:.1f}",
-            f"{warm['p99'] * 1e3:.1f}",
-            f"resident workers, {warm_speedup:.2f}x",
-        ],
-    ]
-    return rows, measures
-
-
 def phase_batched(fanout, samples):
     """Compatible depth fan-out: micro-batched vs serial evaluation.
 
@@ -467,8 +404,6 @@ def main(argv=None) -> int:
     num_requests = args.requests or (40 if args.quick else 400)
     shed_requests = 12 if args.quick else 48
     degraded_requests = 8 if args.quick else 32
-    warm_requests = 4 if args.quick else 12
-    warm_samples = 2000 if args.quick else 8000
     batch_fanout = 6 if args.quick else 12
     batch_samples = 2000 if args.quick else 10000
 
@@ -480,8 +415,6 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="repro-bench-service-") as cdir:
         throughput_rows, throughput = phase_throughput(num_requests, cdir)
     rows.extend(throughput_rows)
-    warm_rows, warm = phase_warm(warm_requests, warm_samples)
-    rows.extend(warm_rows)
     batch_rows, batch = phase_batched(batch_fanout, batch_samples)
     rows.extend(batch_rows)
     shed_row, shedding = phase_shedding(shed_requests)
@@ -508,7 +441,6 @@ def main(argv=None) -> int:
             "p50_ms": throughput["p50_ms"],
             "p99_ms": throughput["p99_ms"],
             "cached_req_per_s": throughput["cached_req_per_s"],
-            "warm_speedup": warm["warm_speedup"],
             "batch_speedup": batch["batch_speedup"],
         },
         requests=num_requests,
@@ -530,8 +462,6 @@ def main(argv=None) -> int:
         failures.append("coalesced requests lost answers")
     if not throughput["all_ok"]:
         failures.append("throughput phase had failed requests")
-    if not warm["all_ok"]:
-        failures.append("warm-worker phase had failed/degraded requests")
     if not batch["all_ok"]:
         failures.append("batching phase had failed requests")
     if not batch["identical"]:

@@ -465,7 +465,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"repro service on {args.host}:{port} "
             f"(ndigits={config.ndigits}, jobs={config.jobs}, "
-            f"concurrency={args.concurrency}, workers={args.workers}, "
+            f"concurrency={args.concurrency}, "
             f"batch_window={args.batch_window:g}s); "
             f"SIGTERM drains gracefully",
             flush=True,
@@ -476,7 +476,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         concurrency=args.concurrency,
-        workers=args.workers,
         batch_window=args.batch_window,
         default_deadline=args.deadline,
         failure_threshold=args.failure_threshold,
@@ -706,9 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2014)
     p.add_argument("--concurrency", type=int, default=2,
                    help="resident evaluator worker threads")
-    p.add_argument("--workers", type=int, default=0,
-                   help="resident warm worker processes kept hot across "
-                        "requests (0 = per-run pools, the old behavior)")
     p.add_argument("--batch-window", type=float, default=0.0,
                    help="gather window in seconds for fusing compatible "
                         "montecarlo/sweep requests (0 = no batching)")

@@ -33,7 +33,6 @@ MRE/SNR metrics and for writing the Fig. 7 images.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -205,14 +204,15 @@ class ConvolutionDatapath:
     """A complete 3x3 convolution datapath in one arithmetic style.
 
     Construct via :meth:`from_spec` (the uniform spec-driven spelling,
-    matching the sweep harnesses); the positional
-    ``ConvolutionDatapath(arithmetic, ...)`` signature is kept as a
-    deprecated shim.
+    matching the sweep harnesses); every constructor argument is
+    keyword-only.
 
     Parameters
     ----------
-    arithmetic:
-        ``"online"`` or ``"traditional"``.
+    spec:
+        Multiplier :class:`~repro.synth.spec.OperatorSpec` (or its
+        registry name) with ``kind="mul"``; its style, ``"online"`` or
+        ``"traditional"``, picks the arithmetic.
     kernel:
         3x3 integer kernel numerators (may be signed, e.g. Sobel).
     kernel_frac_bits:
@@ -247,7 +247,8 @@ class ConvolutionDatapath:
 
     def __init__(
         self,
-        arithmetic: str,
+        *,
+        spec,
         kernel: np.ndarray = GAUSSIAN_KERNEL_64THS,
         kernel_frac_bits: int = KERNEL_FRAC_BITS,
         ndigits: int = 8,
@@ -255,24 +256,12 @@ class ConvolutionDatapath:
         coefficients_as_inputs: bool = False,
         backend: Optional[str] = None,
         config: Optional[RunConfig] = None,
-        *,
-        _spec=None,
     ) -> None:
         if config is not None:
             ndigits = config.ndigits
             backend = config.backend or backend
-        if _spec is None:
-            warnings.warn(
-                "ConvolutionDatapath(arithmetic, ...) is deprecated; use "
-                "ConvolutionDatapath.from_spec('online-mult' | "
-                "'array-mult', ...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            _spec = _style_spec(arithmetic)
-        self.spec = _spec
-        if arithmetic not in ("online", "traditional"):
-            raise ValueError("arithmetic must be 'online' or 'traditional'")
+        self.spec = _filter_spec(spec)
+        arithmetic = self.spec.style
         if ndigits < 8:
             raise ValueError("ndigits must be >= 8 to represent 8-bit pixels")
         kernel = np.asarray(kernel, dtype=np.int64)
@@ -320,9 +309,7 @@ class ConvolutionDatapath:
         (``kernel``, ``kernel_frac_bits``, ``ndigits``, ``delay_model``,
         ``coefficients_as_inputs``, ``backend``, ``config``).
         """
-        resolved = _filter_spec(spec)
-        arithmetic = "online" if resolved.style == "online" else "traditional"
-        return cls(arithmetic, _spec=resolved, **fmt)
+        return cls(spec=spec, **fmt)
 
     def _coeff_scaled(self, tap: int) -> int:
         """Coefficient numerator scaled by ``2**ndigits`` (may be signed)."""
@@ -514,23 +501,22 @@ class GaussianFilterDatapath(ConvolutionDatapath):
 
     def __init__(
         self,
-        arithmetic: str,
+        arithmetic: Optional[str] = None,
         ndigits: int = 8,
         delay_model: Optional[DelayModel] = None,
         coefficients_as_inputs: bool = False,
         backend: Optional[str] = None,
         *,
-        _spec=None,
+        spec=None,
     ) -> None:
         super().__init__(
-            arithmetic,
+            spec=spec if spec is not None else _style_spec(arithmetic),
             kernel=GAUSSIAN_KERNEL_64THS,
             kernel_frac_bits=KERNEL_FRAC_BITS,
             ndigits=ndigits,
             delay_model=delay_model,
             coefficients_as_inputs=coefficients_as_inputs,
             backend=backend,
-            _spec=_spec if _spec is not None else _style_spec(arithmetic),
         )
 
 
@@ -545,23 +531,22 @@ class SobelFilterDatapath(ConvolutionDatapath):
 
     def __init__(
         self,
-        arithmetic: str,
+        arithmetic: Optional[str] = None,
         ndigits: int = 8,
         delay_model: Optional[DelayModel] = None,
         vertical: bool = False,
         backend: Optional[str] = None,
         *,
-        _spec=None,
+        spec=None,
     ) -> None:
         kernel = SOBEL_Y_KERNEL_8THS if vertical else SOBEL_X_KERNEL_8THS
         super().__init__(
-            arithmetic,
+            spec=spec if spec is not None else _style_spec(arithmetic),
             kernel=kernel,
             kernel_frac_bits=3,
             ndigits=ndigits,
             delay_model=delay_model,
             backend=backend,
-            _spec=_spec if _spec is not None else _style_spec(arithmetic),
         )
 
 

@@ -36,7 +36,6 @@ from repro.runners.parallel import (
     split_samples,
     spawn_seeds,
 )
-from repro.runners.workerpool import WorkerPool
 from repro.runners.cache import (
     QUARANTINE_DIR,
     RAW_KIND,
@@ -58,7 +57,6 @@ __all__ = [
     "CancelToken",
     "RunCancelled",
     "ParallelRunner",
-    "WorkerPool",
     "RunStats",
     "ShardStat",
     "merge_float_sums",

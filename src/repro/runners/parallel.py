@@ -12,12 +12,8 @@ The execution model every ``run_*`` entry point shares:
    draw independent streams.
 3. **Map** a picklable worker over the shard payloads with
    :meth:`ParallelRunner.map` — in-process when ``jobs <= 1``, over a
-   :class:`~concurrent.futures.ProcessPoolExecutor` otherwise.  A
-   :class:`~repro.runners.workerpool.WorkerPool` makes that executor
-   *resident*: long-running callers (the evaluation service) hand every
-   runner the same pool, so worker processes — and their per-process
-   netlist/engine caches — survive across runs instead of being rebuilt
-   per map call.
+   :class:`~concurrent.futures.ProcessPoolExecutor` private to that
+   ``map`` call otherwise.
 4. **Merge** the per-shard partial sums *in shard-index order* — float
    accumulation order is fixed, so the merged statistics are
    bit-identical for ``jobs=1`` and ``jobs=N``.
@@ -70,18 +66,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.runners.workerpool import WorkerPool
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -279,30 +264,17 @@ class ParallelRunner:
         attaches one keyed by the request's content address so clients
         can stream per-shard progress.  None (the default) publishes
         nothing and costs one attribute check per transition site.
-    worker_pool:
-        Optional :class:`~repro.runners.workerpool.WorkerPool` of
-        resident worker processes.  With one, :meth:`map` submits to the
-        shared long-lived executor instead of building (and tearing
-        down) a private pool per call, so per-process caches stay hot
-        across runs; ``jobs`` defaults to the pool's size.  A pool loss
-        calls :meth:`~repro.runners.workerpool.WorkerPool.replace`
-        (generation-guarded, so concurrent runners sharing one broken
-        pool replace it once); a *cancellation* merely cancels this
-        run's queued futures and leaves the healthy workers resident.
     """
 
     def __init__(
         self,
-        jobs: Optional[int] = None,
+        jobs: int = 1,
         max_pool_failures: int = DEFAULT_MAX_POOL_FAILURES,
         backoff: float = DEFAULT_BACKOFF,
         shard_timeout: Optional[float] = None,
         cancel_token: Optional[CancelToken] = None,
         progress: Optional[ProgressReporter] = None,
-        worker_pool: Optional["WorkerPool"] = None,
     ) -> None:
-        if jobs is None:
-            jobs = worker_pool.jobs if worker_pool is not None else 1
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         if shard_timeout is not None and shard_timeout <= 0:
@@ -310,7 +282,6 @@ class ParallelRunner:
                 f"shard_timeout must be positive or None, got {shard_timeout!r}"
             )
         self.jobs = jobs
-        self.worker_pool = worker_pool
         self.max_pool_failures = max_pool_failures
         self.backoff = backoff
         self.shard_timeout = shard_timeout
@@ -441,12 +412,7 @@ class ParallelRunner:
         progress = self.progress
         reason: Optional[str] = None
         while remaining and self.stats.pool_failures < self.max_pool_failures:
-            shared = self.worker_pool is not None
-            if shared:
-                pool, generation = self.worker_pool.lease()
-            else:
-                pool = ProcessPoolExecutor(max_workers=self.jobs)
-            futures: Dict[int, Any] = {}
+            pool = ProcessPoolExecutor(max_workers=self.jobs)
             try:
                 futures = {
                     i: pool.submit(
@@ -487,24 +453,15 @@ class ParallelRunner:
                 reason = f"BrokenProcessPool: {exc}"
             except BaseException:
                 # a cancellation (or a deterministic worker error) is not
-                # a pool loss: healthy resident workers stay warm, only
-                # this run's queued shards are withdrawn
-                if shared:
-                    for future in futures.values():
-                        future.cancel()
-                else:
-                    pool.shutdown(wait=False, cancel_futures=True)
+                # a pool loss: abandon the pool without counting it
+                pool.shutdown(wait=False, cancel_futures=True)
                 raise
             else:
-                if not shared:
-                    pool.shutdown(wait=True)
+                pool.shutdown(wait=True)
                 return
             # abandon the lost pool without waiting: a hung worker would
             # block a graceful shutdown for as long as it hangs
-            if shared:
-                self.worker_pool.replace(generation, reason)
-            else:
-                pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(wait=False, cancel_futures=True)
             self.stats.pool_failures += 1
             self.stats.retries += 1
             self.stats.failure_reasons.append(reason)

@@ -9,7 +9,7 @@ request ``id`` for correlation).
 A request travels::
 
     parse -> cache short-circuit -> coalesce -> breaker -> admission
-          -> [micro-batch] -> retry(evaluate on warm worker, cancellable)
+          -> [micro-batch] -> retry(evaluate, cancellable)
           -> respond
 
 * **parse** (:mod:`repro.service.requests`) — strict validation; the
@@ -37,16 +37,13 @@ A request travels::
   :class:`~repro.runners.parallel.CancelToken`.
 
 Evaluations run on a small resident :class:`~concurrent.futures.
-ThreadPoolExecutor` — the worker threads stay warm across requests, so
-per-process caches (operator netlists, compiled engines) amortize the
-way a long-running service wants them to.  With ``workers > 0`` the
-threads additionally front a resident
-:class:`~repro.runners.workerpool.WorkerPool` of long-lived worker
-*processes*, so those caches stay hot across requests even for
-multi-shard pool runs; a died worker is respawned by the pool
-(``pool.worker_restarts``) and retried by the runner without ever
-surfacing as a request failure — which is why a worker crash cannot
-open the circuit breaker by itself.
+ThreadPoolExecutor`.  At the default ``jobs=1`` every shard runs in the
+daemon process, so per-process caches (operator netlists, compiled
+engines) amortize across requests the way a long-running service wants
+them to.  With ``jobs > 1`` each evaluation maps its shards over a
+private process pool; a died worker is retried by the runner on a fresh
+pool without ever surfacing as a request failure — which is why a
+worker crash cannot open the circuit breaker by itself.
 
 Lifecycle: ``SIGTERM``/``SIGINT`` trigger a graceful drain — the
 listener closes, in-flight requests finish (bounded by
@@ -73,7 +70,6 @@ from repro.obs.trace import current_tracer
 from repro.runners.cache import cache_for
 from repro.runners.config import RunConfig
 from repro.runners.parallel import CancelToken, ParallelRunner, RunCancelled
-from repro.runners.workerpool import WorkerPool
 from repro.service.admission import AdmissionController, ShedRequest
 from repro.service.batch import MicroBatcher, merge_requests, split_responses
 from repro.service.breaker import CircuitBreaker
@@ -112,7 +108,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the bound port is EvalService.port
     concurrency: int = 2  # resident warm evaluator threads
-    workers: int = 0  # resident worker *processes*; 0 = per-run pools
     batch_window: float = 0.0  # compatible-request gather window; 0 = off
     batch_max: int = 16  # members fused into one evaluation, at most
     limits: Optional[Mapping[str, int]] = None  # admission per-class caps
@@ -127,26 +122,16 @@ class ServiceConfig:
 
 
 def evaluate_request(
-    req: EvalRequest,
-    cancel_token: CancelToken,
-    worker_pool: Optional[WorkerPool] = None,
+    req: EvalRequest, cancel_token: CancelToken
 ) -> Dict[str, Any]:
     """Default evaluator: run the experiment entry point, return its dict.
 
     Runs on a worker thread.  The :class:`CancelToken` threads through
     to the :class:`ParallelRunner` so a fired deadline stops the
-    evaluation between shards instead of orphaning it.  With a
-    *worker_pool*, shards run on the resident warm worker processes
-    (``jobs`` then follows the pool size, not the request config).
+    evaluation between shards instead of orphaning it.
     """
     config = req.config
-    if worker_pool is not None:
-        runner = ParallelRunner(
-            worker_pool=worker_pool,
-            shard_timeout=getattr(config, "shard_timeout", None),
-        )
-    else:
-        runner = ParallelRunner.from_config(config)
+    runner = ParallelRunner.from_config(config)
     runner.cancel_token = cancel_token
     # publish shard lifecycle onto the process-wide bus keyed by the
     # request's coalescing key, so the daemon can stream progress frames
@@ -214,19 +199,9 @@ class EvalService:
         ] = None,
     ) -> None:
         self.config = config or ServiceConfig()
-        self.worker_pool: Optional[WorkerPool] = (
-            WorkerPool(self.config.workers)
-            if self.config.workers > 0 else None
+        self.evaluator = (
+            evaluator if evaluator is not None else evaluate_request
         )
-        if evaluator is not None:
-            self.evaluator = evaluator
-        elif self.worker_pool is not None:
-            def _warm_evaluator(req, token, _pool=self.worker_pool):
-                return evaluate_request(req, token, worker_pool=_pool)
-
-            self.evaluator = _warm_evaluator
-        else:
-            self.evaluator = evaluate_request
         self.batcher: Optional[MicroBatcher] = (
             MicroBatcher(
                 self._run_batch,
@@ -314,8 +289,6 @@ class EvalService:
         if aborted:
             metrics().count("service.drain_aborted", aborted)
         self._executor.shutdown(wait=False, cancel_futures=True)
-        if self.worker_pool is not None:
-            self.worker_pool.shutdown()
         self._closed.set()
 
     # ------------------------------------------------------------- protocol

@@ -45,7 +45,6 @@ from repro.sim.error_profile import (
     DigitErrorProfile,
     digit_error_profile,
     online_digit_groups,
-    profile_circuit,
     run_error_profile,
     traditional_bit_groups,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "DigitErrorProfile",
     "digit_error_profile",
     "online_digit_groups",
-    "profile_circuit",
     "run_error_profile",
     "traditional_bit_groups",
     "format_run_stats",

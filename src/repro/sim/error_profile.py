@@ -19,7 +19,6 @@ the persistent result cache when one is configured.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence
 
@@ -150,45 +149,6 @@ def digit_error_profile(
     counts = _digit_error_counts(result, digit_groups, steps_arr)
     rates = counts / float(result.num_samples)
     return DigitErrorProfile(steps_arr, list(labels), rates)
-
-
-def profile_circuit(
-    circuit,
-    inputs: Mapping[str, np.ndarray],
-    digit_groups: Sequence[Sequence[str]],
-    labels: Sequence[str],
-    steps: Sequence[int],
-    delay_model=None,
-    backend: Optional[str] = None,
-) -> DigitErrorProfile:
-    """Simulate *circuit* and profile its per-digit error rates in one call.
-
-    .. deprecated::
-        For whole-design grids, use :func:`run_error_profile` with a
-        :class:`~repro.runners.RunConfig`; for custom circuits/inputs,
-        run the simulator yourself and call :func:`digit_error_profile`.
-
-    Convenience wrapper around :func:`digit_error_profile` that runs the
-    simulation itself with the chosen engine (``backend="packed"``, the
-    default, uses the compiled bit-packed simulator, ``"wave"`` the
-    interpreting one; both are bit-identical).  Only the nets named in
-    *digit_groups* are retained, which keeps memory proportional to the
-    profiled outputs.
-    """
-    warnings.warn(
-        "profile_circuit(..., backend=) is deprecated; use "
-        "run_error_profile(RunConfig(...)) for design grids, or "
-        "make_simulator(...).run() + digit_error_profile() for custom "
-        "circuits",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.netlist.compiled import make_simulator
-
-    needed = {name for group in digit_groups for name in group}
-    simulator = make_simulator(circuit, delay_model, backend)
-    result = simulator.run(inputs, keep=needed)
-    return digit_error_profile(result, digit_groups, labels, steps)
 
 
 def online_digit_groups(ndigits: int) -> Dict[str, object]:

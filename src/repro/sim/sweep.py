@@ -38,7 +38,6 @@ fused kernel changes the cost of a sweep, never a digit of it
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, List, Mapping, Optional
 
@@ -372,31 +371,20 @@ def _harness_spec(spec, kind: str, style: Optional[str] = None):
 class OnlineMultiplierHarness(SweepHarness):
     """Gate-level online multiplier under overclocking.
 
-    Construct via :meth:`from_spec` (the uniform spec-driven spelling);
-    the positional ``OnlineMultiplierHarness(ndigits, ...)`` signature
-    is kept as a deprecated shim.
+    Construct via :meth:`from_spec` (the uniform spec-driven spelling).
     """
 
     def __init__(
         self,
+        *,
+        spec,
         ndigits: int,
         delay_model: Optional[DelayModel] = None,
         backend: Optional[str] = None,
-        *,
-        _spec=None,
     ) -> None:
-        if _spec is None:
-            warnings.warn(
-                "OnlineMultiplierHarness(ndigits, ...) is deprecated; use "
-                "OnlineMultiplierHarness.from_spec('online-mult', "
-                "ndigits=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            _spec = _harness_spec("online-mult", kind="mul", style="online")
-        self.spec = _spec
+        self.spec = _harness_spec(spec, kind="mul", style="online")
         self.ndigits = ndigits
-        super().__init__(_spec.build(ndigits), delay_model, backend)
+        super().__init__(self.spec.build(ndigits), delay_model, backend)
 
     @classmethod
     def from_spec(cls, spec="online-mult", **fmt) -> "OnlineMultiplierHarness":
@@ -406,14 +394,7 @@ class OnlineMultiplierHarness(SweepHarness):
         ``kind="mul"``, ``style="online"``; *fmt* takes ``ndigits``
         (default 8), ``delay_model`` and ``backend``.
         """
-        resolved = _harness_spec(spec, kind="mul", style="online")
-        return cls(
-            fmt.pop("ndigits", 8),
-            fmt.pop("delay_model", None),
-            fmt.pop("backend", None),
-            _spec=resolved,
-            **fmt,
-        )
+        return cls(spec=spec, ndigits=fmt.pop("ndigits", 8), **fmt)
 
     def encode(self, xdigits: np.ndarray, ydigits: np.ndarray) -> Dict[str, np.ndarray]:
         """Port values from digit batches of shape ``(N, S)``."""
@@ -445,34 +426,21 @@ class OnlineMultiplierHarness(SweepHarness):
 class TraditionalMultiplierHarness(SweepHarness):
     """Gate-level two's-complement array multiplier under overclocking.
 
-    Construct via :meth:`from_spec` (the uniform spec-driven spelling);
-    the positional ``TraditionalMultiplierHarness(width, ...)`` signature
-    is kept as a deprecated shim.
+    Construct via :meth:`from_spec` (the uniform spec-driven spelling).
     """
 
     def __init__(
         self,
+        *,
+        spec,
         width: int,
         delay_model: Optional[DelayModel] = None,
         backend: Optional[str] = None,
-        *,
-        _spec=None,
     ) -> None:
-        if _spec is None:
-            warnings.warn(
-                "TraditionalMultiplierHarness(width, ...) is deprecated; "
-                "use TraditionalMultiplierHarness.from_spec('array-mult', "
-                "width=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            _spec = _harness_spec(
-                "array-mult", kind="mul", style="traditional"
-            )
-        self.spec = _spec
+        self.spec = _harness_spec(spec, kind="mul", style="traditional")
         self.width = width
         super().__init__(
-            _spec.build(width - 1, width=width), delay_model, backend
+            self.spec.build(width - 1, width=width), delay_model, backend
         )
 
     @classmethod
@@ -486,20 +454,13 @@ class TraditionalMultiplierHarness(SweepHarness):
         or ``ndigits`` (``width = ndigits + 1``, the paper's
         range-parity pairing), plus ``delay_model`` and ``backend``.
         """
-        resolved = _harness_spec(spec, kind="mul", style="traditional")
         width = fmt.pop("width", None)
         ndigits = fmt.pop("ndigits", None)
         if width is None:
             width = 9 if ndigits is None else int(ndigits) + 1
         elif ndigits is not None:
             raise ValueError("pass either width or ndigits, not both")
-        return cls(
-            int(width),
-            fmt.pop("delay_model", None),
-            fmt.pop("backend", None),
-            _spec=resolved,
-            **fmt,
-        )
+        return cls(spec=spec, width=int(width), **fmt)
 
     def encode(self, x_scaled: np.ndarray, y_scaled: np.ndarray) -> Dict[str, np.ndarray]:
         """Port values from integers scaled by ``2**(width-1)`` (Q1 format)."""

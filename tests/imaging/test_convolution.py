@@ -49,12 +49,14 @@ class TestConvolutionDatapath:
     def test_kernel_overflow_guard(self):
         kernel = np.full((3, 3), 10, dtype=np.int64)  # sums to 90 > 64
         with pytest.raises(ValueError):
-            ConvolutionDatapath("online", kernel=kernel, kernel_frac_bits=6)
+            ConvolutionDatapath.from_spec(
+                "online-mult", kernel=kernel, kernel_frac_bits=6
+            )
 
     def test_signed_kernel_rejects_input_coefficients(self):
         with pytest.raises(ValueError):
-            ConvolutionDatapath(
-                "online",
+            ConvolutionDatapath.from_spec(
+                "online-mult",
                 kernel=SOBEL_X_KERNEL_8THS,
                 kernel_frac_bits=3,
                 coefficients_as_inputs=True,
@@ -62,8 +64,8 @@ class TestConvolutionDatapath:
 
     def test_ndigits_must_cover_kernel(self):
         with pytest.raises(ValueError):
-            ConvolutionDatapath(
-                "traditional",
+            ConvolutionDatapath.from_spec(
+                "array-mult",
                 kernel=SOBEL_X_KERNEL_8THS,
                 kernel_frac_bits=9,
                 ndigits=8,

@@ -53,10 +53,10 @@ class TestFromSpec:
         with pytest.raises(ValueError):
             ConvolutionDatapath.from_spec("online-add", ndigits=8)
 
-    def test_positional_constructor_warns(self):
+    def test_positional_constructor_rejected(self):
         from repro.imaging.filters import ConvolutionDatapath
 
-        with pytest.warns(DeprecationWarning, match="from_spec"):
+        with pytest.raises(TypeError):
             ConvolutionDatapath("online", ndigits=8, delay_model=UnitDelay())
 
     def test_preset_subclasses_stay_silent(self):
@@ -70,8 +70,8 @@ class TestFromSpec:
     def test_unknown_arithmetic_rejected(self):
         from repro.imaging.filters import ConvolutionDatapath
 
-        with pytest.raises(ValueError, match="arithmetic"):
-            ConvolutionDatapath("ternary", ndigits=8)
+        with pytest.raises(KeyError, match="ternary"):
+            ConvolutionDatapath.from_spec("ternary", ndigits=8)
 
 
 class TestKernelAndReference:

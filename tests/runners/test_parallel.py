@@ -1,14 +1,18 @@
 """ParallelRunner: determinism across jobs, crash fallback, shims.
 
-The two load-bearing guarantees of the orchestration layer:
+The load-bearing guarantees of the orchestration layer:
 
 * ``jobs=1`` and ``jobs=N`` merge to **bit-identical** results for every
   experiment entry point (deterministic shard layout + spawned seeds +
   ordered accumulation);
+* a worker killed mid-run is retried on a fresh pool and the run
+  recovers — also inside a live service, where it never trips the
+  circuit breaker;
 * a crashing worker pool degrades to in-process execution instead of
   failing the experiment.
 """
 
+import asyncio
 import os
 import warnings
 
@@ -89,6 +93,16 @@ def _raise_value_error(task):
     raise ValueError(f"bad task {task}")
 
 
+def _kill_once(task):
+    """Hard-kill the hosting worker the first time through (flag file)."""
+    flag = task["flag"]
+    if not os.path.exists(flag):
+        with open(flag, "w") as fh:
+            fh.write("killed")
+        os._exit(3)
+    return task["value"] * 2
+
+
 class TestRunnerMap:
     def test_inline_map_preserves_order(self):
         runner = ParallelRunner(jobs=1)
@@ -122,6 +136,18 @@ class TestRunnerMap:
         assert stats.pool_failures == runner.max_pool_failures
         assert stats.retries >= 1
         assert all(s.where == "inline" for s in stats.shards)
+
+    def test_worker_kill_is_retried_on_fresh_pool(self, tmp_path):
+        runner = ParallelRunner(jobs=2, backoff=0.01)
+        flag = str(tmp_path / "killed.flag")
+        tasks = [{"flag": flag, "value": v} for v in range(4)]
+        results = runner.map(_kill_once, tasks, samples=[1] * 4)
+        assert results == [0, 2, 4, 6]  # recovered, in order
+        stats = runner.finalize_stats("killed-once")
+        # exactly one loss, recovered on the second pool — not inline
+        assert stats.pool_failures == stats.retries == 1
+        assert not stats.degraded
+        assert all(s.where == "pool" for s in stats.shards)
 
     def test_degrade_reason_names_the_failure(self):
         # the abandonment reason must survive into the stats (and from
@@ -175,6 +201,10 @@ class TestRunnerMap:
 
     def test_from_config(self):
         assert ParallelRunner.from_config(RunConfig(jobs=3)).jobs == 3
+
+    def test_rejects_nonpositive_jobs(self):
+        with pytest.raises(ValueError):
+            ParallelRunner(jobs=0)
 
 
 # small shard_size so even tiny budgets exercise multi-shard merging
@@ -560,22 +590,21 @@ class TestDeprecationShims:
             histogram = settle_depth_histogram(4, num_samples=100)
         assert sum(histogram.values()) == pytest.approx(1.0)
 
-    def test_profile_circuit_warns(self):
-        from repro.sim.error_profile import profile_circuit
+    def test_custom_circuit_profile_via_simulator(self):
+        from repro.netlist.compiled import make_simulator
+        from repro.sim.error_profile import digit_error_profile
 
         rng = np.random.default_rng(0)
-        harness = OnlineMultiplierHarness(2)
+        harness = OnlineMultiplierHarness.from_spec("online-mult", ndigits=2)
         ports = harness.encode(
             uniform_digit_batch(2, 4, rng), uniform_digit_batch(2, 4, rng)
         )
-        with pytest.warns(DeprecationWarning):
-            profile = profile_circuit(
-                harness.circuit,
-                ports,
-                [["zp0", "zn0"]],
-                ["z0"],
-                [1, 2],
-                delay_model=harness.delay_model,
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            simulator = make_simulator(harness.circuit, harness.delay_model)
+            result = simulator.run(ports, keep={"zp0", "zn0"})
+            profile = digit_error_profile(
+                result, [["zp0", "zn0"]], ["z0"], [1, 2]
             )
         assert profile.rates.shape == (2, 1)
 
@@ -583,3 +612,52 @@ class TestDeprecationShims:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             run_montecarlo(_config(1), num_samples=120)
+
+
+class TestServiceRecovery:
+    def test_worker_kill_mid_request_keeps_breaker_closed(self, tmp_path):
+        from repro.service import EvalService, ServiceConfig
+        from repro.service.client import ServiceClient
+
+        flag = str(tmp_path / "service-killed.flag")
+
+        def evaluate(req, token):
+            # run the request over a per-run pool whose worker kills
+            # itself once — the exact failure the never-fail contract
+            # is about
+            runner = ParallelRunner(jobs=2, backoff=0.01, cancel_token=token)
+            tasks = [{"flag": flag, "value": v} for v in range(4)]
+            values = runner.map(_kill_once, tasks, samples=[1] * 4)
+            return {
+                "values": values,
+                "pool_failures": runner.stats.pool_failures,
+                "degraded": runner.stats.degraded,
+            }
+
+        config = ServiceConfig(
+            run_config=RunConfig(ndigits=3, seed=7, jobs=1, cache_dir=None),
+            concurrency=2,
+            failure_threshold=1,  # a single recorded failure would open it
+        )
+        service = EvalService(config, evaluator=evaluate)
+
+        async def main():
+            await service.start()
+            client = await ServiceClient.connect("127.0.0.1", service.port)
+            resp = await client.request(
+                "montecarlo", {"samples": 100, "depths": [3]}
+            )
+            state = service.breaker.state
+            await client.aclose()
+            await service.drain()
+            return resp, state
+
+        resp, state = asyncio.run(main())
+        assert resp["ok"] is True
+        assert "degraded" not in resp
+        assert resp["result"] == {
+            "values": [0, 2, 4, 6],
+            "pool_failures": 1,  # recovered on the fresh pool...
+            "degraded": False,  # ...not by running inline
+        }
+        assert state == "closed"  # a worker crash never trips the breaker

@@ -56,8 +56,12 @@ def test_gate_level_sweep_backend_identical():
     rng = np.random.default_rng(5)
     xd = uniform_digit_batch(4, 400, rng)
     yd = uniform_digit_batch(4, 400, rng)
-    packed = OnlineMultiplierHarness(4, backend="packed").sweep(xd, yd)
-    wave = OnlineMultiplierHarness(4, backend="wave").sweep(xd, yd)
+    packed = OnlineMultiplierHarness.from_spec(
+        "online-mult", ndigits=4, backend="packed"
+    ).sweep(xd, yd)
+    wave = OnlineMultiplierHarness.from_spec(
+        "online-mult", ndigits=4, backend="wave"
+    ).sweep(xd, yd)
     np.testing.assert_array_equal(packed.steps, wave.steps)
     np.testing.assert_array_equal(packed.mean_abs_error, wave.mean_abs_error)
     np.testing.assert_array_equal(

@@ -16,7 +16,9 @@ from repro.sim.sweep import OnlineMultiplierHarness, TraditionalMultiplierHarnes
 @pytest.fixture(scope="module")
 def online_profile():
     n = 8
-    harness = OnlineMultiplierHarness(n, UnitDelay())
+    harness = OnlineMultiplierHarness.from_spec(
+        "online-mult", ndigits=n, delay_model=UnitDelay()
+    )
     rng = np.random.default_rng(31)
     ports = harness.encode(
         uniform_digit_batch(n, 1500, rng), uniform_digit_batch(n, 1500, rng)
@@ -30,7 +32,9 @@ def online_profile():
 @pytest.fixture(scope="module")
 def trad_profile():
     w = 9
-    harness = TraditionalMultiplierHarness(w, UnitDelay())
+    harness = TraditionalMultiplierHarness.from_spec(
+        "array-mult", width=w, delay_model=UnitDelay()
+    )
     rng = np.random.default_rng(32)
     ports = harness.encode(
         rng.integers(-255, 256, 1500), rng.integers(-255, 256, 1500)

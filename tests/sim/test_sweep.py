@@ -294,14 +294,10 @@ class TestFromSpec:
                 "array-mult", width=5, ndigits=4
             )
 
-    def test_old_constructors_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="from_spec"):
-            old = OnlineMultiplierHarness(4, UnitDelay())
-        new = OnlineMultiplierHarness.from_spec(
-            "online-mult", ndigits=4, delay_model=UnitDelay()
-        )
-        assert old.rated_step == new.rated_step
-        with pytest.warns(DeprecationWarning, match="from_spec"):
+    def test_positional_constructors_rejected(self):
+        with pytest.raises(TypeError):
+            OnlineMultiplierHarness(4, UnitDelay())
+        with pytest.raises(TypeError):
             TraditionalMultiplierHarness(5, UnitDelay())
 
     def test_kind_mismatch_rejected(self):
