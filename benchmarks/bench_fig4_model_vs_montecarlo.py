@@ -9,7 +9,7 @@ multipliers: ``E|eps|`` as a function of the normalized clock period
 import pytest
 
 from _common import MC_SAMPLES, emit, run_config
-from repro.core.model import OverclockingErrorModel
+from repro.core.model import OverclockingErrorModel, clear_tables
 from repro.sim.montecarlo import run_montecarlo
 from repro.sim.reporting import format_table
 
@@ -58,11 +58,12 @@ def test_fig4_model_vs_montecarlo(benchmark, ndigits):
         if mc_e > 1e-4 and model_e > 0:
             assert 0.1 < model_e / mc_e < 10.0
 
-    # timed kernel: the analytical model evaluation
+    # timed kernel: a cold analytical model evaluation (the shared
+    # model tables are emptied first)
     model = OverclockingErrorModel(ndigits)
 
     def kernel():
-        model._stage_dists.clear()
+        clear_tables()
         return [
             model.expected_error(b)
             for b in range(model.delta + 1, model.num_stages)

@@ -16,14 +16,16 @@ prune and the fused verification.
 
 Run standalone (``python benchmarks/bench_synthesis.py [--quick]
 [--report-only]``) for a CI-friendly run, or through pytest-benchmark
-for the timed search.  ``--report-only`` writes the artifact and always
-exits 0 — correctness (tolerance, determinism, prune floor) is gated by
-``tests/synth`` in CI, not here.
+for the timed search.  A standalone run appends a ``synthesis`` record
+(both wall times, the speedup and the prune ratio) to the bench ledger.
+``--report-only`` writes the artifact and always exits 0 — correctness
+(tolerance, determinism, prune floor) is gated by ``tests/synth`` in
+CI, not here.
 """
 
 import time
 
-from _common import emit
+from _common import emit, publish
 from repro.core.synthesis import Datapath
 from repro.runners import RunConfig
 from repro.runners.parallel import seed_tag, spawn_seeds, split_samples
@@ -125,11 +127,14 @@ def compare_paths(num_samples: int, repeats: int = 3):
             f"{t_pruned * 1e3:.1f}",
         ],
     ]
-    return rows, report, t_exhaustive / t_pruned
+    return rows, report, t_pruned, t_exhaustive
 
 
 def report_tables(num_samples: int, repeats: int = 3):
-    rows, report, speedup = compare_paths(num_samples, repeats)
+    rows, report, t_pruned, t_exhaustive = compare_paths(
+        num_samples, repeats
+    )
+    speedup = t_exhaustive / t_pruned
     emit(
         "synthesis_prune",
         format_table(
@@ -143,11 +148,11 @@ def report_tables(num_samples: int, repeats: int = 3):
             ),
         ),
     )
-    return rows, report, speedup
+    return report, t_pruned, t_exhaustive
 
 
 def test_synthesis_prune(benchmark):
-    rows, report, speedup = report_tables(SAMPLES, repeats=1)
+    report, _, _ = report_tables(SAMPLES, repeats=1)
     # the hard floor lives in tests/synth; this is the bench-side sanity
     assert report.candidates_pruned >= 0.5 * report.candidates_total
     config = _config()
@@ -175,8 +180,19 @@ def main(argv=None) -> int:
     parser.add_argument("--samples", type=int, default=None)
     args = parser.parse_args(argv)
     num_samples = args.samples or (1000 if args.quick else SAMPLES)
-    rows, report, speedup = report_tables(
+    report, t_pruned, t_exhaustive = report_tables(
         num_samples, repeats=1 if args.quick else 3
+    )
+    publish(
+        "synthesis",
+        {
+            "pruned_ms": t_pruned * 1e3,
+            "exhaustive_ms": t_exhaustive * 1e3,
+            "speedup": t_exhaustive / t_pruned,
+            "prune_ratio": report.candidates_pruned / report.candidates_total,
+        },
+        samples=num_samples,
+        quick=args.quick,
     )
     if args.report_only or args.quick:
         return 0

@@ -11,18 +11,30 @@ stages each cost one delay unit ``mu``:
 * the magnitude of the resulting error, which lands in the least
   significant digits (Eq. (9)); and
 * the expected overclocking error ``E_ovc`` (Eqs. (10)/(11)).
+
+Chain distributions and violation tails live in process-wide, bounded,
+read-only tables (:func:`stage_table`, :func:`violation_tails`): every
+model instance with the same geometry reads the same exact fractions.
 """
 
 from repro.core.model.chains import (
     CASE_PROBABILITIES,
     stage_chain_distribution,
     chain_delay_distribution,
+    stage_table,
 )
-from repro.core.model.expectation import OverclockingErrorModel
+from repro.core.model.expectation import (
+    OverclockingErrorModel,
+    clear_tables,
+    violation_tails,
+)
 
 __all__ = [
     "CASE_PROBABILITIES",
     "stage_chain_distribution",
     "chain_delay_distribution",
     "OverclockingErrorModel",
+    "clear_tables",
+    "stage_table",
+    "violation_tails",
 ]

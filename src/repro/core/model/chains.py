@@ -28,8 +28,17 @@ Chains cannot run past the last stage: ``d(tau) <= N - 1 - tau`` (Eq. (7)).
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
+
+#: entry bound of each process-wide model table (this module's chain
+#: distributions, :mod:`repro.core.model.expectation`'s violation
+#: tails).  ``ndigits``/``delta`` arrive from service requests with no
+#: upper bound, so an unbounded memo would grow with every new geometry
+#: a client names; 1024 entries hold every stage of ~38 geometries of
+#: the largest size the synthesizer evaluates (N = 24, delta = 3).
+TABLE_MAXSIZE = 1024
 
 #: probabilities of the four input cases under uniform independent digits
 CASE_PROBABILITIES = {
@@ -68,11 +77,27 @@ def stage_chain_distribution(
     Returns a mapping ``length -> probability`` (lengths with zero
     probability omitted; length 0 means "no chain").  Probabilities sum
     to 1.  ``p_zero`` sets the digit sparsity (default: uniform, 1/3).
+    The mapping is a fresh copy of the shared :func:`stage_table` entry,
+    so callers may mutate it.
+    """
+    p0 = Fraction(1, 3) if p_zero is None else Fraction(p_zero)
+    return dict(stage_table(tau, ndigits, delta, p0))
+
+
+@functools.lru_cache(maxsize=TABLE_MAXSIZE)
+def stage_table(
+    tau: int, ndigits: int, delta: int, p_zero: Fraction
+) -> Tuple[Tuple[int, Fraction], ...]:
+    """Process-wide, read-only form of :func:`stage_chain_distribution`.
+
+    The ``(length, probability)`` pairs in the order the recurrence
+    produces them, computed once per ``(tau, ndigits, delta, p_zero)``.
+    The model's sums iterate this order, so every float they return is
+    the one an uncached evaluation returns.
     """
     if not -delta <= tau <= ndigits - 1:
         raise ValueError(f"stage {tau} outside [-delta, N-1]")
-    p0 = Fraction(1, 3) if p_zero is None else Fraction(p_zero)
-    cases = case_probabilities(p0)
+    cases = case_probabilities(p_zero)
     dist: Dict[int, Fraction] = {}
 
     def add(length: int, prob: Fraction) -> None:
@@ -85,7 +110,7 @@ def stage_chain_distribution(
         # no digits are appended at this stage (one of the last delta
         # stages): no new chain can be generated here
         add(0, Fraction(1))
-        return dist
+        return tuple(dist.items())
 
     if tau == -delta:
         # P[-delta+1] = 2^(1-delta) * x_1 * Y[-delta+1]: a chain only exists
@@ -93,7 +118,7 @@ def stage_chain_distribution(
         p2 = cases["C2"]
         add(min(delta + 1, cap), p2)
         add(0, Fraction(1) - p2)
-        return dist
+        return tuple(dist.items())
 
     # C1: no chain
     add(0, cases["C1"])
@@ -109,14 +134,14 @@ def stage_chain_distribution(
         top = tau + delta  # highest candidate digit index
         for m in range(top, 0, -1):
             k = top - m  # zeros between the appended digit and digit m
-            p_m = p_case * (1 - p0) * p0**k
+            p_m = p_case * (1 - p_zero) * p_zero**k
             add(min(m + delta, cap), p_m)
         # all earlier digits zero: the operand is (so far) zero, P vanishes
-        add(0, p_case * p0**top)
+        add(0, p_case * p_zero**top)
 
     total = sum(dist.values())
     assert total == 1, f"stage distribution does not normalise: {total}"
-    return dist
+    return tuple(dist.items())
 
 
 def chain_delay_distribution(

@@ -29,12 +29,39 @@ to the full scale immediately.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.model.chains import stage_chain_distribution
+from repro.core.model.chains import (
+    TABLE_MAXSIZE,
+    stage_chain_distribution,
+    stage_table,
+)
 from repro.numrep.rounding import ceil_scaled
+
+
+@functools.lru_cache(maxsize=TABLE_MAXSIZE)
+def violation_tails(
+    ndigits: int, delta: int, p_zero: Fraction, b: int
+) -> Tuple[Fraction, ...]:
+    """Exact per-stage violation tails ``P(d(tau) > b)``, ``tau = -delta
+    .. N-1`` in order — the process-wide table behind Algorithm 2 and
+    Eq. (10)."""
+    return tuple(
+        sum(
+            (q for d, q in stage_table(tau, ndigits, delta, p_zero) if d > b),
+            Fraction(0),
+        )
+        for tau in range(-delta, ndigits)
+    )
+
+
+def clear_tables() -> None:
+    """Empty the process-wide model tables (for timing a cold evaluation)."""
+    stage_table.cache_clear()
+    violation_tails.cache_clear()
 
 
 class OverclockingErrorModel:
@@ -69,7 +96,6 @@ class OverclockingErrorModel:
         self.delta = delta
         self.kappa = kappa
         self.p_zero = Fraction(1, 3) if p_zero is None else Fraction(p_zero)
-        self._stage_dists: Dict[int, Dict[int, Fraction]] = {}
 
     # ------------------------------------------------------------ plumbing
     @property
@@ -82,12 +108,11 @@ class OverclockingErrorModel:
         return self.num_stages
 
     def stage_distribution(self, tau: int) -> Dict[int, Fraction]:
-        """Cached chain-length distribution of stage ``tau``."""
-        if tau not in self._stage_dists:
-            self._stage_dists[tau] = stage_chain_distribution(
-                tau, self.ndigits, self.delta, self.p_zero
-            )
-        return self._stage_dists[tau]
+        """Chain-length distribution of stage ``tau`` (a fresh copy of the
+        shared table entry)."""
+        return stage_chain_distribution(
+            tau, self.ndigits, self.delta, self.p_zero
+        )
 
     def b_of_period(self, ts_normalized: float) -> int:
         """Eq. (4): error-free propagation depth for a clock period given as
@@ -134,11 +159,7 @@ class OverclockingErrorModel:
                 "the model requires b > delta (the first digit must be "
                 "produced correctly)"
             )
-        p_stage: List[Fraction] = []
-        for tau in range(-self.delta, self.ndigits):
-            dist = self.stage_distribution(tau)
-            p = sum((q for d, q in dist.items() if d > b), Fraction(0))
-            p_stage.append(p)
+        p_stage = violation_tails(self.ndigits, self.delta, self.p_zero, b)
         if independent:
             prod = 1.0
             for p in p_stage:
@@ -167,12 +188,9 @@ class OverclockingErrorModel:
         Sums, over stages and chain lengths ``d > b``, the probability of
         the violating chain times its error magnitude.
         """
+        tails = violation_tails(self.ndigits, self.delta, self.p_zero, b)
         total = 0.0
-        for tau in range(-self.delta, self.ndigits):
-            dist = self.stage_distribution(tau)
-            p_violate = sum(
-                (q for d, q in dist.items() if d > b), Fraction(0)
-            )
+        for tau, p_violate in zip(range(-self.delta, self.ndigits), tails):
             if p_violate:
                 total += float(p_violate) * self.error_magnitude(tau, b)
         return total
@@ -205,9 +223,10 @@ class OverclockingErrorModel:
         natural annihilation (``b = d - 1``), the latest moment a violation
         of that chain can happen.
         """
+        n, delta, p_zero = self.ndigits, self.delta, self.p_zero
         acc: Dict[int, Tuple[float, float]] = {}
-        for tau in range(-self.delta, self.ndigits):
-            for d, q in self.stage_distribution(tau).items():
+        for tau in range(-delta, n):
+            for d, q in stage_table(tau, n, delta, p_zero):
                 if d <= 0:
                     continue
                 eps = self.error_magnitude(tau, d - 1)

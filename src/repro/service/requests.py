@@ -42,6 +42,7 @@ from repro.runners.config import RunConfig
 from repro.sim.montecarlo import default_depths, montecarlo_key_components
 from repro.sim.sweep import stage_sweep_key_components, stage_sweep_plan
 from repro.synth.demos import DEMO_DATAPATHS
+from repro.synth.search import REF_FRAC
 
 __all__ = [
     "REQUEST_CLASSES",
@@ -274,6 +275,16 @@ def parse_request(
             f"target_{metric} must be a number, got {value!r}"
         )
     wordlengths = _int_list(params, "wordlengths")
+    # the synthesizer quantizes shared REF_FRAC-bit operand draws, so a
+    # wordlength outside [1, REF_FRAC] can only fail — reject it here,
+    # before it takes an admission slot and evaluator time
+    for n in wordlengths or (config.ndigits,):
+        if not 1 <= n <= REF_FRAC:
+            field = "wordlengths entries" if wordlengths else "ndigits"
+            raise RequestError(
+                f"{field} must be in [1, {REF_FRAC}] for synthesis (the "
+                f"reference precision), got {n!r}"
+            )
     periods = _float_list(params, "periods")
     norm = {
         "samples": samples,

@@ -117,6 +117,36 @@ class TestRoundTrip:
         }
         assert "bogus" in bad_param["error"]
 
+    def test_unsynthesizable_wordlengths_never_reach_the_evaluator(self):
+        calls = []
+
+        def counting(req, token):
+            calls.append(req.params)
+            return {"value": 1}
+
+        bad = [
+            {"wordlengths": [0]},
+            {"wordlengths": [25, 6]},
+            {"ndigits": 32},
+        ]
+
+        async def main():
+            service, client = await started(evaluator=counting)
+            rejected = [
+                await client.request("synthesis", {"samples": 10, **params})
+                for params in bad
+            ]
+            control = await client.request(
+                "synthesis", {"samples": 10, "wordlengths": [24]}
+            )
+            await finish(service, client)
+            return rejected, control
+
+        rejected, control = asyncio.run(main())
+        assert [r["code"] for r in rejected] == ["bad_request"] * len(bad)
+        assert control["ok"] is True
+        assert [c["wordlengths"] for c in calls] == [(24,)]
+
 
 class TestCoalescing:
     def test_n_identical_concurrent_requests_one_evaluation(self):

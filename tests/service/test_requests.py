@@ -93,6 +93,11 @@ class TestSynthesis:
             parse({"kind": "synthesis", "params": {"datapath": "fft"}})
         assert "prodsum" in str(exc_info.value)
 
+    def test_wordlengths_bound_the_geometry_not_ndigits(self):
+        req = parse({"kind": "synthesis",
+                     "params": {"ndigits": 32, "wordlengths": [1, 24]}})
+        assert req.params["wordlengths"] == (1, 24)
+
 
 class TestValidation:
     @pytest.mark.parametrize(
@@ -109,6 +114,10 @@ class TestValidation:
             {"kind": "montecarlo", "deadline": -1.0},
             {"kind": "montecarlo", "params": "nope"},
             {"kind": "sweep", "params": {"periods": [0.0]}},
+            # beyond the synthesizer's reference precision (REF_FRAC)
+            {"kind": "synthesis", "params": {"wordlengths": [0]}},
+            {"kind": "synthesis", "params": {"wordlengths": [25, 6]}},
+            {"kind": "synthesis", "params": {"ndigits": 32}},
         ],
     )
     def test_rejected(self, message):

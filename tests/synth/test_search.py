@@ -5,6 +5,7 @@ model tolerance, Pareto front, jobs-determinism and cache dedup."""
 import numpy as np
 import pytest
 
+from repro.core.model import stage_table, violation_tails
 from repro.core.synthesis import Datapath
 from repro.obs.metrics import metrics
 from repro.runners.config import RunConfig
@@ -201,6 +202,26 @@ class TestDeterminismAndCache:
             assert np.array_equal(
                 getattr(first, name), getattr(second, name), equal_nan=True
             )
+
+    def test_second_search_reads_the_model_table(self, prodsum):
+        """The Section-3 predictions of a geometry are computed once per
+        process: a repeat search (a new seed, nothing cached) adds no
+        model-table misses."""
+        run_synthesis(_config(), prodsum, TARGET, num_samples=500)
+        hits = violation_tails.cache_info().hits
+        misses = (
+            stage_table.cache_info().misses,
+            violation_tails.cache_info().misses,
+        )
+        report = run_synthesis(
+            _config(seed=7), prodsum, TARGET, num_samples=500
+        )
+        assert report.run_stats.cache == "off"
+        assert violation_tails.cache_info().hits > hits
+        assert (
+            stage_table.cache_info().misses,
+            violation_tails.cache_info().misses,
+        ) == misses
 
     def test_explicit_steps_override_periods(self, prodsum):
         report = run_synthesis(
