@@ -465,8 +465,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"repro service on {args.host}:{port} "
             f"(ndigits={config.ndigits}, jobs={config.jobs}, "
-            f"concurrency={args.concurrency}, "
-            f"batch_window={args.batch_window:g}s); "
+            f"concurrency={args.concurrency}); "
             f"SIGTERM drains gracefully",
             flush=True,
         )
@@ -476,7 +475,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         concurrency=args.concurrency,
-        batch_window=args.batch_window,
         default_deadline=args.deadline,
         failure_threshold=args.failure_threshold,
         reset_timeout=args.reset_timeout,
@@ -693,9 +691,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the evaluation daemon (JSON-lines over TCP)",
         description="Long-running evaluation service: Monte-Carlo, sweep "
                     "and synthesis requests over a JSON-lines protocol, "
-                    "with admission control, request coalescing, retries, "
-                    "a circuit breaker and analytical graceful "
-                    "degradation.",
+                    "with admission control, retries, a circuit breaker "
+                    "and analytical graceful degradation.  Identical "
+                    "in-flight requests share one evaluation, and "
+                    "compatible requests queued for an evaluator slot "
+                    "fuse into one.",
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7914,
@@ -704,10 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default word length for requests that omit one")
     p.add_argument("--seed", type=int, default=2014)
     p.add_argument("--concurrency", type=int, default=2,
-                   help="resident evaluator worker threads")
-    p.add_argument("--batch-window", type=float, default=0.0,
-                   help="gather window in seconds for fusing compatible "
-                        "montecarlo/sweep requests (0 = no batching)")
+                   help="evaluator slots (resident worker threads)")
     p.add_argument("--deadline", type=float, default=None,
                    help="default per-request deadline in seconds")
     p.add_argument("--failure-threshold", type=int, default=3,

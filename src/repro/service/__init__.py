@@ -7,11 +7,11 @@ needs, one concern per module:
   experiments' own content-addressed cache keys.
 * :mod:`repro.service.admission` — bounded per-class queues and load
   shedding with live ``retry_after`` hints.
-* :mod:`repro.service.coalesce` — leader/follower dedup of identical
-  in-flight requests.
-* :mod:`repro.service.batch` — gather-window fusion of *compatible*
-  non-identical requests into one union-grid evaluation, split back
-  into bit-identical per-request responses.
+* :mod:`repro.service.batch` — the in-flight registry, the one
+  mechanism for sharing work: identical requests follow one answer,
+  and *compatible* requests queued for an evaluator slot fuse into one
+  union-grid evaluation, split back into bit-identical per-request
+  responses.
 * :mod:`repro.service.retry` — decorrelated-jitter backoff under a
   hard sleep budget.
 * :mod:`repro.service.breaker` — the circuit breaker over the worker
@@ -27,10 +27,13 @@ the simulation core already uses.
 """
 
 from repro.service.admission import AdmissionController, ShedRequest
-from repro.service.batch import MicroBatcher, merge_requests, split_responses
+from repro.service.batch import (
+    InflightRegistry,
+    merge_requests,
+    split_responses,
+)
 from repro.service.breaker import CircuitBreaker
 from repro.service.client import ServiceClient, request_once
-from repro.service.coalesce import Coalescer
 from repro.service.daemon import (
     EvalService,
     ServiceConfig,
@@ -52,13 +55,12 @@ from repro.service.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 __all__ = [
     "AdmissionController",
     "ShedRequest",
-    "MicroBatcher",
+    "InflightRegistry",
     "merge_requests",
     "split_responses",
     "CircuitBreaker",
     "ServiceClient",
     "request_once",
-    "Coalescer",
     "EvalService",
     "ServiceConfig",
     "TransientEvalError",

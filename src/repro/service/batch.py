@@ -1,22 +1,21 @@
-"""Compatible-request micro-batching for the evaluation daemon.
+"""The evaluation daemon's one mechanism for sharing in-flight work.
 
-Fan-out traffic probing *neighbouring* design points — same multiplier
-geometry, same seed, same sample budget, different capture depths or
-period grids — historically serialized into N separate evaluations,
-because coalescing only merges byte-identical requests.  But the
-underlying engines are grid-oblivious in exactly the right way: one
-Monte-Carlo wave evaluation samples *all* requested depths from the
-same waveform, and the fused stage sweep (:mod:`repro.vec.fused`)
-captures every step of its grid in one pass.  Evaluating the *union*
-grid costs one evaluation, not N.
-
-:class:`MicroBatcher` exploits that: requests sharing a
-``batch_key`` (:func:`repro.service.requests.batch_compatibility_key`)
-that arrive within a small gather window are merged
-(:func:`merge_requests`) into one synthetic request over the union
-grid, evaluated once through the daemon's ordinary retried,
-deadline-bounded path, then split back (:func:`split_responses`) into
-per-request responses.
+:class:`InflightRegistry` holds every in-flight request.  A request
+whose ``key`` is already in flight *follows* that answer: it takes no
+admission slot and is answered ``"coalesced": true`` under its own id.
+Any other admitted request joins the queued group of its ``batch_key``
+(:func:`repro.service.requests.batch_compatibility_key`) or opens one;
+synthesis has ``batch_key=None`` and always opens its own.  A group
+closes when it acquires one of the daemon's ``concurrency`` evaluator
+slots, so there is no gather window: at idle a request runs alone at
+once, and under load exactly the requests that would otherwise queue
+are fused.  Fusion pays because the engines are grid-oblivious: one
+Monte-Carlo wave evaluation samples every requested depth, and the
+fused stage sweep (:mod:`repro.vec.fused`) captures every step of its
+grid in one pass.  A one-member group evaluates exactly like a solo
+request, under its own key; a larger one is merged
+(:func:`merge_requests`) into one request over the union grid and
+split back (:func:`split_responses`) per member.
 
 **Bit-identity contract.**  A split response is byte-identical to the
 response the member request would have produced alone:
@@ -37,31 +36,32 @@ response the member request would have produced alone:
 Cache keys, cache writes, and progress frames stay per-request: every
 member's result is stored under the member's own content address, so a
 later solo request cache-hits exactly as if it had run alone.
+
+**Deadlines.**  A member's deadline runs from its arrival, so the wait
+for a slot counts toward it.  It is answered ``deadline`` when its own
+deadline elapses, never earlier; the group's ``CancelToken`` fires at
+the last member's deadline.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence
+from typing import Set, Tuple
 
 from repro.obs.metrics import metrics
 from repro.obs.trace import current_tracer
 from repro.runners.cache import cache_key
+from repro.runners.parallel import CancelToken
 from repro.service.degrade import degraded_answer
 from repro.service.requests import EvalRequest
 
 __all__ = [
-    "MicroBatcher",
+    "InflightRegistry",
     "merge_requests",
     "split_result_payload",
     "split_responses",
 ]
-
-#: default gather window (seconds) a batch leader waits for company
-DEFAULT_BATCH_WINDOW = 0.01
-
-#: default ceiling on members fused into one evaluation
-DEFAULT_MAX_BATCH = 16
 
 
 # ---------------------------------------------------------------- merge/split
@@ -72,8 +72,7 @@ def merge_requests(reqs: Sequence[EvalRequest]) -> EvalRequest:
     All members share a ``batch_key`` by construction, so they agree on
     kind, config, sample budget and deadline; only the grid differs.
     The merged request carries a real content address over the union
-    grid — it coalesces and caches like any organic request for that
-    grid would.
+    grid — it caches like any organic request for that grid would.
     """
     first = reqs[0]
     for req in reqs[1:]:
@@ -216,116 +215,222 @@ def split_responses(
     return out
 
 
-# ------------------------------------------------------------------ batcher
+# ----------------------------------------------------------------- registry
 
 class _Group:
-    """One gather window's worth of compatible requests."""
+    """Members sharing one evaluation; open until it holds a slot."""
 
-    __slots__ = ("members", "full", "task", "aborted")
+    __slots__ = ("batch_key", "members", "expires")
 
-    def __init__(self) -> None:
+    def __init__(self, batch_key: Optional[str]) -> None:
+        self.batch_key = batch_key
         self.members: List[Tuple[EvalRequest, asyncio.Future]] = []
-        self.full = asyncio.Event()
-        self.task: Optional[asyncio.Task] = None
-        self.aborted = False
+        self.expires: Optional[float] = None  # loop time of the last deadline
 
 
-class MicroBatcher:
-    """Gather-window batching of compatible evaluation leaders.
+class InflightRegistry:
+    """Every in-flight request, keyed by ``key`` and grouped by ``batch_key``.
 
-    ``run_group`` is the daemon callback evaluating one closed group:
-    ``async (List[EvalRequest]) -> List[response]``, responses in member
-    order.  Each submitting caller (a coalescing *leader* holding its
-    own admission slot) awaits its member future; the first member of a
-    class opens the window, and the group fires when the window elapses
-    or ``max_batch`` members joined, whichever is first.
+    Event-loop-confined: every method runs on the daemon's loop, so the
+    maps need no locks.  Futures resolve with *response dicts*, never
+    exceptions — an evaluation error is itself a response — so a
+    follower is never poisoned by an exception it has no context for.
+
+    *evaluate* is the daemon callback running one evaluation:
+    ``async (req, members, token) -> response``, where *req* is the
+    lone member or the merged request, *members* route its progress
+    frames and the :class:`CancelToken` fires at the group's deadline.
+    *concurrency* is the number of groups evaluated at once; fused
+    members' results are written to *cache* under their own keys.
     """
 
     def __init__(
         self,
-        run_group: Callable[
-            [List[EvalRequest]], Awaitable[List[Dict[str, Any]]]
+        evaluate: Callable[
+            [EvalRequest, List[EvalRequest], CancelToken],
+            Awaitable[Dict[str, Any]],
         ],
-        window: float = DEFAULT_BATCH_WINDOW,
-        max_batch: int = DEFAULT_MAX_BATCH,
+        concurrency: int,
+        cache: Optional[Any] = None,
     ) -> None:
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window!r}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch!r}")
-        self._run_group = run_group
-        self.window = window
-        self.max_batch = max_batch
-        self._groups: Dict[str, _Group] = {}
+        self._evaluate = evaluate
+        self._cache = cache
+        self._slots = asyncio.Semaphore(concurrency)
+        self._futures: Dict[str, asyncio.Future] = {}
+        self._open: Dict[str, _Group] = {}  # joinable groups by batch_key
+        self._queued: Set[_Group] = set()  # every group waiting for a slot
+        self._tasks: Set[asyncio.Task] = set()
 
     @property
     def depth(self) -> int:
-        """Number of batch classes currently gathering."""
-        return len(self._groups)
+        """Number of distinct keys currently in flight."""
+        return len(self._futures)
 
-    async def submit(self, req: EvalRequest) -> Dict[str, Any]:
-        """Join *req* to its compatibility group; await its response."""
-        if req.batch_key is None:
-            raise ValueError(f"request kind {req.kind!r} is not batchable")
-        group = self._groups.get(req.batch_key)
+    def follow(self, key: str) -> Optional["asyncio.Future[Any]"]:
+        """The future of the in-flight request for *key*, if there is one."""
+        return self._futures.get(key)
+
+    def submit(self, req: EvalRequest) -> "asyncio.Future[Any]":
+        """Join or open *req*'s group; return the future of its response.
+
+        The caller has admitted *req* and checked that its key is not
+        already in flight (:meth:`follow`).
+        """
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        self._futures[req.key] = future
+        group = self._open.get(req.batch_key)  # never for batch_key None
         if group is None:
-            group = _Group()
-            self._groups[req.batch_key] = group
-            group.task = asyncio.ensure_future(
-                self._gather_and_run(req.batch_key, group)
-            )
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
+            group = _Group(req.batch_key)
+            self._queued.add(group)
+            if req.batch_key is not None:
+                self._open[req.batch_key] = group
+            task = asyncio.ensure_future(self._run(group))
+            self._tasks.add(task)
+            task.add_done_callback(self._tasks.discard)
         group.members.append((req, future))
-        if len(group.members) >= self.max_batch:
-            # close the window early; later arrivals start a new group
-            self._groups.pop(req.batch_key, None)
-            group.full.set()
-        return await asyncio.shield(future)
+        if req.deadline is not None:
+            expires = loop.time() + req.deadline
+            group.expires = max(expires, group.expires or expires)
+            timer = loop.call_at(expires, self._expire, req, future)
+            future.add_done_callback(lambda _: timer.cancel())
+        return future
 
-    async def _gather_and_run(self, batch_key: str, group: _Group) -> None:
-        try:
-            await asyncio.wait_for(group.full.wait(), timeout=self.window)
-        except asyncio.TimeoutError:
-            pass
-        finally:
-            # window over: no further joins, whatever happens next
-            if self._groups.get(batch_key) is group:
-                self._groups.pop(batch_key, None)
-        if group.aborted:
-            return
-        members = [req for req, _ in group.members]
-        try:
-            responses = await self._run_group(members)
-        except BaseException as exc:
-            failure = {
-                "ok": False,
-                "code": "internal",
-                "error": f"batch evaluation failed: "
-                         f"{type(exc).__name__}: {exc}",
-            }
+    def abort_queued(self, response: Dict[str, Any]) -> int:
+        """Resolve every group still waiting for a slot with *response*.
+
+        Aborted groups never reach the evaluator (drain path).
+        """
+        aborted = 0
+        for group in list(self._queued):
+            self._close(group)
             for req, future in group.members:
-                if not future.done():
-                    future.set_result({**failure, "id": req.id})
-            if isinstance(exc, asyncio.CancelledError):
-                raise
-            metrics().count("service.internal_errors")
-            current_tracer().event(
-                "service.batch_failed", error=f"{type(exc).__name__}: {exc}"
-            )
-            return
-        for (req, future), response in zip(group.members, responses):
-            if not future.done():
-                future.set_result(response)
+                aborted += self._settle(
+                    req, future, {**response, "id": req.id}
+                )
+        return aborted
 
     def abort_all(self, response: Dict[str, Any]) -> int:
-        """Resolve every gathering member with *response* (drain path)."""
-        aborted = 0
-        for group in list(self._groups.values()):
-            group.aborted = True
-            for req, future in group.members:
-                if not future.done():
-                    future.set_result({**dict(response), "id": req.id})
-                    aborted += 1
-            group.full.set()
-        self._groups.clear()
+        """Resolve every in-flight request with *response* (drain path)."""
+        aborted = self.abort_queued(response)
+        for future in self._futures.values():
+            if not future.done():
+                future.set_result(dict(response))
+                aborted += 1
+        self._futures.clear()
         return aborted
+
+    async def pause(self, delay: float) -> None:
+        """Sleep out a retry backoff without holding an evaluator slot.
+
+        Called from inside a running group, which holds a slot; other
+        groups may use it meanwhile, so a failing pool's backoffs do
+        not stall every queued request behind them.
+        """
+        self._slots.release()
+        try:
+            await asyncio.sleep(delay)
+        finally:
+            # the group's ``async with`` releases a slot on exit, so take
+            # one back even when cancelled
+            await asyncio.shield(self._slots.acquire())
+
+    # ----------------------------------------------------------- internals
+    def _close(self, group: _Group) -> None:
+        """No further joins: *group* runs or was aborted."""
+        self._queued.discard(group)
+        if self._open.get(group.batch_key) is group:
+            del self._open[group.batch_key]
+
+    def _settle(
+        self,
+        req: EvalRequest,
+        future: asyncio.Future,
+        response: Dict[str, Any],
+    ) -> bool:
+        """Retire *req*'s key and deliver *response*; False if already done."""
+        if self._futures.get(req.key) is future:
+            del self._futures[req.key]
+        if future.done():
+            return False
+        future.set_result(response)
+        return True
+
+    def _expire(self, req: EvalRequest, future: asyncio.Future) -> None:
+        response = {
+            "ok": False,
+            "code": "deadline",
+            "error": f"deadline of {req.deadline}s exceeded",
+            "id": req.id,
+        }
+        if self._settle(req, future, response):
+            metrics().count("service.deadline_exceeded")
+
+    async def _run(self, group: _Group) -> None:
+        """Wait for a slot, close *group*, evaluate its live members.
+
+        Resolves every member on every exit, so a group that dies
+        unexpectedly strands no member, no follower and no key.
+        """
+        failure = "group ended without an answer"
+        try:
+            async with self._slots:
+                self._close(group)
+                live = [(r, f) for r, f in group.members if not f.done()]
+                if live:  # members may have expired or been aborted
+                    await self._evaluate_live(live, group.expires)
+        except asyncio.CancelledError:
+            failure = "group cancelled"
+            raise
+        except Exception as exc:
+            failure = f"group evaluation failed: {type(exc).__name__}: {exc}"
+            metrics().count("service.internal_errors")
+            current_tracer().event("service.batch_failed", error=failure)
+        finally:
+            self._close(group)
+            for req, future in group.members:
+                self._settle(
+                    req, future,
+                    {"ok": False, "code": "internal", "error": failure,
+                     "id": req.id},
+                )
+
+    async def _evaluate_live(
+        self,
+        live: List[Tuple[EvalRequest, asyncio.Future]],
+        expires: Optional[float],
+    ) -> None:
+        """One evaluation for the closed group's unanswered members.
+
+        A lone member is evaluated exactly like a solo request, under
+        its own key; several are merged into one union-grid evaluation
+        and split back per member.
+        """
+        members = [req for req, _ in live]
+        req = members[0]
+        if len(members) > 1:
+            req = merge_requests(members)
+            metrics().count("service.batched", len(members))
+            metrics().observe("service.batch_size", len(members))
+            current_tracer().event(
+                "service.batch", kind=req.kind, size=len(members),
+                key=req.key,
+            )
+        token = CancelToken()
+        timeout = None
+        if expires is not None:
+            timeout = expires - asyncio.get_running_loop().time()
+        try:
+            response = await asyncio.wait_for(
+                self._evaluate(req, members, token), timeout
+            )
+        except asyncio.TimeoutError:
+            token.cancel("deadline exceeded")
+            for member, future in live:
+                self._expire(member, future)
+            return
+        responses = [response] if len(members) == 1 else split_responses(
+            req, response, members, cache=self._cache
+        )
+        for (member, future), answer in zip(live, responses):
+            self._settle(member, future, answer)

@@ -8,29 +8,30 @@ request ``id`` for correlation).
 
 A request travels::
 
-    parse -> cache short-circuit -> coalesce -> breaker -> admission
-          -> [micro-batch] -> retry(evaluate, cancellable)
-          -> respond
+    parse -> cache short-circuit -> follow an identical in-flight request
+          |  or breaker -> admission -> join/open a group -> slot
+          -> retry(evaluate, cancellable) -> respond
 
 * **parse** (:mod:`repro.service.requests`) — strict validation; the
   normalized request carries the same content-addressed key the result
-  cache uses, plus a *compatibility* key for the micro-batcher.
+  cache uses, plus a *compatibility* key (``batch_key``).
 * **cache short-circuit** — a persistent-cache hit answers before the
   queue is ever consulted; a full queue cannot shed work the service
   already knows the answer to.
-* **coalesce** (:mod:`repro.service.coalesce`) — identical in-flight
-  requests share one evaluation.
+* **in-flight registry** (:mod:`repro.service.batch`) — the one
+  mechanism for sharing work: a request identical to one in flight
+  follows its answer; otherwise, once admitted, it joins the queued
+  group of compatible requests (same ``batch_key``, different grids)
+  or opens one.  A group closes when it acquires one of
+  ``concurrency`` evaluator slots and runs as one union-grid
+  evaluation, split back into per-request responses bit-identical to
+  their solo spelling.
 * **breaker** (:mod:`repro.service.breaker`) — a pool that keeps
   failing is taken out of rotation; requests are answered from the
   Section-3 analytical model (:mod:`repro.service.degrade`) with
   ``"degraded": true`` until a half-open probe succeeds.
 * **admission** (:mod:`repro.service.admission`) — bounded per-class
   occupancy; overload sheds fast with a ``retry_after`` hint.
-* **micro-batch** (:mod:`repro.service.batch`, enabled by
-  ``batch_window > 0``) — admitted montecarlo/sweep leaders differing
-  only in their depth/step grid gather for a small window and fuse
-  into one union-grid evaluation, split back into per-request
-  responses bit-identical to their solo spelling.
 * **retry** (:mod:`repro.service.retry`) — transient pool failures are
   retried under a jittered-backoff budget; a request ``deadline``
   cancels the evaluation *inside* the pool via the runner's
@@ -46,10 +47,11 @@ pool without ever surfacing as a request failure — which is why a
 worker crash cannot open the circuit breaker by itself.
 
 Lifecycle: ``SIGTERM``/``SIGINT`` trigger a graceful drain — the
-listener closes, in-flight requests finish (bounded by
-``drain_timeout``), stragglers are answered with a ``draining``
-rejection — and ``healthz``/``readyz`` separate liveness ("the process
-answers") from readiness ("new work is being admitted").
+listener closes, groups still waiting for a slot are answered with a
+``draining`` rejection, running evaluations finish (bounded by
+``drain_timeout``), stragglers are rejected too — and
+``healthz``/``readyz`` separate liveness ("the process answers") from
+readiness ("new work is being admitted").
 """
 
 from __future__ import annotations
@@ -71,9 +73,8 @@ from repro.runners.cache import cache_for
 from repro.runners.config import RunConfig
 from repro.runners.parallel import CancelToken, ParallelRunner, RunCancelled
 from repro.service.admission import AdmissionController, ShedRequest
-from repro.service.batch import MicroBatcher, merge_requests, split_responses
+from repro.service.batch import InflightRegistry
 from repro.service.breaker import CircuitBreaker
-from repro.service.coalesce import Coalescer
 from repro.service.degrade import degraded_answer
 from repro.service.requests import (
     ADMIN_KINDS,
@@ -107,9 +108,7 @@ class ServiceConfig:
     run_config: RunConfig = field(default_factory=RunConfig)
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the bound port is EvalService.port
-    concurrency: int = 2  # resident warm evaluator threads
-    batch_window: float = 0.0  # compatible-request gather window; 0 = off
-    batch_max: int = 16  # members fused into one evaluation, at most
+    concurrency: int = 2  # evaluator slots = resident warm threads
     limits: Optional[Mapping[str, int]] = None  # admission per-class caps
     total_limit: Optional[int] = None
     default_deadline: Optional[float] = None
@@ -134,8 +133,8 @@ def evaluate_request(
     runner = ParallelRunner.from_config(config)
     runner.cancel_token = cancel_token
     # publish shard lifecycle onto the process-wide bus keyed by the
-    # request's coalescing key, so the daemon can stream progress frames
-    # to the leader and every coalesced follower
+    # request's key, so the daemon can stream progress frames to every
+    # request sharing this evaluation
     runner.progress = ProgressReporter(experiment=req.kind, run_id=req.key)
     params = req.params
     if req.kind == "montecarlo":
@@ -202,14 +201,6 @@ class EvalService:
         self.evaluator = (
             evaluator if evaluator is not None else evaluate_request
         )
-        self.batcher: Optional[MicroBatcher] = (
-            MicroBatcher(
-                self._run_batch,
-                window=self.config.batch_window,
-                max_batch=self.config.batch_max,
-            )
-            if self.config.batch_window > 0 else None
-        )
         self.admission = AdmissionController(
             limits=self.config.limits,
             total=self.config.total_limit,
@@ -220,8 +211,10 @@ class EvalService:
             reset_timeout=self.config.reset_timeout,
             half_open_probes=self.config.half_open_probes,
         )
-        self.coalescer = Coalescer()
         self.cache = cache_for(self.config.run_config)
+        self.inflight = InflightRegistry(
+            self._evaluate, self.config.concurrency, cache=self.cache
+        )
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.concurrency,
             thread_name_prefix="repro-eval",
@@ -274,6 +267,10 @@ class EvalService:
             return
         self._draining = True
         current_tracer().event("service.drain", inflight=self.admission.depth())
+        draining = {"ok": False, "code": "draining",
+                    "error": "service draining"}
+        # queued groups never start; running ones may finish
+        aborted = self.inflight.abort_queued(draining)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -281,11 +278,7 @@ class EvalService:
         while self.admission.depth() > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.05)
         # anything still in flight gets an honest rejection, not silence
-        draining = {"ok": False, "code": "draining",
-                    "error": "service draining"}
-        aborted = self.coalescer.abort_all(dict(draining))
-        if self.batcher is not None:
-            aborted += self.batcher.abort_all(draining)
+        aborted += self.inflight.abort_all(draining)
         if aborted:
             metrics().count("service.drain_aborted", aborted)
         self._executor.shutdown(wait=False, cancel_futures=True)
@@ -359,9 +352,9 @@ class EvalService:
 
         *send_progress* is an async callable taking one JSON-able frame;
         when given, the caller is streamed ``{"event": "progress", ...}``
-        frames for its request (leader or coalesced follower alike)
-        before the final response.  ``None`` — the in-process default —
-        streams nothing.
+        frames for its request (group member or coalesced follower
+        alike) before the final response.  ``None`` — the in-process
+        default — streams nothing.
         """
         if isinstance(message, Mapping) and message.get("kind") in ADMIN_KINDS:
             return self._admin(message)
@@ -387,32 +380,47 @@ class EvalService:
         if cached is not None:
             return cached
 
-        future, is_leader = self.coalescer.lead_or_join(req.key)
-        if not is_leader:
+        future = self.inflight.follow(req.key)
+        following = future is not None
+        if following:  # identical work is in flight: share its answer
             metrics().count("service.coalesce_hits")
             current_tracer().event("service.coalesce", key=req.key)
-            watch = self._add_watcher(req.key, req.id, send_progress)
+        elif not self.breaker.allow():
+            metrics().count("service.degraded")
+            current_tracer().event("service.degraded", key=req.key)
+            return degraded_answer(
+                req,
+                f"breaker open ({self.breaker.last_failure or 'pool down'})",
+            )
+        else:
+            # every admitted request, fused or not, holds its own slot
+            # until answered: shedding sees the true demand, and a group
+            # never exceeds its class limit
             try:
-                response = dict(await asyncio.shield(future))
-            finally:
-                self._remove_watcher(req.key, watch)
-            response["id"] = req.id
-            response["coalesced"] = True
-            return response
+                self.admission.try_acquire(req.kind)
+            except ShedRequest as exc:
+                return {
+                    "ok": False,
+                    "code": "shed",
+                    "error": exc.reason,
+                    "retry_after": exc.retry_after,
+                    "id": req.id,
+                }
+            future = self.inflight.submit(req)
+            started = time.monotonic()
         watch = self._add_watcher(req.key, req.id, send_progress)
-        response: Optional[Dict[str, Any]] = None
         try:
-            response = await self._evaluate_leader(req)
-            return response
+            response = dict(await asyncio.shield(future))
         finally:
-            # resolve on *every* exit — unexpected exception, cancelled
-            # task, early return — so a dying leader can never strand
-            # its followers until their client-side timeout
             self._remove_watcher(req.key, watch)
-            if response is None:
-                response = {"ok": False, "code": "internal",
-                            "error": "leader failed unexpectedly"}
-            self.coalescer.resolve(req.key, response)
+            if not following:
+                self.admission.release(
+                    req.kind, service_time=time.monotonic() - started
+                )
+        response["id"] = req.id
+        if following:
+            response["coalesced"] = True
+        return response
 
     # ---------------------------------------------------------- progress bus
     def _add_watcher(
@@ -501,7 +509,7 @@ class EvalService:
             "id": req_id,
             "breaker": self.breaker.state,
             "queue_depth": self.admission.depth(),
-            "inflight_keys": self.coalescer.depth,
+            "inflight_keys": self.inflight.depth,
             "service_time_estimate": self.admission.service_time_estimate,
             "counters": metrics().snapshot().get("counters", {}),
         }
@@ -523,7 +531,7 @@ class EvalService:
                 cls: self.admission.depth(cls)
                 for cls in sorted(self.admission.limits)
             },
-            "inflight_keys": self.coalescer.depth,
+            "inflight_keys": self.inflight.depth,
             "service_time_estimate": self.admission.service_time_estimate,
             "progress": {
                 key: dict(snap)
@@ -550,79 +558,21 @@ class EvalService:
             "result": payload,
         }
 
-    async def _evaluate_leader(self, req: EvalRequest) -> Dict[str, Any]:
-        """Breaker -> admission -> (batched or direct) evaluation.
-
-        Every leader holds its *own* admission slot for the duration —
-        batched members included, so shedding sees the true demand and
-        a fused evaluation cannot smuggle N requests past the limits.
-        """
-        if not self.breaker.allow():
-            metrics().count("service.degraded")
-            reason = (
-                f"breaker open ({self.breaker.last_failure or 'pool down'})"
-            )
-            current_tracer().event("service.degraded", key=req.key)
-            return degraded_answer(req, reason)
-        try:
-            self.admission.try_acquire(req.kind)
-        except ShedRequest as exc:
-            return {
-                "ok": False,
-                "code": "shed",
-                "error": exc.reason,
-                "retry_after": exc.retry_after,
-                "id": req.id,
-            }
-        started = time.monotonic()
-        try:
-            if self.batcher is not None and req.batch_key is not None:
-                return await self.batcher.submit(req)
-            return await self._evaluate_admitted(req)
-        finally:
-            self.admission.release(
-                req.kind, service_time=time.monotonic() - started
-            )
-
-    async def _run_batch(
-        self, members: "list[EvalRequest]"
-    ) -> "list[Dict[str, Any]]":
-        """Evaluate one closed batch group; responses in member order.
-
-        A single-member group takes the ordinary path — batching must be
-        invisible when no compatible company showed up in the window.
-        """
-        if len(members) == 1:
-            return [await self._evaluate_admitted(members[0])]
-        merged = merge_requests(members)
-        metrics().count("service.batched", len(members))
-        metrics().observe("service.batch_size", len(members))
-        current_tracer().event(
-            "service.batch",
-            kind=merged.kind,
-            size=len(members),
-            key=merged.key,
-        )
-        response = await self._evaluate_admitted(
-            merged, watch_keys=tuple(r.key for r in members)
-        )
-        return split_responses(merged, response, members, cache=self.cache)
-
-    async def _evaluate_admitted(
+    async def _evaluate(
         self,
         req: EvalRequest,
-        watch_keys: Optional[tuple] = None,
+        members: "list[EvalRequest]",
+        token: CancelToken,
     ) -> Dict[str, Any]:
-        """One retried, deadline-bounded evaluation on the executor.
+        """One retried evaluation of *req* on the executor.
 
-        *watch_keys* routes progress frames: a fused evaluation streams
-        its shard lifecycle to every member key's watchers (each member
-        request keeps its own frames), the default to the request's own
-        key only.
+        *req* is a group's lone member or its merged request.  Progress
+        frames go to every member's watchers, so each request sharing
+        the evaluation keeps its own frames.  *token* fires at the
+        group's deadline (:class:`InflightRegistry` owns it).
         """
-        keys = watch_keys or (req.key,)
+        keys = [member.key for member in members]
         loop = asyncio.get_running_loop()
-        token = CancelToken()
 
         def on_event(event: ProgressEvent) -> None:
             # runs on the evaluator thread: hop onto the loop, where the
@@ -647,22 +597,12 @@ class EvalService:
             )
 
         try:
-            coro = self.config.retry.acall(
-                attempt, retry_on=TRANSIENT_ERRORS, on_retry=on_retry
+            payload = await self.config.retry.acall(
+                attempt,
+                retry_on=TRANSIENT_ERRORS,
+                sleep=self.inflight.pause,
+                on_retry=on_retry,
             )
-            if req.deadline is not None:
-                payload = await asyncio.wait_for(coro, timeout=req.deadline)
-            else:
-                payload = await coro
-        except asyncio.TimeoutError:
-            token.cancel("deadline exceeded")
-            metrics().count("service.deadline_exceeded")
-            return {
-                "ok": False,
-                "code": "deadline",
-                "error": f"deadline of {req.deadline}s exceeded",
-                "id": req.id,
-            }
         except RunCancelled as exc:
             return {"ok": False, "code": "cancelled", "error": str(exc),
                     "id": req.id}

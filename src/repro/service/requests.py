@@ -26,14 +26,15 @@ or the stage-sweep step grid — while everything that changes the sample
 stream or the evaluation semantics (geometry, seed, shard size, sample
 budget, deadline) is part of the key.  The ``backend`` param is an
 engine override: engines are bit-identical where they serve a request,
-so like ``jobs`` it enters neither key.  The service's
-micro-batcher merges same-``batch_key`` requests into one fused
-evaluation; synthesis requests have no batchable axis and carry
-``batch_key=None``.
+so like ``jobs`` it enters neither key.  The service's in-flight
+registry (:mod:`repro.service.batch`) fuses same-``batch_key``
+requests queued for an evaluator slot into one evaluation; synthesis
+requests have no batchable axis and carry ``batch_key=None``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -96,13 +97,13 @@ class EvalRequest:
     key: str  # dedup/coalescing content address
     cache_key: Optional[str]  # ResultCache short-circuit key, if cached
     deadline: Optional[float]
-    batch_key: Optional[str] = None  # micro-batch compatibility class
+    batch_key: Optional[str] = None  # fusion compatibility class
 
 
 def batch_compatibility_key(
     kind: str, config: RunConfig, samples: int, deadline: Optional[float]
 ) -> Optional[str]:
-    """Compatibility class of one request for the service micro-batcher.
+    """Compatibility class of one request for service-side fusion.
 
     Everything but the depth/step grid must match for two requests to
     fuse: the :meth:`RunConfig.describe` fields (geometry, seed, shard
@@ -118,6 +119,15 @@ def batch_compatibility_key(
         num_samples=int(samples),
         deadline=deadline,
         **config.describe(),
+    )
+
+
+def _is_number(value: Any) -> bool:
+    """A finite JSON number: JSON parsing admits NaN and +/-Infinity."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
     )
 
 
@@ -156,9 +166,9 @@ def _float_list(params: Mapping, name: str) -> Optional[Tuple[float, ...]]:
         raise RequestError(f"{name} must be a non-empty list of numbers")
     out = []
     for v in value:
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
+        if not _is_number(v) or v <= 0:
             raise RequestError(
-                f"{name} entries must be positive numbers, got {v!r}"
+                f"{name} entries must be positive finite numbers, got {v!r}"
             )
         out.append(float(v))
     return tuple(out)
@@ -210,10 +220,9 @@ def parse_request(
         )
     deadline = message.get("deadline", default_deadline)
     if deadline is not None:
-        if not isinstance(deadline, (int, float)) or isinstance(deadline, bool) \
-                or deadline <= 0:
+        if not _is_number(deadline) or deadline <= 0:
             raise RequestError(
-                f"deadline must be a positive number of seconds, got "
+                f"deadline must be a positive finite number of seconds, got "
                 f"{deadline!r}"
             )
         deadline = float(deadline)
@@ -270,9 +279,9 @@ def parse_request(
         metric, value = "snr", params["target_snr"]
     else:
         metric, value = "mre", params.get("target_mre", 5.0)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         raise RequestError(
-            f"target_{metric} must be a number, got {value!r}"
+            f"target_{metric} must be a finite number, got {value!r}"
         )
     wordlengths = _int_list(params, "wordlengths")
     # the synthesizer quantizes shared REF_FRAC-bit operand draws, so a

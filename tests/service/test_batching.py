@@ -1,14 +1,18 @@
-"""Micro-batching: compatible requests fuse into one evaluation whose
-split responses are byte-identical to solo runs.
+"""Fusion: compatible requests queued for an evaluator slot fuse into
+one evaluation whose split responses are byte-identical to solo runs.
 
 Same test style as ``test_daemon.py``: each test drives its own event
 loop with ``asyncio.run`` against a real daemon socket; the real
 evaluator is used wherever bit-identity is the claim under test, and
-injected evaluators wherever failure-path splitting is.
+injected evaluators wherever failure-path splitting is.  Fusion is
+triggered the way load triggers it: a gated blocker request holds the
+daemon's only evaluator slot (``concurrency=1``) while the requests
+under test queue behind it.
 """
 
 import asyncio
 import json
+import threading
 import time
 
 import pytest
@@ -21,7 +25,7 @@ from repro.service import (
     ServiceConfig,
     TransientEvalError,
 )
-from repro.service.batch import MicroBatcher, merge_requests
+from repro.service.batch import merge_requests
 from repro.service.daemon import evaluate_request
 from repro.service.requests import parse_request
 from repro.service.retry import RetryPolicy
@@ -34,8 +38,7 @@ FAST_RETRY = RetryPolicy(base=0.005, cap=0.01, budget=0.03, max_attempts=3)
 def service_config(**overrides):
     kwargs = dict(
         run_config=BASE,
-        concurrency=2,
-        batch_window=0.25,
+        concurrency=1,
         retry=FAST_RETRY,
         failure_threshold=2,
         reset_timeout=0.2,
@@ -56,8 +59,34 @@ def counted(evaluator):
     return wrapped, calls
 
 
+class Gate:
+    """An evaluator whose blocker request holds the slot until opened.
+
+    Every other request goes to the wrapped *evaluator*, so a counting
+    evaluator never sees the blocker.
+    """
+
+    BLOCKER = ("synthesis", {"samples": 7})
+
+    def __init__(self, evaluator):
+        self.evaluator = evaluator
+        self.entered = threading.Event()
+        self.opened = threading.Event()
+
+    def __call__(self, req, token):
+        kind, params = self.BLOCKER
+        if req.kind == kind and req.params["samples"] == params["samples"]:
+            self.entered.set()
+            self.opened.wait(timeout=10.0)
+            return {"blocked": True}
+        return self.evaluator(req, token)
+
+
 async def started(config=None, evaluator=None):
-    service = EvalService(config or service_config(), evaluator=evaluator)
+    service = EvalService(
+        config or service_config(),
+        evaluator=Gate(evaluator or evaluate_request),
+    )
     await service.start()
     client = await ServiceClient.connect("127.0.0.1", service.port)
     return service, client
@@ -66,6 +95,34 @@ async def started(config=None, evaluator=None):
 async def finish(service, client):
     await client.aclose()
     await service.drain()
+
+
+async def hold_slot(service, client):
+    """Occupy the only evaluator slot; returns the blocker's task."""
+    blocker = asyncio.ensure_future(client.request(*Gate.BLOCKER))
+    while not service.evaluator.entered.is_set():
+        await asyncio.sleep(0.005)
+    return blocker
+
+
+async def queued(service, client, requests, inflight=None):
+    """Send *requests* behind the blocker, then open the gate.
+
+    Opens once *inflight* keys (default: the blocker plus one per
+    request) are registered, i.e. once every request has queued.
+    """
+    blocker = await hold_slot(service, client)
+    tasks = [
+        asyncio.ensure_future(client.request(kind, params))
+        for kind, params in requests
+    ]
+    if inflight is None:
+        inflight = 1 + len(requests)
+    while service.inflight.depth < inflight:
+        await asyncio.sleep(0.005)
+    service.evaluator.opened.set()
+    await blocker
+    return await asyncio.gather(*tasks)
 
 
 def canonical(response):
@@ -114,21 +171,6 @@ class TestMergeRequests:
         assert r1.batch_key != r2.batch_key
 
 
-class TestMicroBatcherValidation:
-    def test_rejects_nonpositive_window(self):
-        with pytest.raises(ValueError):
-            MicroBatcher(lambda members: None, window=0.0)
-
-    def test_rejects_unbatchable_request(self):
-        async def main():
-            batcher = MicroBatcher(lambda members: None, window=0.01)
-            req = parse("synthesis", {"samples": 50})
-            with pytest.raises(ValueError):
-                await batcher.submit(req)
-
-        asyncio.run(main())
-
-
 class TestBatchedBitIdentity:
     def test_compatible_requests_fuse_once_and_split_bit_identical(self):
         metrics().reset()
@@ -136,12 +178,11 @@ class TestBatchedBitIdentity:
 
         async def main():
             service, client = await started(evaluator=evaluator)
-            # both land inside one gather window -> one fused evaluation
-            b1, b2 = await asyncio.gather(
-                client.request("montecarlo", {"samples": 80,
-                                              "depths": [2, 4]}),
-                client.request("montecarlo", {"samples": 80, "depths": [3]}),
-            )
+            # both queue behind the blocker -> one fused evaluation
+            b1, b2 = await queued(service, client, [
+                ("montecarlo", {"samples": 80, "depths": [2, 4]}),
+                ("montecarlo", {"samples": 80, "depths": [3]}),
+            ])
             # replay each request alone -> the ordinary solo path
             s1 = await client.request(
                 "montecarlo", {"samples": 80, "depths": [2, 4]}
@@ -171,10 +212,10 @@ class TestBatchedBitIdentity:
 
         async def main():
             service, client = await started(evaluator=evaluator)
-            b1, b2 = await asyncio.gather(
-                client.request("sweep", {"samples": 80, "steps": [1, 2]}),
-                client.request("sweep", {"samples": 80, "steps": [2, 3]}),
-            )
+            b1, b2 = await queued(service, client, [
+                ("sweep", {"samples": 80, "steps": [1, 2]}),
+                ("sweep", {"samples": 80, "steps": [2, 3]}),
+            ])
             s1 = await client.request(
                 "sweep", {"samples": 80, "steps": [1, 2]}
             )
@@ -196,10 +237,10 @@ class TestBatchedBitIdentity:
     def test_members_keep_their_own_ids(self):
         async def main():
             service, client = await started(evaluator=evaluate_request)
-            r1, r2 = await asyncio.gather(
-                client.request("montecarlo", {"samples": 80, "depths": [2]}),
-                client.request("montecarlo", {"samples": 80, "depths": [3]}),
-            )
+            r1, r2 = await queued(service, client, [
+                ("montecarlo", {"samples": 80, "depths": [2]}),
+                ("montecarlo", {"samples": 80, "depths": [3]}),
+            ])
             await finish(service, client)
             return r1, r2
 
@@ -218,11 +259,10 @@ class TestPerMemberCacheWrites:
 
         async def main():
             service, client = await started(config, evaluator=evaluator)
-            b1, _ = await asyncio.gather(
-                client.request("montecarlo", {"samples": 60,
-                                              "depths": [2, 4]}),
-                client.request("montecarlo", {"samples": 60, "depths": [3]}),
-            )
+            b1, _ = await queued(service, client, [
+                ("montecarlo", {"samples": 60, "depths": [2, 4]}),
+                ("montecarlo", {"samples": 60, "depths": [3]}),
+            ])
             # a later solo request must cache-hit exactly as if its
             # member had run alone
             replay = await client.request(
@@ -243,14 +283,31 @@ class TestCompatibilityBoundaries:
 
         async def main():
             service, client = await started(evaluator=evaluator)
-            await asyncio.gather(
-                client.request("montecarlo", {"samples": 80, "depths": [2]}),
-                client.request("montecarlo", {"samples": 81, "depths": [3]}),
-            )
+            await queued(service, client, [
+                ("montecarlo", {"samples": 80, "depths": [2]}),
+                ("montecarlo", {"samples": 81, "depths": [3]}),
+            ])
             await finish(service, client)
 
         asyncio.run(main())
         assert len(calls) == 2
+
+    def test_synthesis_requests_never_fuse(self):
+        evaluator, calls = counted(evaluate_request)
+
+        async def main():
+            service, client = await started(evaluator=evaluator)
+            responses = await queued(service, client, [
+                ("synthesis", {"samples": 40, "datapath": "mac"}),
+                ("synthesis", {"samples": 40, "datapath": "mac",
+                               "target_mre": 9.0}),
+            ])
+            await finish(service, client)
+            return responses
+
+        responses = asyncio.run(main())
+        assert all(r["ok"] for r in responses)
+        assert len(calls) == 2  # each synthesis request is its own group
 
     def test_single_member_window_is_invisible(self):
         metrics().reset()
@@ -258,9 +315,9 @@ class TestCompatibilityBoundaries:
 
         async def main():
             service, client = await started(evaluator=evaluator)
-            resp = await client.request(
-                "montecarlo", {"samples": 80, "depths": [2]}
-            )
+            (resp,) = await queued(service, client, [
+                ("montecarlo", {"samples": 80, "depths": [2]}),
+            ])
             await finish(service, client)
             return resp
 
@@ -270,25 +327,88 @@ class TestCompatibilityBoundaries:
         assert resp["ok"] is True
         assert "service.batched" not in metrics().snapshot()["counters"]
 
-    def test_max_batch_closes_the_window_early(self):
+    def test_lone_compatible_request_never_waits(self):
+        starts = []
+
+        def timed(req, token):
+            starts.append(time.monotonic())
+            return evaluate_request(req, token)
+
+        async def main():
+            service, client = await started(evaluator=timed)
+            sent = time.monotonic()
+            resp = await client.request(
+                "montecarlo", {"samples": 80, "depths": [2]}
+            )
+            await finish(service, client)
+            return resp, sent
+
+        resp, sent = asyncio.run(main())
+        assert resp["ok"] is True
+        # an idle slot is taken at once: no gather window to sit out
+        assert starts[0] - sent < 0.2
+
+    def test_compatible_request_past_the_class_limit_is_shed(self):
+        metrics().reset()
         evaluator, calls = counted(evaluate_request)
-        # a 30s window would time the test out unless max_batch fires
-        config = service_config(batch_window=30.0, batch_max=2)
+        config = service_config(
+            limits={"montecarlo": 2, "sweep": 2, "synthesis": 1}
+        )
 
         async def main():
             service, client = await started(config, evaluator=evaluator)
-            t0 = time.monotonic()
-            await asyncio.gather(
-                client.request("montecarlo", {"samples": 80, "depths": [2]}),
-                client.request("montecarlo", {"samples": 80, "depths": [3]}),
-            )
-            elapsed = time.monotonic() - t0
+            responses = await queued(service, client, [
+                ("montecarlo", {"samples": 80, "depths": [2]}),
+                ("montecarlo", {"samples": 80, "depths": [3]}),
+                ("montecarlo", {"samples": 80, "depths": [4]}),
+            ], inflight=3)
             await finish(service, client)
-            return elapsed
+            return responses
 
-        elapsed = asyncio.run(main())
+        r1, r2, r3 = asyncio.run(main())
+        assert r1["ok"] and r2["ok"]
+        assert r3["ok"] is False
+        assert r3["code"] == "shed"
+        assert r3["retry_after"] > 0
+        # the two admitted members fused; the shed one never joined
         assert len(calls) == 1
-        assert elapsed < 10.0
+        assert metrics().snapshot()["counters"]["service.batched"] == 2
+
+
+class TestDeadlines:
+    def test_late_joiner_is_not_cut_short_by_the_openers_deadline(self):
+        def slow(req, token):
+            time.sleep(1.5)
+            return evaluate_request(req, token)
+
+        async def main():
+            service, client = await started(evaluator=slow)
+            blocker = await hold_slot(service, client)
+            t0 = time.monotonic()
+            opener = asyncio.ensure_future(client.request(
+                "montecarlo", {"samples": 80, "depths": [2]}, deadline=2.0
+            ))
+            await asyncio.sleep(1.0)
+            joiner = asyncio.ensure_future(client.request(
+                "montecarlo", {"samples": 80, "depths": [3]}, deadline=2.0
+            ))
+            while service.inflight.depth < 3:
+                await asyncio.sleep(0.005)
+            service.evaluator.opened.set()
+            await blocker
+            first = await opener
+            first_at = time.monotonic() - t0
+            second = await joiner
+            await finish(service, client)
+            return first, first_at, second
+
+        first, first_at, second = asyncio.run(main())
+        # the opener is answered at its own deadline, never before it
+        assert first["code"] == "deadline"
+        assert first_at >= 2.0
+        # the fused evaluation ran on to the joiner's later deadline
+        assert second["ok"] is True
+        assert second["result"]["depths"] == [3]
 
 
 class TestFailureSplitting:
@@ -298,11 +418,10 @@ class TestFailureSplitting:
 
         async def main():
             service, client = await started(evaluator=broken)
-            r1, r2 = await asyncio.gather(
-                client.request("montecarlo", {"samples": 80,
-                                              "depths": [2, 4]}),
-                client.request("montecarlo", {"samples": 80, "depths": [3]}),
-            )
+            r1, r2 = await queued(service, client, [
+                ("montecarlo", {"samples": 80, "depths": [2, 4]}),
+                ("montecarlo", {"samples": 80, "depths": [3]}),
+            ])
             await finish(service, client)
             return r1, r2
 
@@ -322,10 +441,10 @@ class TestFailureSplitting:
 
         async def main():
             service, client = await started(evaluator=explode)
-            r1, r2 = await asyncio.gather(
-                client.request("montecarlo", {"samples": 80, "depths": [2]}),
-                client.request("montecarlo", {"samples": 80, "depths": [3]}),
-            )
+            r1, r2 = await queued(service, client, [
+                ("montecarlo", {"samples": 80, "depths": [2]}),
+                ("montecarlo", {"samples": 80, "depths": [3]}),
+            ])
             await finish(service, client)
             return r1, r2
 
@@ -337,22 +456,58 @@ class TestFailureSplitting:
         assert r1["id"] != r2["id"]
 
     def test_drain_aborts_a_gathering_window(self):
-        config = service_config(batch_window=30.0)
-
         async def main():
-            service, client = await started(
-                config, evaluator=evaluate_request
-            )
+            service, client = await started(evaluator=evaluate_request)
+            blocker = await hold_slot(service, client)
             pending = asyncio.ensure_future(
                 client.request("montecarlo", {"samples": 80, "depths": [2]})
             )
-            while service.batcher.depth == 0:
+            while service.inflight.depth < 2:
                 await asyncio.sleep(0.01)
-            await service.drain()
+            drain = asyncio.ensure_future(service.drain())
             resp = await pending
+            service.evaluator.opened.set()
+            await blocker
+            await drain
             await client.aclose()
             return resp
 
         resp = asyncio.run(main())
         assert resp["ok"] is False
         assert resp["code"] == "draining"
+
+    def test_drain_aborts_a_queued_group_before_it_evaluates(self):
+        metrics().reset()
+        evaluator, calls = counted(evaluate_request)
+        group = [
+            ("montecarlo", {"samples": 80, "depths": [2]}),
+            ("montecarlo", {"samples": 80, "depths": [3]}),
+            ("montecarlo", {"samples": 80, "depths": [3]}),  # a follower
+        ]
+
+        async def main():
+            service, client = await started(evaluator=evaluator)
+            blocker = await hold_slot(service, client)
+            pending = [
+                asyncio.ensure_future(client.request(kind, params))
+                for kind, params in group
+            ]
+            counters = metrics().snapshot()["counters"]
+            while service.inflight.depth < 3 or \
+                    "service.coalesce_hits" not in counters:
+                await asyncio.sleep(0.01)
+                counters = metrics().snapshot()["counters"]
+            drain = asyncio.ensure_future(service.drain())
+            responses = await asyncio.gather(*pending)
+            service.evaluator.opened.set()
+            blocked = await blocker
+            await drain
+            depth = service.inflight.depth
+            await client.aclose()
+            return responses, blocked, depth
+
+        responses, blocked, depth = asyncio.run(main())
+        assert [r["code"] for r in responses] == ["draining"] * 3
+        assert calls == []  # the queued group never reached the evaluator
+        assert blocked["ok"] is True  # the running evaluation finished
+        assert depth == 0

@@ -117,6 +117,25 @@ class TestRoundTrip:
         }
         assert "bogus" in bad_param["error"]
 
+    def test_infinite_period_is_a_bad_request_not_an_internal_error(self):
+        metrics().reset()
+
+        async def main():
+            service, client = await started()
+            # the client spells float("inf") as the JSON token Infinity
+            resp = await client.request(
+                "sweep", {"samples": 10, "periods": [float("inf")]}
+            )
+            await finish(service, client)
+            return resp
+
+        resp = asyncio.run(main())
+        assert resp["ok"] is False
+        assert resp["code"] == "bad_request"
+        assert "periods" in resp["error"]
+        counters = metrics().snapshot()["counters"]
+        assert counters.get("service.internal_errors", 0) == 0
+
     def test_unsynthesizable_wordlengths_never_reach_the_evaluator(self):
         calls = []
 
@@ -168,8 +187,8 @@ class TestCoalescing:
                 )
                 for _ in range(8)
             ]
-            # let every request reach the coalescer before releasing
-            while len(evaluations) == 0 or service.coalescer.depth == 0:
+            # let every request reach the registry before releasing
+            while len(evaluations) == 0 or service.inflight.depth == 0:
                 await asyncio.sleep(0.01)
             await asyncio.sleep(0.05)
             release.set()
@@ -327,6 +346,44 @@ class TestBreakerAndDegradation:
         assert counters["service.degraded"] == 5
         assert counters["service.retries"] == 2 * 2  # 2 retries x 2 requests
 
+    def test_retry_backoff_does_not_hold_the_only_slot(self):
+        def fail_one(req, token):
+            if req.params["samples"] == 100:
+                raise TransientEvalError("worker exploded")
+            return {"v": 1}
+
+        config = service_config(
+            concurrency=1,
+            failure_threshold=5,
+            retry=RetryPolicy(base=0.2, cap=0.2, budget=0.4, max_attempts=3),
+        )
+
+        async def main():
+            service, client = await started(config, evaluator=fail_one)
+            order = []
+
+            async def ask(samples):
+                resp = await client.request(
+                    "montecarlo", {"samples": samples, "depths": [4]}
+                )
+                order.append(samples)
+                return resp
+
+            failing = asyncio.ensure_future(ask(100))
+            while metrics().snapshot()["counters"].get(
+                    "service.retries", 0) == 0:
+                await asyncio.sleep(0.005)
+            healthy = await ask(101)
+            degraded = await failing
+            await finish(service, client)
+            return healthy, degraded, order
+
+        metrics().reset()
+        healthy, degraded, order = asyncio.run(main())
+        assert healthy["ok"] and "degraded" not in healthy
+        assert degraded["degraded"] is True
+        assert order == [101, 100]  # served during the other's backoff
+
     def test_half_open_probe_restores_service(self):
         calls = {"n": 0}
 
@@ -382,8 +439,8 @@ class TestBreakerAndDegradation:
 
 class TestLeaderFailure:
     def test_dying_leader_resolves_its_followers(self):
-        """A leader killed by an unexpected (non-evaluation) exception
-        must still resolve the coalescer entry — followers get an
+        """A group killed by an unexpected (non-evaluation) exception
+        must still resolve its registry entry — followers get an
         honest ``internal`` response instead of hanging until their
         client-side timeout."""
 
@@ -391,11 +448,11 @@ class TestLeaderFailure:
             service, client = await started()
             release = asyncio.Event()
 
-            async def crashing_leader(req):
+            async def crashing_evaluation(req, members, token):
                 await release.wait()
                 raise RuntimeError("handler bug, not an evaluation error")
 
-            service._evaluate_leader = crashing_leader
+            service.inflight._evaluate = crashing_evaluation
             tasks = [
                 asyncio.ensure_future(
                     client.request(
@@ -406,19 +463,19 @@ class TestLeaderFailure:
                 for _ in range(3)
             ]
             # wait for one leader plus two parked followers
-            while service.coalescer.depth == 0:
+            while service.inflight.depth == 0:
                 await asyncio.sleep(0.01)
             await asyncio.sleep(0.05)
             release.set()
             responses = await asyncio.gather(*tasks)
-            depth = service.coalescer.depth
+            depth = service.inflight.depth
             await finish(service, client)
             return responses, depth
 
         responses, depth = asyncio.run(main())
         assert all(r["ok"] is False for r in responses)
         assert all(r["code"] == "internal" for r in responses)
-        assert depth == 0  # nothing stranded in the coalescer
+        assert depth == 0  # nothing stranded in the registry
 
 
 class TestDeadline:

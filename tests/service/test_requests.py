@@ -114,6 +114,13 @@ class TestValidation:
             {"kind": "montecarlo", "deadline": -1.0},
             {"kind": "montecarlo", "params": "nope"},
             {"kind": "sweep", "params": {"periods": [0.0]}},
+            # JSON admits non-finite numbers; the service does not
+            {"kind": "montecarlo", "deadline": float("nan")},
+            {"kind": "montecarlo", "deadline": float("inf")},
+            {"kind": "sweep", "params": {"periods": [float("inf")]}},
+            {"kind": "sweep", "params": {"periods": [float("nan")]}},
+            {"kind": "synthesis", "params": {"target_mre": float("nan")}},
+            {"kind": "synthesis", "params": {"target_snr": float("-inf")}},
             # beyond the synthesizer's reference precision (REF_FRAC)
             {"kind": "synthesis", "params": {"wordlengths": [0]}},
             {"kind": "synthesis", "params": {"wordlengths": [25, 6]}},

@@ -142,7 +142,7 @@ class TestFollowerStreaming:
                 )
             )
             # join once the leader is actually in flight
-            while service.coalescer.depth == 0:
+            while service.inflight.depth == 0:
                 await asyncio.sleep(0.005)
             follower = asyncio.ensure_future(
                 client.request(
