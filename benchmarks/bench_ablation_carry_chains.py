@@ -23,8 +23,8 @@ from repro.sim.montecarlo import uniform_digit_batch
 from repro.sim.reporting import format_table
 from repro.sim.sweep import (
     OnlineMultiplierHarness,
+    SweepHarness,
     TraditionalMultiplierHarness,
-    _Harness,
 )
 
 N = 8
@@ -43,7 +43,7 @@ class _RippleBaseline(TraditionalMultiplierHarness):
 
     def __init__(self, width, delay_model):
         self.width = width
-        _Harness.__init__(
+        SweepHarness.__init__(
             self,
             build_array_multiplier(width, final_adder="ripple"),
             delay_model,

@@ -8,12 +8,16 @@ annihilation headroom — the reason the paper's Fig. 5 spans N = 8..32.
 
 import pytest
 
-from _common import emit
+from _common import emit, run_config
 from repro.core.model import OverclockingErrorModel
-from repro.sim.montecarlo import mc_expected_error
+from repro.sim.montecarlo import run_montecarlo
 from repro.sim.reporting import format_table
 
 WORD_LENGTHS = (8, 12, 16, 24, 32)
+
+
+def _config(n):
+    return run_config(ndigits=n, seed=9, cache_dir=None)
 
 
 def test_ablation_wordlength(benchmark):
@@ -21,7 +25,7 @@ def test_ablation_wordlength(benchmark):
     fixed_b = 6
     for n in WORD_LENGTHS:
         model = OverclockingErrorModel(n)
-        mc = mc_expected_error(n, num_samples=4000, seed=9)
+        mc = run_montecarlo(_config(n), num_samples=4000)
         e_model = model.expected_error(fixed_b)
         e_mc, _ = mc.at_depth(fixed_b)
         longest = max(d for d, _p, _e, _pe in model.per_delay_curves())
@@ -53,4 +57,4 @@ def test_ablation_wordlength(benchmark):
     heads = [int(r[5].rstrip("%")) for r in rows]
     assert heads[-1] > heads[0]
 
-    benchmark(mc_expected_error, 8, 2000, 9)
+    benchmark(run_montecarlo, _config(8), 2000)

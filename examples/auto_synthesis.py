@@ -15,6 +15,13 @@ best designs at aggressive periods mix both styles (conventional inner
 multipliers feeding an online outer one through the truncating operand
 bridge).
 
+The report answers the paper's two design questions:
+
+1. clocked at a given latency, how accurate can the datapath be?  The
+   verified Pareto front lists the best measured error at each latency;
+2. given an accuracy target, how fast can it be clocked?  The chosen
+   point (marked ``*``) is the fastest verified design meeting it.
+
 Run:  python examples/auto_synthesis.py
 """
 

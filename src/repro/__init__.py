@@ -28,13 +28,7 @@ from repro.core.online_multiplier import (
     ONLINE_DELTA,
 )
 from repro.core.model import OverclockingErrorModel
-from repro.core.synthesis import (
-    Datapath,
-    SynthesizedDatapath,
-    explore_latency_accuracy,
-    choose_design,
-    DesignChoice,
-)
+from repro.core.synthesis import Datapath, SynthesizedDatapath
 from repro.numrep.signed_digit import SDNumber
 from repro.netlist import (
     Circuit,
@@ -57,9 +51,6 @@ __all__ = [
     "OverclockingErrorModel",
     "Datapath",
     "SynthesizedDatapath",
-    "explore_latency_accuracy",
-    "choose_design",
-    "DesignChoice",
     "SDNumber",
     "Circuit",
     "WaveformSimulator",

@@ -205,12 +205,16 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     from repro.synth import AccuracyTarget, run_synthesis
     from repro.synth.demos import demo_datapath
 
+    try:
+        if args.target_snr is not None:
+            target = AccuracyTarget("snr", args.target_snr)
+        else:
+            target = AccuracyTarget("mre", args.target_mre)
+    except ValueError as exc:
+        print(f"repro-overclock synth: error: {exc}", file=sys.stderr)
+        return 2
     config = _config_from_args(args)
     datapath = demo_datapath(args.datapath, config.ndigits)
-    if args.target_snr is not None:
-        target = AccuracyTarget("snr", args.target_snr)
-    else:
-        target = AccuracyTarget("mre", args.target_mre)
     kwargs = {}
     if args.wordlengths is not None:
         kwargs["wordlengths"] = args.wordlengths

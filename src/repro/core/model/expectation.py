@@ -251,7 +251,7 @@ class OverclockingErrorModel:
         """Return a copy whose ``kappa`` is fitted to measured data.
 
         ``measured[i]`` is an observed mean |error| at depth ``depths[i]``
-        (e.g. from :func:`repro.sim.montecarlo.mc_expected_error`).  The
+        (e.g. from :func:`repro.sim.montecarlo.run_montecarlo`).  The
         fit minimises the mean log-ratio over depths where both the model
         and the measurement are non-zero, which is the right loss for a
         quantity spanning several decades (Fig. 4's log axis).

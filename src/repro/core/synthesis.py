@@ -15,9 +15,10 @@ front-end:
 A :class:`SynthesizedDatapath` wraps the gate-level circuit together with
 operand encoding/decoding and the overclocking sweep, so the two designs
 can be compared at equal *normalized* frequencies — the comparison behind
-the paper's Tables 1-3.  :func:`explore_latency_accuracy` automates the
-paper's two design questions: best accuracy at a given frequency, and
-fastest frequency within a given error budget.
+the paper's Tables 1-3.  :func:`repro.synth.run_synthesis` answers the
+paper's two design questions over the same graph: its verified Pareto
+front gives the best accuracy at each latency, and its chosen point the
+fastest design that meets an accuracy target.
 
 Spec-driven lowering
 --------------------
@@ -58,9 +59,11 @@ Structural rules
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -73,6 +76,7 @@ from repro.netlist.delay import DelayModel, FpgaDelay
 from repro.netlist.gates import Circuit
 from repro.netlist.sim import SimulationResult, WaveformSimulator
 from repro.netlist.sta import static_timing
+from repro.numrep.rounding import floor_ratio
 from repro.numrep.signed_digit import SDNumber, sd_canonical
 
 #: node kinds that take an operator implementation (and hence a label)
@@ -673,37 +677,86 @@ def _const_digits(value: Fraction, ndigits: int) -> List[int]:
     return [((mag >> (ndigits - 1 - k)) & 1) * sign for k in range(ndigits)]
 
 
-# ----------------------------------------------------------------- synthesis
+# ----------------------------------------------------------------- run record
 @dataclass
 class DatapathRun:
-    """Overclocking sweep of one synthesized datapath on one input batch."""
+    """Overclocking sweep of one gate-level datapath on one input batch.
 
-    correct: Dict[str, np.ndarray]
+    ``decode(step)`` returns the outputs the datapath produces when
+    clocked with period ``step`` quanta: a name -> array mapping for a
+    :class:`SynthesizedDatapath`, one array for an image filter
+    (:class:`repro.imaging.filters.FilterRun`).  ``correct`` is the
+    settled output and ``error_free_step`` the measured minimum safe
+    period (``1/f0`` in the paper's notation).
+    """
+
+    correct: Any
     rated_step: int
     settle_step: int
     error_free_step: int
     _result: SimulationResult
-    _decode_fn: object
+    _decode_fn: Callable[[Dict[str, np.ndarray]], Any]
 
-    def decode(self, step: int) -> Dict[str, np.ndarray]:
+    @classmethod
+    def measure(
+        cls,
+        result: SimulationResult,
+        decode_fn: Callable[[Dict[str, np.ndarray]], Any],
+        rated_step: int,
+        **fields: Any,
+    ) -> "DatapathRun":
+        """Record one simulation and measure its error-free period.
+
+        The settled sample is the reference; scanning back from the
+        settle step, the first period whose decoded outputs differ from
+        it puts the error-free period one quantum above.
+        """
+        run = cls(
+            correct=None,
+            rated_step=rated_step,
+            settle_step=result.settle_step,
+            error_free_step=0,
+            _result=result,
+            _decode_fn=decode_fn,
+            **fields,
+        )
+        run.correct = run.decode(run.settle_step)
+        reference = run._arrays(run.correct)
+        for t in range(run.settle_step, -1, -1):
+            values = run._arrays(run.decode(t))
+            if not all(map(np.array_equal, values, reference)):
+                run.error_free_step = t + 1
+                break
+        return run
+
+    def decode(self, step: int) -> Any:
         """Output values at clock period *step* quanta."""
         return self._decode_fn(self._result.sample(step))
 
+    def _arrays(self, values: Dict[str, np.ndarray]) -> List[np.ndarray]:
+        """Decoded outputs as a list of arrays, one per output."""
+        return list(values.values())
+
     def step_for_factor(self, factor: float) -> int:
+        """Clock period for frequency ``factor * f0`` (factor >= 1 overclocks).
+
+        ``floor(error_free_step / factor)`` with the quotient taken
+        exactly (:func:`repro.numrep.floor_ratio`).
+        """
         if factor <= 0:
             raise ValueError("frequency factor must be positive")
-        return int(self.error_free_step / factor)
+        return floor_ratio(int(self.error_free_step), factor)
 
-    def at_factor(self, factor: float) -> Dict[str, np.ndarray]:
+    def at_factor(self, factor: float) -> Any:
         """Output values when clocked at ``factor * f0``."""
         return self.decode(self.step_for_factor(factor))
 
     def mean_abs_error(self, step: int) -> float:
         """Mean |error| across all outputs at clock period *step*."""
-        values = self.decode(step)
+        values = self._arrays(self.decode(step))
         errs = [
-            np.abs(values[name] - self.correct[name]).mean()
-            for name in self.correct
+            np.abs(got - want).mean()
+            for got, want in zip(values, self._arrays(self.correct))
         ]
         return float(np.mean(errs))
 
@@ -806,221 +859,6 @@ class SynthesizedDatapath:
     # ------------------------------------------------------------------ run
     def apply(self, inputs: Dict[str, np.ndarray]) -> DatapathRun:
         """Simulate one operand batch across every clock period."""
-        result = self.simulator.run(self.encode(inputs))
-        settle = result.settle_step
-        correct = self._decode(result.sample(settle))
-        error_free = 0
-        for t in range(settle, -1, -1):
-            values = self._decode(result.sample(t))
-            if any(
-                not np.array_equal(values[k], correct[k]) for k in correct
-            ):
-                error_free = t + 1
-                break
-        return DatapathRun(
-            correct=correct,
-            rated_step=self.rated_step,
-            settle_step=settle,
-            error_free_step=error_free,
-            _result=result,
-            _decode_fn=self._decode,
+        return DatapathRun.measure(
+            self.simulator.run(self.encode(inputs)), self._decode, self.rated_step
         )
-
-
-@dataclass
-class DesignChoice:
-    """Outcome of :func:`choose_design`: the recommended design point."""
-
-    arithmetic: str
-    clock_step: int
-    achieved_mre_percent: float
-    frequency_gain_vs_safest: float
-    area: AreaReport
-    alternatives: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-
-@dataclass
-class MeasuredDesign:
-    """One synthesized variant with its measured overclocking curve.
-
-    The shared currency of :func:`choose_design`,
-    :func:`explore_latency_accuracy` and the :mod:`repro.synth` search:
-    synthesize once, apply the operand batch, and keep the decoded
-    sweep plus the mean |output| that normalizes relative errors.
-    """
-
-    label: str
-    synthesized: SynthesizedDatapath
-    run: DatapathRun
-    mean_abs_out: float
-
-    def mre_percent(self, step: int) -> float:
-        err = self.run.mean_abs_error(step)
-        return 100.0 * err / self.mean_abs_out if self.mean_abs_out else 0.0
-
-
-def measure_design(
-    datapath: Datapath,
-    inputs: Dict[str, np.ndarray],
-    arithmetic: str,
-    assignment: Optional[Mapping[str, str]] = None,
-    delay_model: Optional[DelayModel] = None,
-    label: Optional[str] = None,
-) -> MeasuredDesign:
-    """Synthesize one (style, assignment) variant and measure its curve."""
-    synth = datapath.synthesize(
-        arithmetic,
-        delay_model if delay_model is not None else FpgaDelay(),
-        assignment=assignment,
-    )
-    run = synth.apply(inputs)
-    mean_out = float(np.mean([np.abs(v).mean() for v in run.correct.values()]))
-    return MeasuredDesign(
-        label=label or synth.arithmetic,
-        synthesized=synth,
-        run=run,
-        mean_abs_out=mean_out,
-    )
-
-
-def _measured_variants(
-    datapath: Datapath,
-    inputs: Dict[str, np.ndarray],
-    delay_model_factory,
-    assignments: Optional[Mapping[str, Mapping[str, str]]] = None,
-):
-    """The two pure styles plus any extra named assignments, measured."""
-    variants: List[MeasuredDesign] = []
-    for arithmetic in ("traditional", "online"):
-        variants.append(
-            measure_design(
-                datapath,
-                inputs,
-                arithmetic,
-                delay_model=delay_model_factory(),
-                label=arithmetic,
-            )
-        )
-    for label, assignment in (assignments or {}).items():
-        variants.append(
-            measure_design(
-                datapath,
-                inputs,
-                "online",
-                assignment=assignment,
-                delay_model=delay_model_factory(),
-                label=label,
-            )
-        )
-    return variants
-
-
-def choose_design(
-    datapath: Datapath,
-    inputs: Dict[str, np.ndarray],
-    mre_budget_percent: float,
-    delay_model_factory=FpgaDelay,
-    assignments: Optional[Mapping[str, Mapping[str, str]]] = None,
-) -> DesignChoice:
-    """Pick the fastest (arithmetic, clock) pair within an error budget.
-
-    This is the paper's design methodology as a function: synthesize the
-    datapath both ways (plus any extra named *assignments*, e.g. the
-    mixed per-node choice of :func:`repro.synth.run_synthesis`), measure
-    each design's overclocking curve on the given operand distribution,
-    and return the combination with the highest absolute clock frequency
-    whose mean relative error stays within the budget.  Ties break
-    toward the smaller design.
-    """
-    if mre_budget_percent < 0:
-        raise ValueError("the error budget cannot be negative")
-    candidates: Dict[str, Dict[str, float]] = {}
-    best = None
-    for design in _measured_variants(
-        datapath, inputs, delay_model_factory, assignments
-    ):
-        run = design.run
-        best_step = None
-        achieved = 0.0
-        for step in range(run.error_free_step, 0, -1):
-            mre = design.mre_percent(step)
-            if mre <= mre_budget_percent:
-                best_step, achieved = step, mre
-            else:
-                break
-        if best_step is None:
-            continue
-        area = estimate_area(design.synthesized.circuit)
-        candidates[design.label] = {
-            "clock_step": float(best_step),
-            "mre_percent": achieved,
-            "luts": float(area.luts),
-        }
-        key = (1.0 / best_step, -area.luts)
-        if best is None or key > best[0]:
-            best = (
-                key,
-                DesignChoice(
-                    arithmetic=design.label,
-                    clock_step=best_step,
-                    achieved_mre_percent=achieved,
-                    frequency_gain_vs_safest=run.error_free_step / best_step
-                    - 1.0,
-                    area=area,
-                ),
-            )
-    if best is None:
-        raise ValueError(
-            "no design meets the error budget at any measured clock"
-        )
-    choice = best[1]
-    choice.alternatives = candidates
-    return choice
-
-
-def explore_latency_accuracy(
-    datapath: Datapath,
-    inputs: Dict[str, np.ndarray],
-    budgets_percent: Sequence[float] = (0.01, 0.1, 1.0, 10.0),
-    frequency_factors: Sequence[float] = (1.05, 1.10, 1.15, 1.20, 1.25),
-    delay_model_factory=FpgaDelay,
-    assignments: Optional[Mapping[str, Mapping[str, str]]] = None,
-) -> Dict[str, object]:
-    """The paper's two design questions, answered for both syntheses.
-
-    Returns a dict with, per arithmetic (plus any extra named
-    *assignments*): area, rated/error-free periods, MRE at each
-    normalized overclock factor, and the achievable frequency speedup
-    within each MRE budget (None when a budget is never met — see
-    :meth:`repro.sim.sweep.SweepResult.speedup_at_budget` for the same
-    contract).
-    """
-    report: Dict[str, object] = {"factors": list(frequency_factors),
-                                 "budgets_percent": list(budgets_percent)}
-    for design in _measured_variants(
-        datapath, inputs, delay_model_factory, assignments
-    ):
-        run = design.run
-        mean_out = design.mean_abs_out
-        mre_by_factor = []
-        for f in frequency_factors:
-            err = run.mean_abs_error(run.step_for_factor(f))
-            mre_by_factor.append(100.0 * err / mean_out if mean_out else 0.0)
-        speedups = []
-        for budget in budgets_percent:
-            limit = budget / 100.0 * mean_out
-            best = None
-            for step in range(run.error_free_step, 0, -1):
-                if run.mean_abs_error(step) <= limit:
-                    best = run.error_free_step / step - 1.0
-                else:
-                    break
-            speedups.append(best)
-        report[design.label] = {
-            "area": estimate_area(design.synthesized.circuit),
-            "rated_step": run.rated_step,
-            "error_free_step": run.error_free_step,
-            "mre_percent_by_factor": mre_by_factor,
-            "speedup_by_budget": speedups,
-        }
-    return report

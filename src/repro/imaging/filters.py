@@ -43,14 +43,13 @@ from repro.arith.array_multiplier import array_multiplier
 from repro.core.kernels import BSVec, bs_add
 from repro.core.online_multiplier import OnlineMultiplier
 from repro.core.ops import NetOps
+from repro.core.synthesis import DatapathRun
 from repro.imaging.metrics import mre_percent as _mre_percent
 from repro.imaging.metrics import snr_db as _snr_db
 from repro.imaging.synthetic import benchmark_image
 from repro.netlist.compiled import make_simulator, resolve_backend
 from repro.netlist.delay import DelayModel, FpgaDelay, delay_signature
 from repro.netlist.gates import Circuit
-from repro.numrep.rounding import floor_ratio
-from repro.netlist.sim import SimulationResult
 from repro.netlist.sta import static_timing
 from repro.numrep.signed_digit import SDNumber, sd_canonical
 from repro.runners.cache import cache_for, cache_key
@@ -129,41 +128,23 @@ def image_patches(image: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class FilterRun:
-    """One simulated image: output values at every clock period.
+class FilterRun(DatapathRun):
+    """One simulated image: a :class:`~repro.core.synthesis.DatapathRun`
+    whose single output is the filtered interior.
 
     ``decode(step)`` returns the filter output in pixel scale (floats in
-    0..255 when timing-correct; arbitrary when violated) that the datapath
-    produces when clocked with period ``step`` quanta; ``error_free_step``
-    is the measured minimum safe period (``1/f0`` in the paper's notation).
+    0..255 when timing-correct; arbitrary when violated), shaped like the
+    interior of the filtered image.
     """
 
     shape: Tuple[int, int]
-    correct: np.ndarray
-    rated_step: int
-    settle_step: int
-    error_free_step: int
-    _result: SimulationResult
-    _decode_fn: object
 
     def decode(self, step: int) -> np.ndarray:
         """Filter output values (pixel scale) at clock period *step*."""
-        values = self._decode_fn(self._result.sample(step))
-        return values.reshape(self.shape)
+        return super().decode(step).reshape(self.shape)
 
-    def step_for_factor(self, factor: float) -> int:
-        """Clock period for frequency ``factor * f0`` (factor >= 1 overclocks).
-
-        ``floor(error_free_step / factor)`` with the quotient taken
-        exactly (:func:`repro.numrep.floor_ratio`).
-        """
-        if factor <= 0:
-            raise ValueError("frequency factor must be positive")
-        return floor_ratio(int(self.error_free_step), factor)
-
-    def at_factor(self, factor: float) -> np.ndarray:
-        """Filter output when clocked at ``factor`` times ``f0``."""
-        return self.decode(self.step_for_factor(factor))
+    def _arrays(self, values: np.ndarray) -> List[np.ndarray]:
+        return [values]
 
     def output_image(self, step: int) -> np.ndarray:
         """8-bit image at clock period *step* (values clipped to 0..255)."""
@@ -472,27 +453,11 @@ class ConvolutionDatapath:
         else:
             ports = self._encode_traditional(patches)
             decode = self._decode_traditional
-        result = self.simulator.run(ports)
-        settle = result.settle_step
-        correct = decode(result.sample(settle))
-
-        # find the measured minimum error-free period
-        error_free = 0
-        for t in range(settle, -1, -1):
-            values = decode(result.sample(t))
-            if not np.array_equal(values, correct):
-                error_free = t + 1
-                break
-
-        shape = (image.shape[0] - 2, image.shape[1] - 2)
-        return FilterRun(
-            shape=shape,
-            correct=correct.reshape(shape),
-            rated_step=self.rated_step,
-            settle_step=settle,
-            error_free_step=error_free,
-            _result=result,
-            _decode_fn=decode,
+        return FilterRun.measure(
+            self.simulator.run(ports),
+            decode,
+            self.rated_step,
+            shape=(image.shape[0] - 2, image.shape[1] - 2),
         )
 
 

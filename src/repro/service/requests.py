@@ -43,7 +43,7 @@ from repro.runners.config import RunConfig
 from repro.sim.montecarlo import default_depths, montecarlo_key_components
 from repro.sim.sweep import stage_sweep_key_components, stage_sweep_plan
 from repro.synth.demos import DEMO_DATAPATHS
-from repro.synth.search import REF_FRAC
+from repro.synth.search import REF_FRAC, AccuracyTarget
 
 __all__ = [
     "REQUEST_CLASSES",
@@ -279,10 +279,12 @@ def parse_request(
         metric, value = "snr", params["target_snr"]
     else:
         metric, value = "mre", params.get("target_mre", 5.0)
-    if not _is_number(value):
-        raise RequestError(
-            f"target_{metric} must be a finite number, got {value!r}"
-        )
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise RequestError(f"target_{metric} must be a number, got {value!r}")
+    try:
+        target = AccuracyTarget(metric, float(value))
+    except (ValueError, OverflowError) as exc:
+        raise RequestError(str(exc)) from None
     wordlengths = _int_list(params, "wordlengths")
     # the synthesizer quantizes shared REF_FRAC-bit operand draws, so a
     # wordlength outside [1, REF_FRAC] can only fail — reject it here,
@@ -298,16 +300,16 @@ def parse_request(
     norm = {
         "samples": samples,
         "datapath": datapath,
-        "target_metric": metric,
-        "target_value": float(value),
+        "target_metric": target.metric,
+        "target_value": target.value,
         "wordlengths": wordlengths,
         "periods": periods,
     }
     components = dict(
         experiment="service.synthesis",
         datapath=datapath,
-        target_metric=metric,
-        target_value=float(value),
+        target_metric=target.metric,
+        target_value=target.value,
         wordlengths=list(wordlengths) if wordlengths else None,
         periods=list(periods) if periods else None,
         num_samples=samples,

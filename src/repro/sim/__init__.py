@@ -23,10 +23,9 @@ tables (and runner statistics lines) the benchmarks print.
 from repro.sim.montecarlo import (
     uniform_digit_batch,
     default_depths,
-    mc_expected_error,
     run_montecarlo,
     run_settle_histogram,
-    settle_depth_histogram,
+    settle_depths,
     MonteCarloResult,
 )
 from repro.sim.sweep import (
@@ -53,10 +52,9 @@ from repro.sim.reporting import format_run_stats, format_table, geomean
 __all__ = [
     "uniform_digit_batch",
     "default_depths",
-    "mc_expected_error",
     "run_montecarlo",
     "run_settle_histogram",
-    "settle_depth_histogram",
+    "settle_depths",
     "MonteCarloResult",
     "OnlineMultiplierHarness",
     "TraditionalMultiplierHarness",

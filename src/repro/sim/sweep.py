@@ -159,9 +159,9 @@ class SweepResult:
         normalize against).
 
         ``strict=True`` turns the never-met None into a ValueError, for
-        callers that feed the gain straight into arithmetic (the
-        ``DesignChoice``-era idiom assumed a float and crashed later
-        with a TypeError far from the cause).
+        callers that feed the gain straight into arithmetic (a None
+        there would otherwise surface later as a TypeError far from the
+        cause).
         """
         best: Optional[float] = None
         if budget >= 0 and self.error_free_step > 0:
@@ -334,10 +334,6 @@ def _sweep_from_partials(
         error_free_step=error_free,
         num_samples=num_samples,
     )
-
-
-#: historical private name, kept for downstream callers of the PR-4 API
-_Harness = SweepHarness
 
 
 def _harness_spec(spec, kind: str, style: Optional[str] = None):

@@ -103,8 +103,8 @@ class AccuracyTarget:
     """Accuracy bound for the search.
 
     ``metric="mre"`` bounds the mean relative error (percent, from
-    above); ``metric="snr"`` bounds the signal-to-noise ratio (dB, from
-    below).
+    above; a finite value >= 0); ``metric="snr"`` bounds the
+    signal-to-noise ratio (dB, from below; any finite value).
     """
 
     metric: str
@@ -114,6 +114,13 @@ class AccuracyTarget:
         if self.metric not in ("mre", "snr"):
             raise ValueError(
                 f"target metric must be 'mre' or 'snr', got {self.metric!r}"
+            )
+        negative = self.metric == "mre" and self.value < 0
+        if negative or not math.isfinite(self.value):
+            bound = ">= 0 " if self.metric == "mre" else ""
+            raise ValueError(
+                f"target {self.metric} must be a finite number {bound}"
+                f"(got {self.value!r})"
             )
 
 

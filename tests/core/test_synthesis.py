@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.synthesis import Datapath, explore_latency_accuracy
+from repro.core.synthesis import Datapath
 from repro.netlist.delay import UnitDelay
 
 
@@ -144,75 +144,3 @@ class TestRunMechanics:
         online = dp.synthesize("online", UnitDelay()).area()
         trad = dp.synthesize("traditional", UnitDelay()).area()
         assert online.luts > 0 and trad.luts > 0
-
-
-class TestExplorer:
-    def test_report_structure(self):
-        dp = Datapath(ndigits=8)
-        x, y = dp.input("x"), dp.input("y")
-        dp.output("p", x * y)
-        rng = np.random.default_rng(3)
-        inputs = {
-            "x": rng.uniform(-0.9, 0.9, 400),
-            "y": rng.uniform(-0.9, 0.9, 400),
-        }
-        report = explore_latency_accuracy(
-            dp, inputs, budgets_percent=(1.0, 10.0), frequency_factors=(1.05, 1.15)
-        )
-        for arith in ("traditional", "online"):
-            sub = report[arith]
-            assert sub["error_free_step"] > 0
-            assert len(sub["mre_percent_by_factor"]) == 2
-            assert len(sub["speedup_by_budget"]) == 2
-
-
-class TestChooseDesign:
-    def _inputs(self, size=300):
-        rng = np.random.default_rng(5)
-        return {
-            "x": rng.uniform(-0.9, 0.9, size),
-            "y": rng.uniform(-0.9, 0.9, size),
-        }
-
-    def test_returns_valid_choice(self):
-        from repro.core.synthesis import choose_design
-
-        dp = _mac_datapath()
-        choice = choose_design(
-            dp, self._inputs(), mre_budget_percent=1.0,
-            delay_model_factory=UnitDelay,
-        )
-        assert choice.arithmetic in ("traditional", "online")
-        assert choice.clock_step > 0
-        assert choice.achieved_mre_percent <= 1.0
-        assert choice.area.luts > 0
-        assert set(choice.alternatives) <= {"traditional", "online"}
-
-    def test_choice_is_fastest_alternative(self):
-        from repro.core.synthesis import choose_design
-
-        dp = _mac_datapath()
-        choice = choose_design(
-            dp, self._inputs(), mre_budget_percent=5.0,
-            delay_model_factory=UnitDelay,
-        )
-        for info in choice.alternatives.values():
-            assert choice.clock_step <= info["clock_step"]
-
-    def test_negative_budget_rejected(self):
-        from repro.core.synthesis import choose_design
-
-        dp = _mac_datapath()
-        with pytest.raises(ValueError):
-            choose_design(dp, self._inputs(50), mre_budget_percent=-1.0)
-
-    def test_zero_budget_still_resolvable(self):
-        """At budget 0 each design can at least run at its own f0."""
-        from repro.core.synthesis import choose_design
-
-        dp = _mac_datapath()
-        choice = choose_design(
-            dp, self._inputs(100), mre_budget_percent=0.0,
-            delay_model_factory=UnitDelay,
-        )
-        assert choice.achieved_mre_percent == 0.0

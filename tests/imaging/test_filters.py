@@ -1,8 +1,11 @@
 """Tests for the Gaussian-filter datapaths (small images for speed)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.synthesis import Datapath, DatapathRun
 from repro.imaging.filters import (
     GAUSSIAN_KERNEL_64THS,
     GaussianFilterDatapath,
@@ -145,6 +148,24 @@ class TestDatapaths:
         assert run.step_for_factor(2.0) == run.error_free_step // 2
         with pytest.raises(ValueError):
             run.step_for_factor(0)
+
+    @pytest.mark.parametrize("record", ["filter", "datapath"])
+    def test_step_for_factor_is_exact(self, runs, record):
+        """Both run-record users share one exact quotient: ``33 / 1.1``
+        is 30 exactly, while the float division truncates to 29."""
+        if record == "filter":
+            run = runs["online"][1]
+        else:
+            dp = Datapath(ndigits=4)
+            dp.output("p", dp.input("x") * dp.input("y"))
+            run = dp.synthesize("online", UnitDelay()).apply(
+                {"x": np.array([0.5]), "y": np.array([-0.25])}
+            )
+        assert isinstance(run, DatapathRun)
+        run = dataclasses.replace(run, error_free_step=33)
+        assert int(33 / 1.1) == 29
+        assert run.step_for_factor(1.1) == 30
+        assert run.step_for_factor(1.0) == 33
 
     def test_invalid_arithmetic(self):
         with pytest.raises(ValueError):

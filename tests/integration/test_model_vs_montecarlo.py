@@ -11,13 +11,16 @@ import numpy as np
 import pytest
 
 from repro.core.model import OverclockingErrorModel
-from repro.sim.montecarlo import mc_expected_error
+from repro.runners import RunConfig
+from repro.sim.montecarlo import run_montecarlo
 
 
 @pytest.fixture(scope="module", params=[8, 12])
 def pair(request):
     n = request.param
-    mc = mc_expected_error(n, num_samples=6000, seed=11)
+    mc = run_montecarlo(
+        RunConfig(ndigits=n, seed=11, cache_dir=None), num_samples=6000
+    )
     model = OverclockingErrorModel(n)
     return n, mc, model
 

@@ -28,10 +28,8 @@ from repro.runners import (
 )
 from repro.sim.error_profile import run_error_profile
 from repro.sim.montecarlo import (
-    mc_expected_error,
     run_montecarlo,
     run_settle_histogram,
-    settle_depth_histogram,
     uniform_digit_batch,
 )
 from repro.sim.sweep import OnlineMultiplierHarness, run_sweep
@@ -580,15 +578,8 @@ class TestFailurePathTelemetry:
 
 
 class TestDeprecationShims:
-    def test_mc_expected_error_warns_but_matches_golden_path(self):
-        with pytest.warns(DeprecationWarning):
-            result = mc_expected_error(4, num_samples=100, seed=2014)
-        assert result.num_samples == 100
-
-    def test_settle_depth_histogram_warns(self):
-        with pytest.warns(DeprecationWarning):
-            histogram = settle_depth_histogram(4, num_samples=100)
-        assert sum(histogram.values()) == pytest.approx(1.0)
+    """The entry points that replaced the removed deprecation shims run
+    without raising any DeprecationWarning."""
 
     def test_custom_circuit_profile_via_simulator(self):
         from repro.netlist.compiled import make_simulator

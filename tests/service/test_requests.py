@@ -83,6 +83,11 @@ class TestSynthesis:
         assert req.params["target_value"] == 30.0
         assert req.cache_key is None  # no whole-report cache entry
 
+    def test_zero_mre_target_is_legal(self):
+        req = parse({"kind": "synthesis", "params": {"target_mre": 0}})
+        assert req.params["target_metric"] == "mre"
+        assert req.params["target_value"] == 0.0
+
     def test_both_targets_rejected(self):
         with pytest.raises(RequestError):
             parse({"kind": "synthesis",
@@ -125,6 +130,11 @@ class TestValidation:
             {"kind": "synthesis", "params": {"wordlengths": [0]}},
             {"kind": "synthesis", "params": {"wordlengths": [25, 6]}},
             {"kind": "synthesis", "params": {"ndigits": 32}},
+            # AccuracyTarget's own range check, mapped at parse
+            {"kind": "synthesis", "params": {"target_mre": -1}},
+            {"kind": "synthesis", "params": {"target_mre": -0.5}},
+            {"kind": "synthesis", "params": {"target_snr": float("nan")}},
+            {"kind": "synthesis", "params": {"target_mre": "5"}},
         ],
     )
     def test_rejected(self, message):

@@ -3,13 +3,46 @@
 import numpy as np
 import pytest
 
+from repro.core.conversion import digits_to_scaled_int
 from repro.core.model import OverclockingErrorModel
-from repro.sim.montecarlo import mc_expected_error, settle_depth_histogram
+from repro.core.online_multiplier import OnlineMultiplier
+from repro.runners import RunConfig
+from repro.sim.montecarlo import (
+    default_depths,
+    run_montecarlo,
+    settle_depths,
+    uniform_digit_batch,
+)
 
 
 @pytest.fixture(scope="module")
-def hist8():
-    return settle_depth_histogram(8, num_samples=6000, seed=5)
+def waves8():
+    """One N=8 operand batch through the stage-delay wave, shared by the
+    settling histogram and the violation curve it is compared with."""
+    rng = np.random.default_rng(5)
+    xd = uniform_digit_batch(8, 6000, rng)
+    yd = uniform_digit_batch(8, 6000, rng)
+    return OnlineMultiplier(8).wave(xd, yd)
+
+
+@pytest.fixture(scope="module")
+def hist8(waves8):
+    values, counts = np.unique(settle_depths(waves8), return_counts=True)
+    total = waves8.shape[2]
+    return {int(v): float(c) / total for v, c in zip(values, counts)}
+
+
+def _violation_curve(waves):
+    """``(depths, P(violation))``: the fraction of samples whose product
+    captured after ``b`` ticks differs from the final one."""
+    final = digits_to_scaled_int(waves[-1])
+    depths = default_depths(8, 3)
+    rates = [
+        float((digits_to_scaled_int(waves[min(b, waves.shape[0] - 1)])
+               != final).mean())
+        for b in depths
+    ]
+    return depths, rates
 
 
 class TestSettleDepthHistogram:
@@ -28,29 +61,29 @@ class TestSettleDepthHistogram:
         deep = sum(v for d, v in hist8.items() if d >= 7)
         assert deep > 0.5
 
-    def test_dominates_violation_curve(self, hist8):
+    def test_dominates_violation_curve(self, waves8, hist8):
         """P(depth > b) upper-bounds the pointwise MC violation rate (a
         sample may transiently coincide with its final value, so settling
         is not per-sample monotone), and the two agree at the deepest
-        violating depth."""
-        mc = mc_expected_error(8, num_samples=6000, seed=5)
+        violating depth.  Both curves come from the same samples."""
+        depths, violation = _violation_curve(waves8)
         last_violating = None
-        for i, b in enumerate(mc.depths):
+        for i, b in enumerate(depths):
             tail = sum(v for d, v in hist8.items() if d > int(b))
-            assert tail >= mc.violation_probability[i] - 1e-9
-            if mc.violation_probability[i] > 0:
+            assert tail >= violation[i] - 1e-9
+            if violation[i] > 0:
                 last_violating = i
         assert last_violating is not None
-        b = int(mc.depths[last_violating])
+        b = int(depths[last_violating])
         tail = sum(v for d, v in hist8.items() if d > b)
-        assert tail == pytest.approx(
-            mc.violation_probability[last_violating], abs=1e-9
-        )
+        assert tail == pytest.approx(violation[last_violating], abs=1e-9)
 
 
 class TestCalibration:
     def test_fit_improves_agreement(self):
-        mc = mc_expected_error(8, num_samples=6000, seed=7)
+        mc = run_montecarlo(
+            RunConfig(ndigits=8, seed=7, cache_dir=None), num_samples=6000
+        )
         model = OverclockingErrorModel(8)
         fitted = model.calibrated(
             [int(b) for b in mc.depths], mc.mean_abs_error

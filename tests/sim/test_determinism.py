@@ -9,9 +9,17 @@ required to be *equal*, not merely close.
 
 import numpy as np
 
-from repro.sim.montecarlo import mc_expected_error, settle_depth_histogram
+from repro.runners import RunConfig
+from repro.sim.montecarlo import (
+    run_montecarlo,
+    run_settle_histogram,
+    uniform_digit_batch,
+)
 from repro.sim.sweep import OnlineMultiplierHarness
-from repro.sim.montecarlo import uniform_digit_batch
+
+
+def _config(seed, backend):
+    return RunConfig(ndigits=6, seed=seed, cache_dir=None, backend=backend)
 
 
 def _results_equal(a, b):
@@ -26,29 +34,30 @@ def _results_equal(a, b):
 
 
 def test_same_seed_same_result_within_backend():
-    one = mc_expected_error(6, num_samples=2000, seed=42)
-    two = mc_expected_error(6, num_samples=2000, seed=42)
+    one = run_montecarlo(_config(42, "packed"), num_samples=2000)
+    two = run_montecarlo(_config(42, "packed"), num_samples=2000)
     _results_equal(one, two)
 
 
 def test_backends_bit_identical():
-    packed = mc_expected_error(6, num_samples=2000, seed=42, backend="packed")
-    wave = mc_expected_error(6, num_samples=2000, seed=42, backend="wave")
-    _results_equal(packed, wave)
+    packed = run_montecarlo(_config(42, "packed"), num_samples=2000)
+    for backend in ("wave", "vector"):
+        _results_equal(
+            packed, run_montecarlo(_config(42, backend), num_samples=2000)
+        )
 
 
 def test_different_seeds_differ():
-    a = mc_expected_error(6, num_samples=2000, seed=1)
-    b = mc_expected_error(6, num_samples=2000, seed=2)
+    a = run_montecarlo(_config(1, "packed"), num_samples=2000)
+    b = run_montecarlo(_config(2, "packed"), num_samples=2000)
     assert not np.array_equal(a.mean_abs_error, b.mean_abs_error)
 
 
 def test_settle_histogram_backend_identical():
-    packed = settle_depth_histogram(6, num_samples=2000, seed=9,
-                                    backend="packed")
-    wave = settle_depth_histogram(6, num_samples=2000, seed=9,
-                                  backend="wave")
-    assert packed == wave
+    packed = run_settle_histogram(_config(9, "packed"), num_samples=2000)
+    wave = run_settle_histogram(_config(9, "wave"), num_samples=2000)
+    vector = run_settle_histogram(_config(9, "vector"), num_samples=2000)
+    assert packed == wave == vector
     assert abs(sum(packed.values()) - 1.0) < 1e-12
 
 

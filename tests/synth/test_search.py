@@ -86,6 +86,15 @@ class TestEnumeration:
     def test_target_validation(self):
         with pytest.raises(ValueError, match="mre"):
             AccuracyTarget("rmse", 1.0)
+        for value in (-1.0, -1e-9, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="target mre"):
+                AccuracyTarget("mre", value)
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="target snr"):
+                AccuracyTarget("snr", value)
+        # a zero error budget and a negative SNR floor stay legal
+        assert AccuracyTarget("mre", 0.0).value == 0.0
+        assert AccuracyTarget("snr", -3.0).value == -3.0
 
     def test_operatorless_datapath_rejected(self):
         dp = Datapath(ndigits=N)

@@ -50,6 +50,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "error-free period" in out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--target-mre", "-1"], ["--target-mre", "nan"],
+         ["--target-snr", "inf"]],
+    )
+    def test_synth_rejects_an_invalid_target(self, capsys, flags):
+        assert main(["synth", *flags]) == 2
+        captured = capsys.readouterr()
+        assert "error: target" in captured.err
+        assert captured.out == ""
+
     def test_filter_tiny(self, capsys):
         assert main(["filter", "--image", "lena", "--size", "12"]) == 0
         out = capsys.readouterr().out
