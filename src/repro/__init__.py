@@ -20,43 +20,29 @@ Quick start
 See ``examples/quickstart.py`` and DESIGN.md for the full tour.
 """
 
-from repro.core.online_adder import online_add, build_online_adder
-from repro.core.online_multiplier import (
-    OnlineMultiplier,
-    online_multiply,
-    build_online_multiplier,
-    ONLINE_DELTA,
-)
-from repro.core.model import OverclockingErrorModel
-from repro.core.synthesis import Datapath, SynthesizedDatapath
-from repro.numrep.signed_digit import SDNumber
-from repro.netlist import (
-    Circuit,
-    WaveformSimulator,
-    UnitDelay,
-    FpgaDelay,
-    static_timing,
-    estimate_area,
-)
+from repro import _lazy
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "online_add",
-    "build_online_adder",
-    "OnlineMultiplier",
-    "online_multiply",
-    "build_online_multiplier",
-    "ONLINE_DELTA",
-    "OverclockingErrorModel",
-    "Datapath",
-    "SynthesizedDatapath",
-    "SDNumber",
-    "Circuit",
-    "WaveformSimulator",
-    "UnitDelay",
-    "FpgaDelay",
-    "static_timing",
-    "estimate_area",
-    "__version__",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "online_add": "repro.core.online_adder",
+    "build_online_adder": "repro.core.online_adder",
+    "OnlineMultiplier": "repro.core.online_multiplier",
+    "online_multiply": "repro.core.online_multiplier",
+    "build_online_multiplier": "repro.core.online_multiplier",
+    "ONLINE_DELTA": "repro.core.online_multiplier",
+    "OverclockingErrorModel": "repro.core.model.expectation",
+    "Datapath": "repro.core.synthesis",
+    "SynthesizedDatapath": "repro.core.synthesis",
+    "SDNumber": "repro.numrep.signed_digit",
+    "Circuit": "repro.netlist.gates",
+    "WaveformSimulator": "repro.netlist.sim",
+    "UnitDelay": "repro.netlist.delay",
+    "FpgaDelay": "repro.netlist.delay",
+    "static_timing": "repro.netlist.sta",
+    "estimate_area": "repro.netlist.area",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

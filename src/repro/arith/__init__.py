@@ -14,32 +14,22 @@ The netlist builders come in two flavours:
   used by the unit tests and the operator-level experiments.
 """
 
-from repro.arith.ripple_carry import (
-    ripple_carry_adder,
-    build_ripple_carry_adder,
-    twos_complement_negate,
-)
-from repro.arith.prefix_adder import (
-    kogge_stone_adder,
-    build_kogge_stone_adder,
-)
-from repro.arith.compress import reduce_columns, columns_from_rows
-from repro.arith.array_multiplier import (
-    array_multiplier,
-    build_array_multiplier,
-)
-from repro.arith.adder_tree import adder_tree, build_adder_tree
+from repro import _lazy
 
-__all__ = [
-    "ripple_carry_adder",
-    "build_ripple_carry_adder",
-    "twos_complement_negate",
-    "kogge_stone_adder",
-    "build_kogge_stone_adder",
-    "reduce_columns",
-    "columns_from_rows",
-    "array_multiplier",
-    "build_array_multiplier",
-    "adder_tree",
-    "build_adder_tree",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "ripple_carry_adder": "repro.arith.ripple_carry",
+    "build_ripple_carry_adder": "repro.arith.ripple_carry",
+    "twos_complement_negate": "repro.arith.ripple_carry",
+    "kogge_stone_adder": "repro.arith.prefix_adder",
+    "build_kogge_stone_adder": "repro.arith.prefix_adder",
+    "reduce_columns": "repro.arith.compress",
+    "columns_from_rows": "repro.arith.compress",
+    "array_multiplier": "repro.arith.array_multiplier",
+    "build_array_multiplier": "repro.arith.array_multiplier",
+    "adder_tree": "repro.arith.adder_tree",
+    "build_adder_tree": "repro.arith.adder_tree",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

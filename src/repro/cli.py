@@ -55,14 +55,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
-
-from repro.core.model import OverclockingErrorModel
-from repro.sim.reporting import (
-    format_fault_stats,
-    format_run_stats,
-    format_table,
-)
 
 
 def _config_from_args(args: argparse.Namespace, **overrides):
@@ -90,7 +82,9 @@ def _config_from_args(args: argparse.Namespace, **overrides):
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
+    from repro.core.model import OverclockingErrorModel
     from repro.sim.montecarlo import run_montecarlo
+    from repro.sim.reporting import format_run_stats, format_table
 
     config = _config_from_args(args)
     model = OverclockingErrorModel(args.ndigits)
@@ -117,6 +111,9 @@ def _cmd_model(args: argparse.Namespace) -> int:
 
 
 def _cmd_chains(args: argparse.Namespace) -> int:
+    from repro.core.model import OverclockingErrorModel
+    from repro.sim.reporting import format_table
+
     model = OverclockingErrorModel(args.ndigits)
     rows = [
         [d, f"{p:.5f}", f"{eps:.4e}", f"{e:.4e}"]
@@ -131,6 +128,7 @@ def _cmd_chains(args: argparse.Namespace) -> int:
 
 
 def _cmd_multiplier(args: argparse.Namespace) -> int:
+    from repro.sim.reporting import format_run_stats, format_table
     from repro.sim.sweep import run_sweep
 
     config = _config_from_args(args)
@@ -166,6 +164,7 @@ def _cmd_multiplier(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.sim.reporting import format_run_stats, format_table
     from repro.sim.sweep import run_sweep
 
     config = _config_from_args(args)
@@ -200,8 +199,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-#: demo datapaths the ``synth`` subcommand can search (name -> builder)
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from repro.sim.reporting import format_run_stats
     from repro.synth import AccuracyTarget, run_synthesis
     from repro.synth.demos import demo_datapath
 
@@ -240,6 +239,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_filter(args: argparse.Namespace) -> int:
     from repro.imaging import run_filter_study
+    from repro.sim.reporting import format_run_stats, format_table
 
     factors = (1.05, 1.10, 1.15, 1.20, 1.25)
     config = _config_from_args(args)
@@ -277,6 +277,7 @@ def _cmd_area(args: argparse.Namespace) -> int:
     from repro.arith.array_multiplier import build_array_multiplier
     from repro.core.online_multiplier import build_online_multiplier
     from repro.netlist.area import estimate_area
+    from repro.sim.reporting import format_table
 
     n = args.ndigits
     trad = estimate_area(build_array_multiplier(n + 1))
@@ -296,6 +297,11 @@ def _cmd_area(args: argparse.Namespace) -> int:
 
 def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults import run_fault_campaign
+    from repro.sim.reporting import (
+        format_fault_stats,
+        format_run_stats,
+        format_table,
+    )
 
     config = _config_from_args(args)
     if args.shard_timeout is not None:
@@ -360,6 +366,7 @@ def _cmd_verilog(args: argparse.Namespace) -> int:
 
 def _cmd_probe(args: argparse.Namespace) -> int:
     from repro.obs import run_stage_probe
+    from repro.sim.reporting import format_run_stats, format_table
 
     config = _config_from_args(args)
     result = run_stage_probe(config, num_samples=args.samples)
@@ -488,8 +495,36 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a size flag: a whole number >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of a clock period: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text}"
+        )
+    return value
+
+
 def _add_backend_flag(p: argparse.ArgumentParser) -> None:
-    from repro.netlist.compiled import BACKENDS
+    from repro.netlist.engines import BACKENDS
 
     p.add_argument(
         "--backend",
@@ -505,7 +540,7 @@ def _add_backend_flag(p: argparse.ArgumentParser) -> None:
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=None,
         help="worker processes for sharded experiments "
              "(default: $REPRO_JOBS or 1)",
@@ -542,8 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
         aliases=["montecarlo"],
         help="error model vs Monte-Carlo (Fig. 4)",
     )
-    p.add_argument("--ndigits", type=int, default=8)
-    p.add_argument("--samples", type=int, default=20000)
+    p.add_argument("--ndigits", type=_positive_int, default=8)
+    p.add_argument("--samples", type=_positive_int, default=20000)
     p.add_argument("--seed", type=int, default=2014)
     p.add_argument("--calibrate", action="store_true",
                    help="fit kappa to the Monte-Carlo before reporting")
@@ -552,12 +587,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_model)
 
     p = sub.add_parser("chains", help="chain-delay statistics (Fig. 5)")
-    p.add_argument("--ndigits", type=int, default=8)
+    p.add_argument("--ndigits", type=_positive_int, default=8)
     p.set_defaults(func=_cmd_chains)
 
     p = sub.add_parser("multiplier", help="gate-level multiplier sweep")
-    p.add_argument("--ndigits", type=int, default=8)
-    p.add_argument("--samples", type=int, default=3000)
+    p.add_argument("--ndigits", type=_positive_int, default=8)
+    p.add_argument("--samples", type=_positive_int, default=3000)
     p.add_argument("--seed", type=int, default=2014)
     _add_backend_flag(p)
     _add_run_flags(p)
@@ -568,12 +603,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="stage-delay latency-accuracy sweep (fused on the "
              "default vector engine)",
     )
-    p.add_argument("--ndigits", type=int, default=8)
-    p.add_argument("--samples", type=int, default=20000)
+    p.add_argument("--ndigits", type=_positive_int, default=8)
+    p.add_argument("--samples", type=_positive_int, default=20000)
     p.add_argument("--seed", type=int, default=2014)
     p.add_argument(
         "--periods",
-        type=float,
+        type=_positive_float,
         nargs="+",
         default=None,
         metavar="P",
@@ -597,10 +632,10 @@ def build_parser() -> argparse.ArgumentParser:
              "mixed-optimal), multiply-accumulate (3 ops), or a 3-tap "
              "dot product (5 ops)",
     )
-    p.add_argument("--ndigits", type=int, default=6)
+    p.add_argument("--ndigits", type=_positive_int, default=6)
     p.add_argument(
         "--wordlengths",
-        type=int,
+        type=_positive_int,
         nargs="+",
         default=None,
         metavar="N",
@@ -613,14 +648,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accuracy bound: SNR in dB (overrides --target-mre)")
     p.add_argument(
         "--periods",
-        type=float,
+        type=_positive_float,
         nargs="+",
         default=None,
         metavar="P",
         help="clock periods as fractions of the online settle depth "
              "(default: the repro.synth.DEFAULT_PERIODS grid)",
     )
-    p.add_argument("--samples", type=int, default=4000)
+    p.add_argument("--samples", type=_positive_int, default=4000)
     p.add_argument("--seed", type=int, default=2014)
     _add_backend_flag(p)
     _add_run_flags(p)
@@ -629,28 +664,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="Gaussian-filter case study")
     p.add_argument("--image", default="lena",
                    choices=["lena", "pepper", "sailboat", "tiffany", "uniform"])
-    p.add_argument("--size", type=int, default=48)
+    p.add_argument("--size", type=_positive_int, default=48)
     _add_backend_flag(p)
     _add_run_flags(p)
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("area", help="area comparison (Table 4)")
-    p.add_argument("--ndigits", type=int, default=8)
+    p.add_argument("--ndigits", type=_positive_int, default=8)
     p.set_defaults(func=_cmd_area)
 
     p = sub.add_parser(
         "faults", help="fault-injection degradation curves"
     )
-    from repro.faults.models import FAULT_MODELS
-    from repro.faults.campaign import DEFAULT_RATES
+    from repro.faults.models import DEFAULT_RATES, FAULT_MODELS
 
     p.add_argument("--model", default="jitter", choices=list(FAULT_MODELS),
                    help="fault-model family to sweep")
     p.add_argument("--rates", type=float, nargs="+",
                    default=list(DEFAULT_RATES),
                    help="fault-intensity grid in [0, 1]")
-    p.add_argument("--ndigits", type=int, default=8)
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--ndigits", type=_positive_int, default=8)
+    p.add_argument("--samples", type=_positive_int, default=2000)
     p.add_argument("--seed", type=int, default=2014)
     p.add_argument("--overclock", type=float, default=1.0,
                    help="clock speedup over the rated period")
@@ -663,8 +697,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "probe", help="per-stage digit-error telemetry vs Algorithm 2"
     )
-    p.add_argument("--ndigits", type=int, default=8)
-    p.add_argument("--samples", type=int, default=20000)
+    p.add_argument("--ndigits", type=_positive_int, default=8)
+    p.add_argument("--samples", type=_positive_int, default=20000)
     p.add_argument("--seed", type=int, default=2014)
     _add_backend_flag(p)
     _add_run_flags(p)
@@ -704,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7914,
                    help="listen port (0 = ephemeral)")
-    p.add_argument("--ndigits", type=int, default=8,
+    p.add_argument("--ndigits", type=_positive_int, default=8,
                    help="default word length for requests that omit one")
     p.add_argument("--seed", type=int, default=2014)
     p.add_argument("--concurrency", type=int, default=2,
@@ -745,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["online-mult", "online-adder", "trad-mult", "rca",
                  "kogge-stone"],
     )
-    p.add_argument("--ndigits", type=int, default=8)
+    p.add_argument("--ndigits", type=_positive_int, default=8)
     p.add_argument("--module", default=None, help="Verilog module name")
     p.add_argument("-o", "--output", default="-",
                    help="output file ('-' = stdout)")
@@ -753,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     trace_path = getattr(args, "trace", None)

@@ -25,43 +25,28 @@ Layout
     either arithmetic, and explore the latency-accuracy trade-off.
 """
 
-from repro.core.ops import IntOps, NetOps
-from repro.core.online_adder import (
-    online_add,
-    online_sub,
-    build_online_adder,
-    ONLINE_ADDER_DELAY_FA,
-)
-from repro.core.online_multiplier import (
-    OnlineMultiplier,
-    online_multiply,
-    build_online_multiplier,
-    ONLINE_DELTA,
-)
-from repro.core.selection import select_digit, selection_tables
-from repro.core.conversion import sd_to_twos_complement, on_the_fly_convert
-from repro.core.serial import (
-    OnlineSerialAdder,
-    OnlineSerialMultiplier,
-    serial_multiply,
-)
+from repro import _lazy
 
-__all__ = [
-    "IntOps",
-    "NetOps",
-    "online_add",
-    "online_sub",
-    "build_online_adder",
-    "ONLINE_ADDER_DELAY_FA",
-    "OnlineMultiplier",
-    "online_multiply",
-    "build_online_multiplier",
-    "ONLINE_DELTA",
-    "select_digit",
-    "selection_tables",
-    "sd_to_twos_complement",
-    "on_the_fly_convert",
-    "OnlineSerialAdder",
-    "OnlineSerialMultiplier",
-    "serial_multiply",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "IntOps": "repro.core.ops",
+    "NetOps": "repro.core.ops",
+    "online_add": "repro.core.online_adder",
+    "online_sub": "repro.core.online_adder",
+    "build_online_adder": "repro.core.online_adder",
+    "ONLINE_ADDER_DELAY_FA": "repro.core.online_adder",
+    "OnlineMultiplier": "repro.core.online_multiplier",
+    "online_multiply": "repro.core.online_multiplier",
+    "build_online_multiplier": "repro.core.online_multiplier",
+    "ONLINE_DELTA": "repro.core.online_multiplier",
+    "select_digit": "repro.core.selection",
+    "selection_tables": "repro.core.selection",
+    "sd_to_twos_complement": "repro.core.conversion",
+    "on_the_fly_convert": "repro.core.conversion",
+    "OnlineSerialAdder": "repro.core.serial",
+    "OnlineSerialMultiplier": "repro.core.serial",
+    "serial_multiply": "repro.core.serial",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

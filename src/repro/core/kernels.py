@@ -145,6 +145,13 @@ def bs_add3(ops: LogicOps, a: BSVec, b: BSVec, c: BSVec) -> BSVec:
     return bs_add(ops, bs_add(ops, a, b), c)
 
 
+#: a LUT6 as a 4:1 mux: inputs (d0, d1, d2, d3, s0, s1), output d[s1 s0]
+_MUX4_TABLE = tuple(
+    (idx >> (((idx >> 4) & 1) | (((idx >> 5) & 1) << 1))) & 1
+    for idx in range(64)
+)
+
+
 def lut_tree(ops: LogicOps, table: Sequence[int], bits: Sequence[object]):
     """Realise an arbitrary k-input boolean function with LUT6s.
 
@@ -165,13 +172,7 @@ def lut_tree(ops: LogicOps, table: Sequence[int], bits: Sequence[object]):
         lut_tree(ops, table[i * sub : (i + 1) * sub], lo_bits)
         for i in range(4)
     ]
-    # LUT6 as 4:1 mux: inputs (d0, d1, d2, d3, s0, s1)
-    mux_table = []
-    for idx in range(64):
-        d = [(idx >> i) & 1 for i in range(4)]
-        sel = ((idx >> 4) & 1) | (((idx >> 5) & 1) << 1)
-        mux_table.append(d[sel])
-    return ops.lut(mux_table, (*cofactors, s0, s1))
+    return ops.lut(_MUX4_TABLE, (*cofactors, s0, s1))
 
 
 def om_stage(

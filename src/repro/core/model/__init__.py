@@ -17,24 +17,18 @@ read-only tables (:func:`stage_table`, :func:`violation_tails`): every
 model instance with the same geometry reads the same exact fractions.
 """
 
-from repro.core.model.chains import (
-    CASE_PROBABILITIES,
-    stage_chain_distribution,
-    chain_delay_distribution,
-    stage_table,
-)
-from repro.core.model.expectation import (
-    OverclockingErrorModel,
-    clear_tables,
-    violation_tails,
-)
+from repro import _lazy
 
-__all__ = [
-    "CASE_PROBABILITIES",
-    "stage_chain_distribution",
-    "chain_delay_distribution",
-    "OverclockingErrorModel",
-    "clear_tables",
-    "stage_table",
-    "violation_tails",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "CASE_PROBABILITIES": "repro.core.model.chains",
+    "stage_chain_distribution": "repro.core.model.chains",
+    "chain_delay_distribution": "repro.core.model.chains",
+    "OverclockingErrorModel": "repro.core.model.expectation",
+    "clear_tables": "repro.core.model.expectation",
+    "stage_table": "repro.core.model.chains",
+    "violation_tails": "repro.core.model.expectation",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

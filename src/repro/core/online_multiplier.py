@@ -204,7 +204,7 @@ class OnlineMultiplier:
             recurrence on bit-packed uint64 words (64 samples per word,
             :class:`PackedOps`); ``"wave"`` uses the original uint8-lane
             :class:`NumpyOps` evaluation.  None (default) takes the
-            engine :func:`repro.netlist.compiled.resolve_backend` picks
+            engine :func:`repro.netlist.engines.resolve_backend` picks
             for OM waves (``"vector"``).  All three produce bit-identical
             results at every tick.
 
@@ -214,7 +214,7 @@ class OnlineMultiplier:
         the digit ``z_k`` sampled at period ``b * mu`` for sample ``s``
         (tick 0 is the all-zero reset state).
         """
-        from repro.netlist.compiled import resolve_backend
+        from repro.netlist.engines import resolve_backend
 
         resolved = resolve_backend(backend, "om-wave")
         n, delta = self.ndigits, self.delta

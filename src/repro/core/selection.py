@@ -36,8 +36,10 @@ they still recode the residual top with ``z`` forced to zero
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Tuple
 
 #: selection input bit order: borrow-save pairs of the residual digits
 #: P_0, P_1, P_2 followed by the boundary carry ``g_3`` and borrow ``p_3``
@@ -116,7 +118,7 @@ def residual_in_range(v_quarters: int, emit_z: bool = True) -> bool:
     return -3 <= v_quarters <= 3
 
 
-def selection_tables(emit_z: bool = True) -> Dict[str, List[int]]:
+def selection_tables(emit_z: bool = True) -> Mapping[str, Tuple[int, ...]]:
     """Truth tables for the selection/recode block.
 
     Returns 256-entry tables keyed ``zp, zn, r1p, r1n, r2p, r2n``
@@ -125,7 +127,15 @@ def selection_tables(emit_z: bool = True) -> Dict[str, List[int]]:
     realises each output with a LUT6 tree
     (:func:`repro.core.kernels.lut_tree`); in the common case the boundary
     bits are constant-folded and each output collapses to a single LUT6.
+
+    The tables are built once per process and shared: every call with
+    the same *emit_z* returns the same read-only mapping of tuples.
     """
+    return _selection_tables(bool(emit_z))
+
+
+@functools.lru_cache(maxsize=None)
+def _selection_tables(emit_z: bool) -> Mapping[str, Tuple[int, ...]]:
     size = 2**NUM_INPUT_BITS
     keys = ["r1p", "r1n", "r2p", "r2n"] + (["zp", "zn"] if emit_z else [])
     tables: Dict[str, List[int]] = {k: [0] * size for k in keys}
@@ -140,4 +150,4 @@ def selection_tables(emit_z: bool = True) -> Dict[str, List[int]]:
         tables["r1n"][idx] = 1 if r1 == -1 else 0
         tables["r2p"][idx] = 1 if r2 == 1 else 0
         tables["r2n"][idx] = 1 if r2 == -1 else 0
-    return tables
+    return MappingProxyType({k: tuple(v) for k, v in tables.items()})

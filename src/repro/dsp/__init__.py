@@ -15,17 +15,19 @@ Both scale their coefficients so every value stays inside the paper's
 testing and with overclocking-comparison helpers.
 """
 
-from repro.dsp.fir import fir_datapath, fir_reference, lowpass_coefficients
-from repro.dsp.dct import dct8_datapath, dct8_reference, DCT8_COEFFICIENTS
-from repro.dsp.iir import IIRExperiment, iir_body
+from repro import _lazy
 
-__all__ = [
-    "fir_datapath",
-    "fir_reference",
-    "lowpass_coefficients",
-    "dct8_datapath",
-    "dct8_reference",
-    "DCT8_COEFFICIENTS",
-    "IIRExperiment",
-    "iir_body",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "fir_datapath": "repro.dsp.fir",
+    "fir_reference": "repro.dsp.fir",
+    "lowpass_coefficients": "repro.dsp.fir",
+    "dct8_datapath": "repro.dsp.dct",
+    "dct8_reference": "repro.dsp.dct",
+    "DCT8_COEFFICIENTS": "repro.dsp.dct",
+    "IIRExperiment": "repro.dsp.iir",
+    "iir_body": "repro.dsp.iir",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

@@ -37,42 +37,26 @@ resumes and completes only the missing shards (bit-identical to an
 uninterrupted run).
 """
 
-from repro.faults.models import (
-    FAULT_MODELS,
-    FaultConfig,
-    config_for_model,
-    fault_signature,
-)
-from repro.faults.timing import DriftedDelayModel
-from repro.faults.stuck import apply_stuck_faults
-from repro.faults.inject import FaultInjector
-from repro.faults.campaign import (
-    CAMPAIGN_DESIGNS,
-    DEFAULT_RATES,
-    FaultCampaignResult,
-    FaultStats,
-    run_fault_campaign,
-)
-from repro.faults.pipeline import (
-    FaultyPipelineWorker,
-    PipelineFaultPlan,
-    corrupt_cache_entry,
-)
+from repro import _lazy
 
-__all__ = [
-    "FAULT_MODELS",
-    "FaultConfig",
-    "config_for_model",
-    "fault_signature",
-    "DriftedDelayModel",
-    "apply_stuck_faults",
-    "FaultInjector",
-    "CAMPAIGN_DESIGNS",
-    "DEFAULT_RATES",
-    "FaultCampaignResult",
-    "FaultStats",
-    "run_fault_campaign",
-    "FaultyPipelineWorker",
-    "PipelineFaultPlan",
-    "corrupt_cache_entry",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "FAULT_MODELS": "repro.faults.models",
+    "FaultConfig": "repro.faults.models",
+    "config_for_model": "repro.faults.models",
+    "fault_signature": "repro.faults.models",
+    "DriftedDelayModel": "repro.faults.timing",
+    "apply_stuck_faults": "repro.faults.stuck",
+    "FaultInjector": "repro.faults.inject",
+    "CAMPAIGN_DESIGNS": "repro.faults.campaign",
+    "DEFAULT_RATES": "repro.faults.models",
+    "FaultCampaignResult": "repro.faults.campaign",
+    "FaultStats": "repro.faults.campaign",
+    "run_fault_campaign": "repro.faults.campaign",
+    "FaultyPipelineWorker": "repro.faults.pipeline",
+    "PipelineFaultPlan": "repro.faults.pipeline",
+    "corrupt_cache_entry": "repro.faults.pipeline",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

@@ -34,18 +34,16 @@ import numpy as np
 
 from repro.faults.inject import CAPTURE_FAULT_KINDS, FaultInjector
 from repro.faults.models import (
+    DEFAULT_RATES,
     FaultConfig,
     config_for_model,
     fault_signature,
 )
 from repro.faults.stuck import apply_stuck_faults
 from repro.faults.timing import DriftedDelayModel
-from repro.netlist.compiled import (
-    circuit_fingerprint,
-    make_simulator,
-    resolve_backend,
-)
+from repro.netlist.compiled import circuit_fingerprint, make_simulator
 from repro.netlist.delay import DelayModel, FpgaDelay, delay_signature
+from repro.netlist.engines import resolve_backend
 from repro.netlist.sta import static_timing
 from repro.obs.trace import current_tracer
 from repro.runners.cache import ResultCache, cache_for, cache_key
@@ -72,9 +70,6 @@ from repro.sim.sweep import (
 
 #: the two designs every campaign compares (the paper's pairing)
 CAMPAIGN_DESIGNS = ("online", "traditional")
-
-#: default fault-intensity grid (dimensionless, family-scaled)
-DEFAULT_RATES = (0.0, 0.02, 0.05, 0.1, 0.2)
 
 
 @dataclass

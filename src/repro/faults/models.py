@@ -24,6 +24,9 @@ from repro.numrep.rounding import ceil_scaled
 #: maps a scalar intensity ``rate`` to one FaultConfig
 FAULT_MODELS = ("jitter", "drift", "seu", "metastable", "stuck")
 
+#: default fault-intensity grid (dimensionless, family-scaled)
+DEFAULT_RATES = (0.0, 0.02, 0.05, 0.1, 0.2)
+
 
 @dataclass(frozen=True)
 class FaultConfig:

@@ -13,55 +13,35 @@ online arithmetic — overclocked on a Virtex-6.  This package provides:
   (:mod:`repro.imaging.metrics`).
 """
 
-from repro.imaging.synthetic import (
-    benchmark_image,
-    BENCHMARK_IMAGES,
-    lena_like,
-    pepper_like,
-    sailboat_like,
-    tiffany_like,
-    uniform_noise_image,
-)
-from repro.imaging.metrics import mre_percent, snr_db, psnr_db
-from repro.imaging.filters import (
-    GAUSSIAN_KERNEL_64THS,
-    KERNEL_PRESETS,
-    SOBEL_X_KERNEL_8THS,
-    SOBEL_Y_KERNEL_8THS,
-    ConvolutionDatapath,
-    FilterStudyResult,
-    GaussianFilterDatapath,
-    SobelFilterDatapath,
-    convolution_reference,
-    gaussian_reference,
-    image_patches,
-    run_filter_study,
-)
-from repro.imaging.pgm import write_pgm, read_pgm
+from repro import _lazy
 
-__all__ = [
-    "benchmark_image",
-    "BENCHMARK_IMAGES",
-    "lena_like",
-    "pepper_like",
-    "sailboat_like",
-    "tiffany_like",
-    "uniform_noise_image",
-    "mre_percent",
-    "snr_db",
-    "psnr_db",
-    "GAUSSIAN_KERNEL_64THS",
-    "KERNEL_PRESETS",
-    "SOBEL_X_KERNEL_8THS",
-    "SOBEL_Y_KERNEL_8THS",
-    "ConvolutionDatapath",
-    "FilterStudyResult",
-    "GaussianFilterDatapath",
-    "SobelFilterDatapath",
-    "convolution_reference",
-    "gaussian_reference",
-    "image_patches",
-    "run_filter_study",
-    "write_pgm",
-    "read_pgm",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "benchmark_image": "repro.imaging.synthetic",
+    "BENCHMARK_IMAGES": "repro.imaging.synthetic",
+    "lena_like": "repro.imaging.synthetic",
+    "pepper_like": "repro.imaging.synthetic",
+    "sailboat_like": "repro.imaging.synthetic",
+    "tiffany_like": "repro.imaging.synthetic",
+    "uniform_noise_image": "repro.imaging.synthetic",
+    "mre_percent": "repro.imaging.metrics",
+    "snr_db": "repro.imaging.metrics",
+    "psnr_db": "repro.imaging.metrics",
+    "GAUSSIAN_KERNEL_64THS": "repro.imaging.filters",
+    "KERNEL_PRESETS": "repro.imaging.filters",
+    "SOBEL_X_KERNEL_8THS": "repro.imaging.filters",
+    "SOBEL_Y_KERNEL_8THS": "repro.imaging.filters",
+    "ConvolutionDatapath": "repro.imaging.filters",
+    "FilterStudyResult": "repro.imaging.filters",
+    "GaussianFilterDatapath": "repro.imaging.filters",
+    "SobelFilterDatapath": "repro.imaging.filters",
+    "convolution_reference": "repro.imaging.filters",
+    "gaussian_reference": "repro.imaging.filters",
+    "image_patches": "repro.imaging.filters",
+    "run_filter_study": "repro.imaging.filters",
+    "write_pgm": "repro.imaging.pgm",
+    "read_pgm": "repro.imaging.pgm",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

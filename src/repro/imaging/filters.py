@@ -47,7 +47,8 @@ from repro.core.synthesis import DatapathRun
 from repro.imaging.metrics import mre_percent as _mre_percent
 from repro.imaging.metrics import snr_db as _snr_db
 from repro.imaging.synthetic import benchmark_image
-from repro.netlist.compiled import make_simulator, resolve_backend
+from repro.netlist.compiled import make_simulator
+from repro.netlist.engines import resolve_backend
 from repro.netlist.delay import DelayModel, FpgaDelay, delay_signature
 from repro.netlist.gates import Circuit
 from repro.netlist.sta import static_timing
@@ -214,7 +215,7 @@ class ConvolutionDatapath:
         plain binary digits).
     backend:
         Simulation engine: ``"packed"`` (the default,
-        :func:`~repro.netlist.compiled.resolve_backend`) compiles the
+        :func:`~repro.netlist.engines.resolve_backend`) compiles the
         datapath to the bit-packed engine; ``"wave"`` uses the interpreting
         waveform simulator; ``"vector"`` falls back to the packed engine
         (the behavioral engine has no gate-level netlist semantics).

@@ -13,77 +13,48 @@ capture register would latch at clock period ``T_S`` — one simulation gives
 an entire frequency sweep.
 """
 
-from repro.netlist.gates import Gate, Circuit, OPS
-from repro.netlist.delay import (
-    DelayModel,
-    UnitDelay,
-    PerOpDelay,
-    FpgaDelay,
-    CarryChainDelay,
-)
-from repro.netlist.sim import WaveformSimulator, SimulationResult, run_chunked
-from repro.netlist.compiled import (
-    BACKENDS,
-    DEFAULT_ENGINES,
-    CompiledCircuit,
-    PackedSimulationResult,
-    circuit_fingerprint,
-    clear_compile_cache,
-    compile_cache_info,
-    compile_circuit,
-    evaluate_packed,
-    make_simulator,
-    resolve_backend,
-)
-from repro.netlist.packing import pack_bits, unpack_bits, packed_width
-from repro.netlist.sta import static_timing, critical_path, ArrivalTimes
-from repro.netlist.area import estimate_area, AreaReport
-from repro.netlist.verilog import to_verilog
-from repro.netlist.analysis import (
-    output_arrival_profile,
-    slack_histogram,
-    violated_outputs,
-    depth_histogram,
-    fanout_statistics,
-    arrival_order,
-)
+from repro import _lazy
 
-__all__ = [
-    "Gate",
-    "Circuit",
-    "OPS",
-    "DelayModel",
-    "UnitDelay",
-    "PerOpDelay",
-    "FpgaDelay",
-    "CarryChainDelay",
-    "WaveformSimulator",
-    "SimulationResult",
-    "run_chunked",
-    "BACKENDS",
-    "DEFAULT_ENGINES",
-    "CompiledCircuit",
-    "PackedSimulationResult",
-    "circuit_fingerprint",
-    "clear_compile_cache",
-    "compile_cache_info",
-    "compile_circuit",
-    "evaluate_packed",
-    "make_simulator",
-    "resolve_backend",
-    "pack_bits",
-    "unpack_bits",
-    "packed_width",
-    "static_timing",
-    "critical_path",
-    "ArrivalTimes",
-    "estimate_area",
-    "AreaReport",
-    "to_verilog",
-    "output_arrival_profile",
-    "slack_histogram",
-    "violated_outputs",
-    "depth_histogram",
-    "fanout_statistics",
-    "arrival_order",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "Gate": "repro.netlist.gates",
+    "Circuit": "repro.netlist.gates",
+    "OPS": "repro.netlist.gates",
+    "DelayModel": "repro.netlist.delay",
+    "UnitDelay": "repro.netlist.delay",
+    "PerOpDelay": "repro.netlist.delay",
+    "FpgaDelay": "repro.netlist.delay",
+    "CarryChainDelay": "repro.netlist.delay",
+    "WaveformSimulator": "repro.netlist.sim",
+    "SimulationResult": "repro.netlist.sim",
+    "run_chunked": "repro.netlist.sim",
+    "BACKENDS": "repro.netlist.engines",
+    "DEFAULT_ENGINES": "repro.netlist.engines",
+    "CompiledCircuit": "repro.netlist.compiled",
+    "PackedSimulationResult": "repro.netlist.compiled",
+    "circuit_fingerprint": "repro.netlist.compiled",
+    "clear_compile_cache": "repro.netlist.compiled",
+    "compile_cache_info": "repro.netlist.compiled",
+    "compile_circuit": "repro.netlist.compiled",
+    "evaluate_packed": "repro.netlist.compiled",
+    "make_simulator": "repro.netlist.compiled",
+    "resolve_backend": "repro.netlist.engines",
+    "pack_bits": "repro.netlist.packing",
+    "unpack_bits": "repro.netlist.packing",
+    "packed_width": "repro.netlist.packing",
+    "static_timing": "repro.netlist.sta",
+    "critical_path": "repro.netlist.sta",
+    "ArrivalTimes": "repro.netlist.sta",
+    "estimate_area": "repro.netlist.area",
+    "AreaReport": "repro.netlist.area",
+    "to_verilog": "repro.netlist.verilog",
+    "output_arrival_profile": "repro.netlist.analysis",
+    "slack_histogram": "repro.netlist.analysis",
+    "violated_outputs": "repro.netlist.analysis",
+    "depth_histogram": "repro.netlist.analysis",
+    "fanout_statistics": "repro.netlist.analysis",
+    "arrival_order": "repro.netlist.analysis",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

@@ -30,8 +30,8 @@ enforces exactly that.
 Use :func:`make_simulator` to pick an engine by name (``"packed"`` |
 ``"wave"``, or None for the default); ``"packed"`` falls back to the
 waveform simulator automatically if compilation fails.
-:func:`resolve_backend` is the one place an engine is chosen for a
-workload that does not name one.
+:func:`~repro.netlist.engines.resolve_backend` is the one place an
+engine is chosen for a workload that does not name one.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.obs.metrics import metrics
 from repro.netlist.delay import DelayModel, UnitDelay
+from repro.netlist.engines import resolve_backend
 from repro.netlist.gates import Circuit, OPS
 from repro.netlist.packing import (
     FULL_WORD,
@@ -58,21 +59,6 @@ from repro.netlist.sim import (
     WaveformSimulator,
     prepare_batch_inputs,
 )
-
-#: engine names accepted by :func:`make_simulator` and every ``backend=``
-#: parameter downstream.  ``"vector"`` is the digit-level behavioral
-#: engine (:mod:`repro.vec`): gate-level netlist simulations fall back to
-#: the packed engine under it (see :func:`resolve_backend`), while the
-#: online-operator wave recurrences dispatch to the vectorized kernels.
-BACKENDS = ("packed", "wave", "vector")
-
-#: the engine each workload runs on when the caller names none: the
-#: fastest engine whose conformance suite proves it bit-identical there.
-#: ``"om-wave"`` is the stage-delay OM recurrence (Monte-Carlo, stage
-#: sweeps and profiles, the stage probe; ``tests/vec``); ``"netlist"``
-#: is gate-level simulation of a circuit (FpgaDelay sweeps, fault
-#: campaigns, imaging; ``tests/netlist/test_packed_equivalence.py``).
-DEFAULT_ENGINES = {"om-wave": "vector", "netlist": "packed"}
 
 # integer opcodes (the compiled program's instruction set)
 _OP_AND = 0
@@ -104,38 +90,6 @@ _OPCODES: Dict[str, int] = {
     "CONST0": _OP_CONST0,
     "CONST1": _OP_CONST1,
 }
-
-
-def resolve_backend(
-    backend: Optional[str] = None, workload: str = "om-wave"
-) -> str:
-    """The engine that runs *workload*: *backend* if named, else the rule.
-
-    ``None`` picks :data:`DEFAULT_ENGINES` for the workload; an explicit
-    name is honoured (``ValueError`` on unknown names).  ``"vector"``
-    has no gate-level semantics, so a ``"netlist"`` workload asking for
-    it gets the packed engine instead (bit-identical results; a
-    ``backend.vector_fallback`` trace event and the
-    ``vec.netlist_fallbacks`` metric record the substitution).
-    """
-    if workload not in DEFAULT_ENGINES:
-        raise ValueError(
-            f"unknown workload {workload!r}; expected one of "
-            f"{tuple(DEFAULT_ENGINES)}"
-        )
-    if backend is None:
-        return DEFAULT_ENGINES[workload]
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if backend == "vector" and workload == "netlist":
-        from repro.obs.trace import current_tracer
-
-        current_tracer().event("backend.vector_fallback", to="packed")
-        metrics().count("vec.netlist_fallbacks")
-        return "packed"
-    return backend
 
 
 def _eval_packed_op(

@@ -14,44 +14,28 @@ All operand values in the paper are normalised fractions in ``(-1, 1)``
 ``x = sum_{i=1..N} x_i * 2**-i``.
 """
 
-from repro.numrep.fixed_point import (
-    FixedPointFormat,
-    float_to_fixed,
-    fixed_to_float,
-    int_to_bits,
-    bits_to_int,
-    twos_complement_encode,
-    twos_complement_decode,
-)
-from repro.numrep.rounding import ceil_scaled
-from repro.numrep.signed_digit import (
-    SDNumber,
-    sd_value,
-    sd_to_fraction,
-    sd_from_twos_complement,
-    sd_random,
-    sd_canonical,
-    borrow_save_encode,
-    borrow_save_decode,
-    VALID_DIGITS,
-)
+from repro import _lazy
 
-__all__ = [
-    "FixedPointFormat",
-    "float_to_fixed",
-    "fixed_to_float",
-    "int_to_bits",
-    "bits_to_int",
-    "twos_complement_encode",
-    "twos_complement_decode",
-    "ceil_scaled",
-    "SDNumber",
-    "sd_value",
-    "sd_to_fraction",
-    "sd_from_twos_complement",
-    "sd_random",
-    "sd_canonical",
-    "borrow_save_encode",
-    "borrow_save_decode",
-    "VALID_DIGITS",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "FixedPointFormat": "repro.numrep.fixed_point",
+    "float_to_fixed": "repro.numrep.fixed_point",
+    "fixed_to_float": "repro.numrep.fixed_point",
+    "int_to_bits": "repro.numrep.fixed_point",
+    "bits_to_int": "repro.numrep.fixed_point",
+    "twos_complement_encode": "repro.numrep.fixed_point",
+    "twos_complement_decode": "repro.numrep.fixed_point",
+    "ceil_scaled": "repro.numrep.rounding",
+    "SDNumber": "repro.numrep.signed_digit",
+    "sd_value": "repro.numrep.signed_digit",
+    "sd_to_fraction": "repro.numrep.signed_digit",
+    "sd_from_twos_complement": "repro.numrep.signed_digit",
+    "sd_random": "repro.numrep.signed_digit",
+    "sd_canonical": "repro.numrep.signed_digit",
+    "borrow_save_encode": "repro.numrep.signed_digit",
+    "borrow_save_decode": "repro.numrep.signed_digit",
+    "VALID_DIGITS": "repro.numrep.signed_digit",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

@@ -23,69 +23,37 @@ Three cooperating pieces (see DESIGN.md "Observability"):
 
 ``trace``, ``metrics``, and ``events`` are dependency-free (importable
 from anywhere in the stack, including :mod:`repro.runners`); ``probe``
-sits *above* the runner layer, so it is exposed lazily to keep this
-package cheap and cycle-free to import.
+sits *above* the runner layer.  Like every package root, this one
+imports a name's module on first access, so it stays cheap and
+cycle-free to import.
 """
 
-from repro.obs.events import (
-    EventBus,
-    ProgressEvent,
-    ProgressReporter,
-    Subscription,
-    progress_bus,
-)
-from repro.obs.metrics import MetricsRegistry, deterministic_snapshot, metrics
-from repro.obs.trace import (
-    DISABLED,
-    TRACE_ENV,
-    Tracer,
-    current_tracer,
-    reset_env_default,
-    run_traced_worker,
-    set_tracer,
-    tracer_from_env,
-    use_tracer,
-    worker_trace_context,
-)
+from repro import _lazy
 
-__all__ = [
-    "DISABLED",
-    "TRACE_ENV",
-    "EventBus",
-    "MetricsRegistry",
-    "ProgressEvent",
-    "ProgressReporter",
-    "StageProbeResult",
-    "Subscription",
-    "Tracer",
-    "current_tracer",
-    "deterministic_snapshot",
-    "metrics",
-    "progress_bus",
-    "render_prometheus",
-    "reset_env_default",
-    "run_stage_probe",
-    "run_traced_worker",
-    "set_tracer",
-    "tracer_from_env",
-    "use_tracer",
-    "worker_trace_context",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "DISABLED": "repro.obs.trace",
+    "TRACE_ENV": "repro.obs.trace",
+    "EventBus": "repro.obs.events",
+    "MetricsRegistry": "repro.obs.metrics",
+    "ProgressEvent": "repro.obs.events",
+    "ProgressReporter": "repro.obs.events",
+    "StageProbeResult": "repro.obs.probe",
+    "Subscription": "repro.obs.events",
+    "Tracer": "repro.obs.trace",
+    "current_tracer": "repro.obs.trace",
+    "deterministic_snapshot": "repro.obs.metrics",
+    "metrics": "repro.obs.metrics",
+    "progress_bus": "repro.obs.events",
+    "render_prometheus": "repro.obs.export",
+    "reset_env_default": "repro.obs.trace",
+    "run_stage_probe": "repro.obs.probe",
+    "run_traced_worker": "repro.obs.trace",
+    "set_tracer": "repro.obs.trace",
+    "tracer_from_env": "repro.obs.trace",
+    "use_tracer": "repro.obs.trace",
+    "worker_trace_context": "repro.obs.trace",
+}
 
-_LAZY = {"StageProbeResult", "run_stage_probe", "render_prometheus"}
-
-
-def _lazy_module(name: str):
-    if name == "render_prometheus":
-        from repro.obs import export
-
-        return export.render_prometheus
-    from repro.obs import probe
-
-    return getattr(probe, name)
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        return _lazy_module(name)
-    raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

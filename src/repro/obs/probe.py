@@ -250,7 +250,7 @@ def run_stage_probe(
     deterministic across ``jobs``, cached under ``config.cache_dir``,
     traced under the ambient tracer.
     """
-    from repro.netlist.compiled import resolve_backend
+    from repro.netlist.engines import resolve_backend
     from repro.sim.montecarlo import default_depths
 
     if depths is None:

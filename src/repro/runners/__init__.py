@@ -23,55 +23,33 @@ The experiment entry points themselves live next to their physics:
 :mod:`repro.imaging.filters`.
 """
 
-from repro.runners.config import DEFAULT_SHARD_SIZE, RunConfig
-from repro.runners.parallel import (
-    CancelToken,
-    ParallelRunner,
-    RunCancelled,
-    RunStats,
-    ShardStat,
-    merge_float_sums,
-    merge_int_sums,
-    seed_tag,
-    split_samples,
-    spawn_seeds,
-)
-from repro.runners.cache import (
-    QUARANTINE_DIR,
-    RAW_KIND,
-    ResultCache,
-    cache_for,
-    cache_key,
-)
-from repro.runners.results import (
-    Result,
-    jsonable,
-    register_result,
-    registered_kinds,
-    result_from_dict,
-)
+from repro import _lazy
 
-__all__ = [
-    "DEFAULT_SHARD_SIZE",
-    "RunConfig",
-    "CancelToken",
-    "RunCancelled",
-    "ParallelRunner",
-    "RunStats",
-    "ShardStat",
-    "merge_float_sums",
-    "merge_int_sums",
-    "seed_tag",
-    "split_samples",
-    "spawn_seeds",
-    "QUARANTINE_DIR",
-    "RAW_KIND",
-    "ResultCache",
-    "cache_for",
-    "cache_key",
-    "Result",
-    "jsonable",
-    "register_result",
-    "registered_kinds",
-    "result_from_dict",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "DEFAULT_SHARD_SIZE": "repro.runners.config",
+    "RunConfig": "repro.runners.config",
+    "CancelToken": "repro.runners.parallel",
+    "RunCancelled": "repro.runners.parallel",
+    "ParallelRunner": "repro.runners.parallel",
+    "RunStats": "repro.runners.parallel",
+    "ShardStat": "repro.runners.parallel",
+    "merge_float_sums": "repro.runners.parallel",
+    "merge_int_sums": "repro.runners.parallel",
+    "seed_tag": "repro.runners.parallel",
+    "split_samples": "repro.runners.parallel",
+    "spawn_seeds": "repro.runners.parallel",
+    "QUARANTINE_DIR": "repro.runners.cache",
+    "RAW_KIND": "repro.runners.cache",
+    "ResultCache": "repro.runners.cache",
+    "cache_for": "repro.runners.cache",
+    "cache_key": "repro.runners.cache",
+    "Result": "repro.runners.results",
+    "jsonable": "repro.runners.results",
+    "register_result": "repro.runners.results",
+    "registered_kinds": "repro.runners.results",
+    "result_from_dict": "repro.runners.results",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

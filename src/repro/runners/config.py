@@ -30,7 +30,7 @@ Three fields deserve emphasis:
     and ``cache_dir`` do not.
 ``backend``
     The simulation engine override, None by default: each workload
-    then runs on the engine :func:`repro.netlist.compiled.resolve_backend`
+    then runs on the engine :func:`repro.netlist.engines.resolve_backend`
     picks for it (``vector`` for OM-wave experiments, ``packed`` for
     gate-level netlists).  Every engine is proven bit-identical on the
     workloads it serves, so like ``jobs`` it never enters cache keys.
@@ -53,6 +53,8 @@ import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Optional
+
+from repro.netlist.engines import resolve_backend
 
 #: default samples per shard (see :attr:`RunConfig.shard_size`)
 DEFAULT_SHARD_SIZE = 2500
@@ -86,7 +88,7 @@ class RunConfig:
     backend:
         Engine override: ``"packed"``, ``"wave"`` or ``"vector"``, or
         None (default) to let each workload run on the engine chosen
-        per workload by :func:`~repro.netlist.compiled.resolve_backend`.
+        per workload by :func:`~repro.netlist.engines.resolve_backend`.
         Execution detail like ``jobs`` — all engines are bit-identical
         where they serve a workload, so it never affects results.
     cache_dir:
@@ -112,8 +114,6 @@ class RunConfig:
     shard_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
-        from repro.netlist.compiled import resolve_backend
-
         if not isinstance(self.ndigits, int) or self.ndigits < 1:
             raise ValueError(
                 f"ndigits must be an integer >= 1, got {self.ndigits!r}"

@@ -69,6 +69,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy defers it to first use: load it here)
 
 from repro.obs.events import ProgressReporter
 from repro.obs.metrics import metrics

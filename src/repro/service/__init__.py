@@ -26,53 +26,33 @@ Stdlib-only by design: the daemon adds zero dependencies beyond what
 the simulation core already uses.
 """
 
-from repro.service.admission import AdmissionController, ShedRequest
-from repro.service.batch import (
-    InflightRegistry,
-    merge_requests,
-    split_responses,
-)
-from repro.service.breaker import CircuitBreaker
-from repro.service.client import ServiceClient, request_once
-from repro.service.daemon import (
-    EvalService,
-    ServiceConfig,
-    TransientEvalError,
-    evaluate_request,
-    run_service,
-)
-from repro.service.degrade import degraded_answer
-from repro.service.requests import (
-    ADMIN_KINDS,
-    REQUEST_CLASSES,
-    EvalRequest,
-    RequestError,
-    batch_compatibility_key,
-    parse_request,
-)
-from repro.service.retry import DEFAULT_RETRY_POLICY, RetryPolicy
+from repro import _lazy
 
-__all__ = [
-    "AdmissionController",
-    "ShedRequest",
-    "InflightRegistry",
-    "merge_requests",
-    "split_responses",
-    "CircuitBreaker",
-    "ServiceClient",
-    "request_once",
-    "EvalService",
-    "ServiceConfig",
-    "TransientEvalError",
-    "evaluate_request",
-    "run_service",
-    "degraded_answer",
-    "ADMIN_KINDS",
-    "REQUEST_CLASSES",
-    "EvalRequest",
-    "RequestError",
-    "batch_compatibility_key",
-    "parse_request",
-    "DEFAULT_RETRY_POLICY",
-    "RetryPolicy",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "AdmissionController": "repro.service.admission",
+    "ShedRequest": "repro.service.admission",
+    "InflightRegistry": "repro.service.batch",
+    "merge_requests": "repro.service.batch",
+    "split_responses": "repro.service.batch",
+    "CircuitBreaker": "repro.service.breaker",
+    "ServiceClient": "repro.service.client",
+    "request_once": "repro.service.client",
+    "EvalService": "repro.service.daemon",
+    "ServiceConfig": "repro.service.daemon",
+    "TransientEvalError": "repro.service.daemon",
+    "evaluate_request": "repro.service.daemon",
+    "run_service": "repro.service.daemon",
+    "degraded_answer": "repro.service.degrade",
+    "ADMIN_KINDS": "repro.service.requests",
+    "REQUEST_CLASSES": "repro.service.requests",
+    "EvalRequest": "repro.service.requests",
+    "RequestError": "repro.service.requests",
+    "batch_compatibility_key": "repro.service.requests",
+    "parse_request": "repro.service.requests",
+    "DEFAULT_RETRY_POLICY": "repro.service.retry",
+    "RetryPolicy": "repro.service.retry",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

@@ -20,58 +20,35 @@ per-digit error anatomy, and :mod:`repro.sim.reporting` renders the
 tables (and runner statistics lines) the benchmarks print.
 """
 
-from repro.sim.montecarlo import (
-    uniform_digit_batch,
-    default_depths,
-    run_montecarlo,
-    run_settle_histogram,
-    settle_depths,
-    MonteCarloResult,
-)
-from repro.sim.sweep import (
-    OnlineMultiplierHarness,
-    TraditionalMultiplierHarness,
-    SweepHarness,
-    SweepResult,
-    SWEEP_DESIGNS,
-    run_sweep,
-    stage_steps_for_periods,
-    stage_sweep_partial,
-    sweep_operator,
-    max_error_free_step,
-)
-from repro.sim.error_profile import (
-    DigitErrorProfile,
-    digit_error_profile,
-    online_digit_groups,
-    run_error_profile,
-    traditional_bit_groups,
-)
-from repro.sim.reporting import format_run_stats, format_table, geomean
+from repro import _lazy
 
-__all__ = [
-    "uniform_digit_batch",
-    "default_depths",
-    "run_montecarlo",
-    "run_settle_histogram",
-    "settle_depths",
-    "MonteCarloResult",
-    "OnlineMultiplierHarness",
-    "TraditionalMultiplierHarness",
-    "SweepHarness",
-    "SweepResult",
-    "SWEEP_DESIGNS",
-    "run_sweep",
-    "stage_steps_for_periods",
-    "stage_sweep_partial",
-    "sweep_operator",
-    "max_error_free_step",
-    "DigitErrorProfile",
-    "digit_error_profile",
-    "online_digit_groups",
-    "run_error_profile",
-    "traditional_bit_groups",
-    "format_run_stats",
-    "format_table",
-    "geomean",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "uniform_digit_batch": "repro.sim.montecarlo",
+    "default_depths": "repro.sim.montecarlo",
+    "run_montecarlo": "repro.sim.montecarlo",
+    "run_settle_histogram": "repro.sim.montecarlo",
+    "settle_depths": "repro.sim.montecarlo",
+    "MonteCarloResult": "repro.sim.montecarlo",
+    "OnlineMultiplierHarness": "repro.sim.sweep",
+    "TraditionalMultiplierHarness": "repro.sim.sweep",
+    "SweepHarness": "repro.sim.sweep",
+    "SweepResult": "repro.sim.sweep",
+    "SWEEP_DESIGNS": "repro.sim.sweep",
+    "run_sweep": "repro.sim.sweep",
+    "stage_steps_for_periods": "repro.sim.sweep",
+    "stage_sweep_partial": "repro.sim.sweep",
+    "sweep_operator": "repro.sim.sweep",
+    "max_error_free_step": "repro.sim.sweep",
+    "DigitErrorProfile": "repro.sim.error_profile",
+    "digit_error_profile": "repro.sim.error_profile",
+    "online_digit_groups": "repro.sim.error_profile",
+    "run_error_profile": "repro.sim.error_profile",
+    "traditional_bit_groups": "repro.sim.error_profile",
+    "format_run_stats": "repro.sim.reporting",
+    "format_table": "repro.sim.reporting",
+    "geomean": "repro.sim.reporting",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

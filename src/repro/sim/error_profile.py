@@ -24,7 +24,8 @@ from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.netlist.compiled import circuit_fingerprint, resolve_backend
+from repro.netlist.compiled import circuit_fingerprint
+from repro.netlist.engines import resolve_backend
 from repro.netlist.delay import DelayModel, FpgaDelay, delay_signature
 from repro.netlist.sim import SimulationResult
 from repro.netlist.sta import static_timing

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.conversion import digits_to_scaled_int
 from repro.core.online_multiplier import OnlineMultiplier
-from repro.netlist.compiled import resolve_backend
+from repro.netlist.engines import resolve_backend
 from repro.obs.trace import current_tracer
 from repro.runners.cache import cache_for, cache_key
 from repro.runners.config import RunConfig

@@ -51,12 +51,9 @@ from repro.core.conversion import (
 )
 from repro.core.online_multiplier import OnlineMultiplier
 from repro.arith.array_multiplier import build_array_multiplier
-from repro.netlist.compiled import (
-    circuit_fingerprint,
-    make_simulator,
-    resolve_backend,
-)
+from repro.netlist.compiled import circuit_fingerprint, make_simulator
 from repro.netlist.delay import DelayModel, FpgaDelay, UnitDelay, delay_signature
+from repro.netlist.engines import resolve_backend
 from repro.netlist.sta import static_timing
 from repro.numrep.rounding import ceil_scaled, floor_ratio
 from repro.obs.trace import current_tracer
@@ -218,7 +215,7 @@ class SweepHarness:
     """Shared machinery: build once, sweep many batches.
 
     ``backend`` selects the simulation engine: ``"packed"`` (the
-    default, :func:`~repro.netlist.compiled.resolve_backend`) compiles
+    default, :func:`~repro.netlist.engines.resolve_backend`) compiles
     the netlist to the bit-packed engine of
     :mod:`repro.netlist.compiled`; ``"wave"`` uses the interpreting
     :class:`repro.netlist.sim.WaveformSimulator`; ``"vector"`` has no

@@ -11,54 +11,32 @@ the online, ripple-carry, prefix-adder and array-multiplier
 implementations all register into.
 """
 
-from repro.synth.model import (
-    MODEL_TOLERANCE_FACTOR,
-    PredictedDesign,
-    PredictedModule,
-    model_tolerance_floor,
-    predict_design,
-    within_model_tolerance,
-)
-from repro.synth.report import SynthesisReport
-from repro.synth.search import (
-    DEFAULT_PERIODS,
-    REF_FRAC,
-    AccuracyTarget,
-    enumerate_assignments,
-    run_synthesis,
-    steps_for_periods,
-)
-from repro.synth.spec import (
-    OperatorSpec,
-    default_spec_name,
-    operator_spec,
-    register_operator,
-    registered_operators,
-    spec_area,
-    spec_stages,
-    stage_quantum,
-)
+from repro import _lazy
 
-__all__ = [
-    "AccuracyTarget",
-    "DEFAULT_PERIODS",
-    "MODEL_TOLERANCE_FACTOR",
-    "OperatorSpec",
-    "PredictedDesign",
-    "PredictedModule",
-    "REF_FRAC",
-    "SynthesisReport",
-    "default_spec_name",
-    "enumerate_assignments",
-    "model_tolerance_floor",
-    "operator_spec",
-    "predict_design",
-    "register_operator",
-    "registered_operators",
-    "run_synthesis",
-    "spec_area",
-    "spec_stages",
-    "stage_quantum",
-    "steps_for_periods",
-    "within_model_tolerance",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "AccuracyTarget": "repro.synth.search",
+    "DEFAULT_PERIODS": "repro.synth.search",
+    "MODEL_TOLERANCE_FACTOR": "repro.synth.model",
+    "OperatorSpec": "repro.synth.spec",
+    "PredictedDesign": "repro.synth.model",
+    "PredictedModule": "repro.synth.model",
+    "REF_FRAC": "repro.synth.search",
+    "SynthesisReport": "repro.synth.report",
+    "default_spec_name": "repro.synth.spec",
+    "enumerate_assignments": "repro.synth.search",
+    "model_tolerance_floor": "repro.synth.model",
+    "operator_spec": "repro.synth.spec",
+    "predict_design": "repro.synth.model",
+    "register_operator": "repro.synth.spec",
+    "registered_operators": "repro.synth.spec",
+    "run_synthesis": "repro.synth.search",
+    "spec_area": "repro.synth.spec",
+    "spec_stages": "repro.synth.spec",
+    "stage_quantum": "repro.synth.spec",
+    "steps_for_periods": "repro.synth.search",
+    "within_model_tolerance": "repro.synth.model",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

@@ -11,19 +11,17 @@ capture snapshots for a whole grid of clock periods from a single
 stage-by-stage pass, bit-identical to evaluating each period separately.
 """
 
-from repro.vec.engine import om_wave_vector, vector_online_add
-from repro.vec.fused import (
-    fused_sweep_partial,
-    om_sweep_vector,
-    stage_digit_mismatch_counts,
-    stage_error_partials,
-)
+from repro import _lazy
 
-__all__ = [
-    "om_wave_vector",
-    "vector_online_add",
-    "om_sweep_vector",
-    "fused_sweep_partial",
-    "stage_error_partials",
-    "stage_digit_mismatch_counts",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "om_wave_vector": "repro.vec.engine",
+    "vector_online_add": "repro.vec.engine",
+    "om_sweep_vector": "repro.vec.fused",
+    "fused_sweep_partial": "repro.vec.fused",
+    "stage_error_partials": "repro.vec.fused",
+    "stage_digit_mismatch_counts": "repro.vec.fused",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from repro.core.selection import (
     NUM_INPUT_BITS,
     estimate_quarters,
@@ -108,6 +110,24 @@ class TestTables:
             assert t["zp"][idx] - t["zn"][idx] == z
             assert t["r1p"][idx] - t["r1n"][idx] == r1
             assert t["r2p"][idx] - t["r2n"][idx] == r2
+
+    def test_tables_are_built_once_and_read_only(self):
+        for emit_z in (True, False):
+            t = selection_tables(emit_z)
+            assert selection_tables(emit_z) is t
+            with pytest.raises(TypeError):
+                t["r1p"] = [0] * 256
+            with pytest.raises(TypeError):
+                t["r1p"][0] = 1
+
+    def test_shared_tables_keep_the_multiplier_netlist(self):
+        from repro.core.online_multiplier import build_online_multiplier
+        from repro.netlist.compiled import circuit_fingerprint
+
+        # the fingerprint the per-call tables produced
+        assert circuit_fingerprint(build_online_multiplier(8)) == (
+            "79428f133ab9845bd17d15a81784e1f8"
+        )
 
     def test_z_never_both_rails(self):
         t = selection_tables(True)

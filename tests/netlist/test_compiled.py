@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.netlist.compiled import (
-    BACKENDS,
     CompiledCircuit,
     circuit_fingerprint,
     clear_compile_cache,
@@ -15,6 +14,7 @@ from repro.netlist.compiled import (
     resolve_backend,
 )
 from repro.netlist.delay import FpgaDelay, UnitDelay
+from repro.netlist.engines import BACKENDS
 from repro.netlist.gates import Circuit, Gate
 from repro.netlist.packing import (
     lut_packed,

@@ -61,6 +61,39 @@ class TestCommands:
         assert "error: target" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chains", "--ndigits", "0"],
+            ["model", "--samples", "0"],
+            ["probe", "--samples", "0"],
+            ["faults", "--samples", "0"],
+            ["multiplier", "--ndigits", "0"],
+            ["sweep", "--periods", "0"],
+            ["sweep", "--periods", "0.5", "inf"],
+            ["filter", "--size", "0"],
+            ["synth", "--wordlengths", "-3"],
+            ["model", "--jobs", "0"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_invalid_size_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        flag = next(a for a in argv if a.startswith("--"))
+        last = captured.err.rstrip("\n").splitlines()[-1]
+        assert last.startswith(f"repro-overclock {argv[0]}: error: "
+                               f"argument {flag}")
+
+    def test_size_flags_still_reject_non_numbers(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["chains", "--ndigits", "x"])
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+
     def test_filter_tiny(self, capsys):
         assert main(["filter", "--image", "lena", "--size", "12"]) == 0
         out = capsys.readouterr().out

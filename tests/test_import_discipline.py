@@ -1,0 +1,82 @@
+"""The CLI pays only for the subcommand it runs (DESIGN.md, "Import
+discipline").
+
+Each check runs in a fresh interpreter whose only environment is
+``PYTHONPATH=src``: the pytest process itself already holds numpy.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.cli import main
+
+SRC = Path(repro.__file__).resolve().parents[1]
+
+#: modules the model-only and trace-rendering commands must not load
+HEAVY = ("numpy", "asyncio", "repro.service")
+
+_PROBE = """
+import json, sys
+argv = json.loads(sys.argv[1])
+code = None
+from repro.cli import main
+if argv is not None:
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({"code": code, "loaded": [m for m in sys.argv[2:] if m in sys.modules]}))
+"""
+
+
+def _fresh(script, *args, cwd):
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env={"PYTHONPATH": str(SRC)},
+        cwd=cwd, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.fixture
+def traced_dir(tmp_path, monkeypatch):
+    """A working directory whose last-trace pointer names a real trace."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("REPRO_STATE_DIR", raising=False)
+    assert main(
+        ["model", "--ndigits", "4", "--samples", "200", "--no-cache",
+         "--trace", str(tmp_path / "run.jsonl")]
+    ) == 0
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [None, ["chains"], ["stats"], ["trace", "--last"], ["--help"]],
+    ids=["import", "chains", "stats", "trace", "help"],
+)
+def test_command_loads_no_heavy_module(argv, traced_dir):
+    out = _fresh(_PROBE, json.dumps(argv), *HEAVY, cwd=traced_dir)
+    report = json.loads(out.splitlines()[-1])
+    assert report["loaded"] == []
+    assert report["code"] in (None, 0)
+
+
+def test_readme_quick_start(tmp_path):
+    out = _fresh(
+        "from repro import Datapath\n"
+        "dp = Datapath(ndigits=8)\n"
+        "x, y = dp.input('x'), dp.input('y')\n"
+        "dp.output('prod', x * y)\n"
+        "online = dp.synthesize('online')\n"
+        "trad = dp.synthesize('traditional')\n"
+        "print(type(online).__name__, type(trad).__name__)\n",
+        cwd=tmp_path,
+    )
+    assert out.split() == ["SynthesizedDatapath", "SynthesizedDatapath"]
