@@ -495,16 +495,38 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a size flag: a whole number >= 1."""
+def _int_at_least(minimum: int):
+    """argparse type of a size flag: a whole number >= *minimum*."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
+def _unit_interval(text: str) -> float:
+    """argparse type of a fault rate: a number in [0, 1]."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}"
+            f"invalid float value: {text!r}"
         ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
     return value
 
 
@@ -664,7 +686,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="Gaussian-filter case study")
     p.add_argument("--image", default="lena",
                    choices=["lena", "pepper", "sailboat", "tiffany", "uniform"])
-    p.add_argument("--size", type=_positive_int, default=48)
+    p.add_argument("--size", type=_int_at_least(3), default=48,
+                   help="image edge length (>= 3, the kernel size)")
     _add_backend_flag(p)
     _add_run_flags(p)
     p.set_defaults(func=_cmd_filter)
@@ -680,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p.add_argument("--model", default="jitter", choices=list(FAULT_MODELS),
                    help="fault-model family to sweep")
-    p.add_argument("--rates", type=float, nargs="+",
+    p.add_argument("--rates", type=_unit_interval, nargs="+",
                    default=list(DEFAULT_RATES),
                    help="fault-intensity grid in [0, 1]")
     p.add_argument("--ndigits", type=_positive_int, default=8)

@@ -37,7 +37,6 @@ from repro.faults.models import (
     DEFAULT_RATES,
     FaultConfig,
     config_for_model,
-    fault_signature,
 )
 from repro.faults.stuck import apply_stuck_faults
 from repro.faults.timing import DriftedDelayModel
@@ -60,13 +59,7 @@ from repro.runners.results import (
     register_result,
     restore_metrics,
 )
-from repro.sim.sweep import (
-    OnlineMultiplierHarness,
-    SweepHarness,
-    TraditionalMultiplierHarness,
-    _sweep_circuit,
-    sweep_shard_ports,
-)
+from repro.sim.sweep import SweepHarness, design_circuit, worker_harness
 
 #: the two designs every campaign compares (the paper's pairing)
 CAMPAIGN_DESIGNS = ("online", "traditional")
@@ -158,71 +151,29 @@ class FaultCampaignResult:
 
 # --------------------------------------------------------------- worker side
 
-#: per-process faulted-harness memo, keyed by the full fault identity
-_FAULT_HARNESSES: Dict[Any, SweepHarness] = {}
+def _faulted_simulator(clean: SweepHarness, fault_config: FaultConfig):
+    """``(simulator, stuck_gates, drifted_gates)`` of the faulted design.
 
-
-def campaign_harness(
-    design: str,
-    ndigits: int,
-    backend: str,
-    delay_model: DelayModel,
-    fault_config: FaultConfig,
-) -> SweepHarness:
-    """Build (and memoize per process) the faulted harness of one design.
-
-    Drift composes onto the delay model; stuck-at faults rebuild the
-    netlist; capture-boundary faults (jitter/SEU/metastability) are
-    applied later by :class:`~repro.faults.FaultInjector` and need no
-    harness support.  ``rated_step`` is always the *clean* circuit's
-    static timing — the clock generator does not know about defects.
+    Transforms on top of the clean harness, whose shared circuit is never
+    touched: drift composes onto the delay model, stuck-at faults derive
+    a new circuit.  Capture-boundary faults are the injector's job.
     """
-    key = (
-        design,
-        ndigits,
-        backend,
-        delay_signature(delay_model),
-        fault_signature(fault_config),
-    )
-    harness = _FAULT_HARNESSES.get(key)
-    if harness is not None:
-        return harness
-
-    model: DelayModel = delay_model
+    model: DelayModel = clean.delay_model
+    drifted = 0
     if fault_config.drift_rate > 0 and fault_config.drift_max > 0:
         model = DriftedDelayModel(
-            delay_model,
+            model,
             fault_config.drift_rate,
             fault_config.drift_max,
             fault_config.seed,
         )
-    if design == "online":
-        harness = OnlineMultiplierHarness.from_spec(
-            "online-mult", ndigits=ndigits, delay_model=model, backend=backend
-        )
-    elif design == "traditional":
-        harness = TraditionalMultiplierHarness.from_spec(
-            "array-mult", ndigits=ndigits, delay_model=model, backend=backend
-        )
-    else:
-        raise ValueError(
-            f"unknown design {design!r}; expected one of {CAMPAIGN_DESIGNS}"
-        )
-    harness.drifted_gates = (
-        model.drifted_gates(harness.circuit)
-        if isinstance(model, DriftedDelayModel)
-        else 0
+        drifted = model.drifted_gates(clean.circuit)
+    circuit, stuck = apply_stuck_faults(
+        clean.circuit, fault_config.stuck_rate, fault_config.seed
     )
-    faulted_circuit, n_stuck = apply_stuck_faults(
-        harness.circuit, fault_config.stuck_rate, fault_config.seed
-    )
-    harness.stuck_gates = n_stuck
-    if n_stuck:
-        # swap in the faulted netlist; rated_step stays the clean timing
-        harness.circuit = faulted_circuit
-        harness.simulator = make_simulator(faulted_circuit, model, backend)
-    _FAULT_HARNESSES[key] = harness
-    return harness
+    if circuit is clean.circuit and model is clean.delay_model:
+        return clean.simulator, stuck, drifted
+    return make_simulator(circuit, model, clean.backend), stuck, drifted
 
 
 def _campaign_shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -232,22 +183,16 @@ def _campaign_shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     exactly), so it doubles as the shard's checkpoint payload.
     """
     design = payload["design"]
-    ndigits = payload["ndigits"]
     backend = payload["backend"]
-    base_model = payload["delay_model"]
     fault_config: FaultConfig = payload["fault_config"]
     capture_step = int(payload["capture_step"])
 
-    clean = campaign_harness(
-        design, ndigits, backend, base_model, FaultConfig()
+    clean = worker_harness(
+        design, payload["ndigits"], backend, payload["delay_model"]
     )
-    faulted = campaign_harness(
-        design, ndigits, backend, base_model, fault_config
-    )
+    faulted, stuck, drifted = _faulted_simulator(clean, fault_config)
     rng = np.random.default_rng(payload["op_seq"])
-    ports = sweep_shard_ports(
-        design, ndigits, clean, rng, payload["samples"]
-    )
+    ports = clean.random_ports(rng, payload["samples"])
 
     with current_tracer().span(
         "campaign.simulate",
@@ -261,10 +206,10 @@ def _campaign_shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
             clean_result.sample(clean_result.settle_step)
         ).astype(np.float64)
 
-        faulted_result = faulted.simulator.run(ports)
+        faulted_result = faulted.run(ports)
         injector = FaultInjector(fault_config, payload["fault_seq"])
         captured, injected = injector.capture(faulted_result, capture_step)
-        values = faulted.decode(captured).astype(np.float64)
+        values = clean.decode(captured).astype(np.float64)
 
     err = np.abs(values - correct)
     partial = {
@@ -275,8 +220,8 @@ def _campaign_shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
         "num_samples": int(payload["samples"]),
         "sum_abs_err": float(err.sum()),
         "sum_abs_correct": float(np.abs(correct).sum()),
-        "stuck_gates": int(getattr(faulted, "stuck_gates", 0)),
-        "drifted_gates": int(getattr(faulted, "drifted_gates", 0)),
+        "stuck_gates": stuck,
+        "drifted_gates": drifted,
     }
     for kind in CAPTURE_FAULT_KINDS:
         partial[f"injected_{kind}"] = int(injected[kind])
@@ -295,7 +240,7 @@ def _capture_steps(
     """Per-design capture step: clean rated period over the overclock."""
     steps: Dict[str, int] = {}
     for design in CAMPAIGN_DESIGNS:
-        circuit = _sweep_circuit(design, ndigits)
+        circuit = design_circuit(design, ndigits)
         rated = static_timing(circuit, delay_model).critical_delay
         steps[design] = max(1, round(rated / overclock))
     return steps
@@ -405,7 +350,7 @@ def _run_fault_campaign(
     experiment = f"faults:{model}"
     capture_steps = _capture_steps(config.ndigits, base_model, overclock)
 
-    circuits = {d: _sweep_circuit(d, config.ndigits) for d in CAMPAIGN_DESIGNS}
+    circuits = {d: design_circuit(d, config.ndigits) for d in CAMPAIGN_DESIGNS}
     fingerprints = {d: circuit_fingerprint(c) for d, c in circuits.items()}
     delay_sig = delay_signature(base_model)
     fault_configs = {

@@ -47,11 +47,10 @@ from repro.core.synthesis import DatapathRun
 from repro.imaging.metrics import mre_percent as _mre_percent
 from repro.imaging.metrics import snr_db as _snr_db
 from repro.imaging.synthetic import benchmark_image
-from repro.netlist.compiled import make_simulator
+from repro.netlist.compiled import critical_delay, make_simulator, shared_circuit
 from repro.netlist.engines import resolve_backend
 from repro.netlist.delay import DelayModel, FpgaDelay, delay_signature
 from repro.netlist.gates import Circuit
-from repro.netlist.sta import static_timing
 from repro.numrep.signed_digit import SDNumber, sd_canonical
 from repro.runners.cache import cache_for, cache_key
 from repro.runners.config import RunConfig
@@ -120,6 +119,8 @@ def gaussian_reference(image: np.ndarray) -> np.ndarray:
 def image_patches(image: np.ndarray) -> np.ndarray:
     """Gather the nine 3x3-neighbourhood pixel streams: shape ``(9, S)``."""
     image = np.asarray(image)
+    if image.ndim != 2 or min(image.shape) < 3:
+        raise ValueError("image must be 2-D and at least 3x3")
     h, w = image.shape
     rows = []
     for dy in range(3):
@@ -152,38 +153,123 @@ class FilterRun(DatapathRun):
         return np.clip(np.round(self.decode(step)), 0, 255).astype(np.uint8)
 
 
-#: the multiplier spec each filter arithmetic style builds around
-_STYLE_SPECS = {"online": "online-mult", "traditional": "array-mult"}
-
-
-def _filter_spec(spec):
-    """Resolve a multiplier spec (name or OperatorSpec) for a datapath."""
-    from repro.synth.spec import OperatorSpec, operator_spec
-
-    resolved = operator_spec(spec) if isinstance(spec, str) else spec
-    if not isinstance(resolved, OperatorSpec):
-        raise TypeError(
-            f"spec must be a registry name or an OperatorSpec, "
-            f"got {type(resolved).__name__}"
-        )
-    if resolved.kind != "mul":
-        raise ValueError(
-            f"operator spec {resolved.name!r} is a {resolved.kind!r} "
-            f"implementation; the filter datapaths are built around "
-            f"multiplier specs"
-        )
-    return resolved
-
-
-def _style_spec(arithmetic: str):
+def _style_spec(arithmetic: str) -> str:
     """The default multiplier spec of one arithmetic style (validated)."""
-    if arithmetic not in _STYLE_SPECS:
-        raise ValueError("arithmetic must be 'online' or 'traditional'")
-    return _filter_spec(_STYLE_SPECS[arithmetic])
+    from repro.synth.spec import default_spec_name
+
+    return default_spec_name("mul", arithmetic)
+
+
+# ------------------------------------------ builders (shared_circuit keys)
+
+
+def _coeff_scaled(
+    kernel: Sequence[int], frac_bits: int, ndigits: int, tap: int
+) -> int:
+    """Coefficient numerator scaled by ``2**ndigits`` (may be signed)."""
+    return int(kernel[tap]) * 2 ** (ndigits - frac_bits)
+
+
+def _coeff_digit_nets(
+    c: Circuit, scaled: int, n: int
+) -> List[Tuple[int, int]]:
+    """Scaled coefficient as N signed-digit (pos, neg) const-net pairs.
+
+    Uses the canonical (minimal-weight) recoding so embedded
+    multipliers fold to their live logic.
+    """
+    sign = 1 if scaled >= 0 else -1
+    mag = abs(scaled)
+    digits = [sign * ((mag >> (n - 1 - k)) & 1) for k in range(n)]
+    sd = sd_canonical(SDNumber.from_iterable(digits, exp_msd=-1))
+    # only use the minimal-weight recoding when it fits the fraction
+    # window (|coeff| > 1/2 would need a digit at position 0)
+    if any(
+        d and not (1 <= k - sd.exp_msd <= n)
+        for k, d in enumerate(sd.digits)
+    ):
+        chosen = {k + 1: d for k, d in enumerate(digits)}
+    else:
+        chosen = {
+            k - sd.exp_msd: d for k, d in enumerate(sd.digits)
+        }
+    zero, one = c.const0(), c.const1()
+    pairs: List[Tuple[int, int]] = []
+    for pos in range(1, n + 1):
+        d = chosen.get(pos, 0)
+        pairs.append(
+            (one if d == 1 else zero, one if d == -1 else zero)
+        )
+    return pairs
+
+
+def _build_online(
+    kernel: Tuple[int, ...], frac_bits: int, n: int, coefficients_as_inputs: bool
+) -> Circuit:
+    c = Circuit(f"conv_online{n}_{abs(sum(kernel))}")
+    ops = NetOps(c)
+    om = OnlineMultiplier(n)
+    products: List[BSVec] = []
+    for tap in range(9):
+        px = [
+            (c.input(f"p{tap}_p{k}"), c.input(f"p{tap}_n{k}"))
+            for k in range(n)
+        ]
+        if coefficients_as_inputs:
+            co = [
+                (c.input(f"c{tap}_p{k}"), c.input(f"c{tap}_n{k}"))
+                for k in range(n)
+            ]
+        else:
+            co = _coeff_digit_nets(
+                c, _coeff_scaled(kernel, frac_bits, n, tap), n
+            )
+        zs = om.run(ops, px, co, strict=False)
+        products.append({k + 1: zs[k] for k in range(n)})
+    # carry-free online adder tree (each level adds one MSD position)
+    level = products
+    while len(level) > 1:
+        nxt: List[BSVec] = []
+        for i in range(0, len(level) - 1, 2):
+            nxt.append(bs_add(ops, level[i], level[i + 1]))
+        if len(level) % 2:
+            nxt.append(level[-1])
+        level = nxt
+    total = level[0]
+    for idx, pos in enumerate(sorted(total)):
+        p, nn = total[pos]
+        c.output(f"sp{idx}", p)
+        c.output(f"sn{idx}", nn)
+    return c
+
+
+def _build_traditional(
+    kernel: Tuple[int, ...], frac_bits: int, n: int, coefficients_as_inputs: bool
+) -> Circuit:
+    width = n + 1  # Q1.n two's complement
+    out_width = 2 * width + 2
+    c = Circuit(f"conv_trad{n}_{abs(sum(kernel))}")
+    zero, one = c.const0(), c.const1()
+    products = []
+    for tap in range(9):
+        px = [c.input(f"p{tap}_b{i}") for i in range(width)]
+        if coefficients_as_inputs:
+            co = [c.input(f"c{tap}_b{i}") for i in range(width)]
+        else:
+            raw = _coeff_scaled(kernel, frac_bits, n, tap) & ((1 << width) - 1)
+            co = [one if (raw >> i) & 1 else zero for i in range(width)]
+        products.append(array_multiplier(c, px, co))
+    total = adder_tree(c, products, out_width)
+    for i, net in enumerate(total):
+        c.output(f"s{i}", net)
+    return c
 
 
 class ConvolutionDatapath:
     """A complete 3x3 convolution datapath in one arithmetic style.
+
+    Like the sweep harnesses, a datapath is a cheap view over
+    :func:`~repro.netlist.compiled.shared_circuit` and the compile LRU.
 
     Construct via :meth:`from_spec` (the uniform spec-driven spelling,
     matching the sweep harnesses); every constructor argument is
@@ -242,7 +328,9 @@ class ConvolutionDatapath:
         if config is not None:
             ndigits = config.ndigits
             backend = config.backend or backend
-        self.spec = _filter_spec(spec)
+        from repro.synth.spec import resolve_operator
+
+        self.spec = resolve_operator(spec, "mul")
         arithmetic = self.spec.style
         if ndigits < 8:
             raise ValueError("ndigits must be >= 8 to represent 8-bit pixels")
@@ -268,17 +356,19 @@ class ConvolutionDatapath:
         self.delay_model = (
             delay_model if delay_model is not None else FpgaDelay()
         )
-        if arithmetic == "online":
-            self.circuit, self._out_positions = self._build_online()
-        else:
-            self.circuit, self._out_positions = self._build_traditional()
+        build = _build_online if arithmetic == "online" else _build_traditional
+        self.circuit = shared_circuit(
+            build,
+            tuple(int(k) for k in kernel.ravel()),
+            int(kernel_frac_bits),
+            int(ndigits),
+            bool(coefficients_as_inputs),
+        )
         self.backend = resolve_backend(backend, "netlist")
         self.simulator = make_simulator(
             self.circuit, self.delay_model, self.backend
         )
-        self.rated_step = static_timing(
-            self.circuit, self.delay_model
-        ).critical_delay
+        self.rated_step = critical_delay(self.simulator)
 
     @classmethod
     def from_spec(cls, spec, **fmt) -> "ConvolutionDatapath":
@@ -293,101 +383,6 @@ class ConvolutionDatapath:
         """
         return cls(spec=spec, **fmt)
 
-    def _coeff_scaled(self, tap: int) -> int:
-        """Coefficient numerator scaled by ``2**ndigits`` (may be signed)."""
-        k = int(self.kernel.ravel()[tap])
-        return k * 2 ** (self.ndigits - self.kernel_frac_bits)
-
-    # ------------------------------------------------------------- builders
-    def _coeff_digit_nets(self, c: Circuit, tap: int) -> List[Tuple[int, int]]:
-        """Coefficient as N signed-digit (pos, neg) const-net pairs.
-
-        Uses the canonical (minimal-weight) recoding so embedded
-        multipliers fold to their live logic.
-        """
-        n = self.ndigits
-        scaled = self._coeff_scaled(tap)
-        sign = 1 if scaled >= 0 else -1
-        mag = abs(scaled)
-        digits = [sign * ((mag >> (n - 1 - k)) & 1) for k in range(n)]
-        sd = sd_canonical(SDNumber.from_iterable(digits, exp_msd=-1))
-        # only use the minimal-weight recoding when it fits the fraction
-        # window (|coeff| > 1/2 would need a digit at position 0)
-        if any(
-            d and not (1 <= k - sd.exp_msd <= n)
-            for k, d in enumerate(sd.digits)
-        ):
-            chosen = {k + 1: d for k, d in enumerate(digits)}
-        else:
-            chosen = {
-                k - sd.exp_msd: d for k, d in enumerate(sd.digits)
-            }
-        zero, one = c.const0(), c.const1()
-        pairs: List[Tuple[int, int]] = []
-        for pos in range(1, n + 1):
-            d = chosen.get(pos, 0)
-            pairs.append(
-                (one if d == 1 else zero, one if d == -1 else zero)
-            )
-        return pairs
-
-    def _build_online(self) -> Tuple[Circuit, List[int]]:
-        n = self.ndigits
-        c = Circuit(f"conv_online{n}_{abs(int(self.kernel.sum()))}")
-        ops = NetOps(c)
-        om = OnlineMultiplier(n)
-        products: List[BSVec] = []
-        for tap in range(9):
-            px = [
-                (c.input(f"p{tap}_p{k}"), c.input(f"p{tap}_n{k}"))
-                for k in range(n)
-            ]
-            if self.coefficients_as_inputs:
-                co = [
-                    (c.input(f"c{tap}_p{k}"), c.input(f"c{tap}_n{k}"))
-                    for k in range(n)
-                ]
-            else:
-                co = self._coeff_digit_nets(c, tap)
-            zs = om.run(ops, px, co, strict=False)
-            products.append({k + 1: zs[k] for k in range(n)})
-        # carry-free online adder tree (each level adds one MSD position)
-        level = products
-        while len(level) > 1:
-            nxt: List[BSVec] = []
-            for i in range(0, len(level) - 1, 2):
-                nxt.append(bs_add(ops, level[i], level[i + 1]))
-            if len(level) % 2:
-                nxt.append(level[-1])
-            level = nxt
-        total = level[0]
-        positions = sorted(total)
-        for idx, pos in enumerate(positions):
-            p, nn = total[pos]
-            c.output(f"sp{idx}", p)
-            c.output(f"sn{idx}", nn)
-        return c, positions
-
-    def _build_traditional(self) -> Tuple[Circuit, List[int]]:
-        n = self.ndigits
-        width = n + 1  # Q1.n two's complement
-        out_width = 2 * width + 2
-        c = Circuit(f"conv_trad{n}_{abs(int(self.kernel.sum()))}")
-        zero, one = c.const0(), c.const1()
-        products = []
-        for tap in range(9):
-            px = [c.input(f"p{tap}_b{i}") for i in range(width)]
-            if self.coefficients_as_inputs:
-                co = [c.input(f"c{tap}_b{i}") for i in range(width)]
-            else:
-                raw = self._coeff_scaled(tap) & ((1 << width) - 1)
-                co = [one if (raw >> i) & 1 else zero for i in range(width)]
-            products.append(array_multiplier(c, px, co))
-        total = adder_tree(c, products, out_width)
-        for i, net in enumerate(total):
-            c.output(f"s{i}", net)
-        return c, list(range(out_width))
-
     # ------------------------------------------------------------- encoding
     def _encode_online(self, patches: np.ndarray) -> Dict[str, np.ndarray]:
         n = self.ndigits
@@ -400,7 +395,9 @@ class ConvolutionDatapath:
                 ports[f"p{tap}_p{k}"] = ((pix >> weight) & 1).astype(np.uint8)
                 ports[f"p{tap}_n{k}"] = np.zeros(pix.shape, dtype=np.uint8)
             if self.coefficients_as_inputs:
-                coeff = self._coeff_scaled(tap)
+                coeff = _coeff_scaled(
+                    self.kernel.ravel(), self.kernel_frac_bits, n, tap
+                )
                 for k in range(n):
                     weight = n - 1 - k
                     ports[f"c{tap}_p{k}"] = np.uint8((coeff >> weight) & 1)
@@ -417,7 +414,9 @@ class ConvolutionDatapath:
             for i in range(width):
                 ports[f"p{tap}_b{i}"] = ((pix >> i) & 1).astype(np.uint8)
             if self.coefficients_as_inputs:
-                coeff = self._coeff_scaled(tap)
+                coeff = _coeff_scaled(
+                    self.kernel.ravel(), self.kernel_frac_bits, n, tap
+                )
                 for i in range(width):
                     ports[f"c{tap}_b{i}"] = np.uint8((coeff >> i) & 1)
         return ports
@@ -427,7 +426,12 @@ class ConvolutionDatapath:
         total = np.zeros(
             next(iter(sample.values())).shape[0], dtype=np.float64
         )
-        for idx, pos in enumerate(self._out_positions):
+        # the adder tree only grows MSD positions: the output digits
+        # are contiguous and end at the products' last position n
+        num_digits = len(self.circuit.output_map) // 2
+        first = self.ndigits + 1 - num_digits
+        for idx in range(num_digits):
+            pos = first + idx
             digit = sample[f"sp{idx}"].astype(np.float64) - sample[
                 f"sn{idx}"
             ].astype(np.float64)
@@ -435,7 +439,7 @@ class ConvolutionDatapath:
         return total * 256.0  # back to pixel scale
 
     def _decode_traditional(self, sample: Dict[str, np.ndarray]) -> np.ndarray:
-        width = len(self._out_positions)
+        width = len(self.circuit.output_map)
         raw = np.zeros(next(iter(sample.values())).shape[0], dtype=np.int64)
         for i in range(width):
             raw |= sample[f"s{i}"].astype(np.int64) << i
@@ -617,42 +621,16 @@ class FilterStudyResult:
         return restore_metrics(result, data)
 
 
-#: per-process datapath memo — building + compiling a 9-multiplier datapath
-#: dwarfs a single image, so worker processes keep theirs across jobs
-_DATAPATH_CACHE: Dict[Tuple, ConvolutionDatapath] = {}
-
-
-def _worker_datapath(
-    arithmetic: str,
-    kernel: str,
-    ndigits: int,
-    backend: str,
-    delay_model: DelayModel,
-) -> ConvolutionDatapath:
-    key = (arithmetic, kernel, ndigits, backend, delay_signature(delay_model))
-    datapath = _DATAPATH_CACHE.get(key)
-    if datapath is None:
-        kern, frac_bits = KERNEL_PRESETS[kernel]
-        datapath = ConvolutionDatapath.from_spec(
-            _STYLE_SPECS[arithmetic],
-            kernel=kern,
-            kernel_frac_bits=frac_bits,
-            ndigits=ndigits,
-            delay_model=delay_model,
-            backend=backend,
-        )
-        _DATAPATH_CACHE[key] = datapath
-    return datapath
-
-
 def _filter_job_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     """One study job: filter one benchmark image with one datapath."""
-    datapath = _worker_datapath(
-        payload["arithmetic"],
-        payload["kernel"],
-        payload["ndigits"],
-        payload["backend"],
-        payload["delay_model"],
+    kernel, frac_bits = KERNEL_PRESETS[payload["kernel"]]
+    datapath = ConvolutionDatapath.from_spec(
+        _style_spec(payload["arithmetic"]),
+        kernel=kernel,
+        kernel_frac_bits=frac_bits,
+        ndigits=payload["ndigits"],
+        delay_model=payload["delay_model"],
+        backend=payload["backend"],
     )
     image = benchmark_image(payload["image"], size=payload["size"])
     run = datapath.apply(image)
@@ -693,6 +671,11 @@ def run_filter_study(
     images = [str(name) for name in images]
     arithmetics = [str(a) for a in arithmetics]
     factors = [float(f) for f in factors]
+    if int(size) < 3:
+        raise ValueError(
+            f"size must be >= 3 (the kernel size) to leave an interior "
+            f"pixel, got {size}"
+        )
     if kernel not in KERNEL_PRESETS:
         raise ValueError(
             f"unknown kernel preset {kernel!r}; choose from "

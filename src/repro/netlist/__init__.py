@@ -38,6 +38,7 @@ _EXPORTS = {
     "compile_circuit": "repro.netlist.compiled",
     "evaluate_packed": "repro.netlist.compiled",
     "make_simulator": "repro.netlist.compiled",
+    "shared_circuit": "repro.netlist.compiled",
     "resolve_backend": "repro.netlist.engines",
     "pack_bits": "repro.netlist.packing",
     "unpack_bits": "repro.netlist.packing",

@@ -13,10 +13,13 @@ evaluates batches with 64 samples packed per ``uint64`` word
 * **windowed evaluation** — a gate's output can only change during
   ``[delay, arrival]``; rows after the arrival time are a single
   broadcast copy of the settled row instead of re-evaluated logic;
-* **compile caching** — :func:`compile_circuit` memoises compiled
-  engines in an LRU keyed by ``(circuit fingerprint, delay assignment)``,
-  so the sweep/Monte-Carlo pattern of "build one operator, simulate many
-  batches" pays compilation once.
+* **two process-wide memos** — :func:`shared_circuit` builds each
+  operator netlist once and hands every consumer the same frozen
+  :class:`Circuit`; :func:`compile_circuit` memoises compiled engines in
+  an LRU keyed by ``(circuit fingerprint, exact delay assignment)``, the
+  only place delays key anything.  The "build one operator, simulate
+  many batches" pattern therefore pays construction and compilation
+  once per process.
 
 The engine exposes the same two entry points the repository already
 uses: timing-free :meth:`CompiledCircuit.evaluate_packed` (the packed
@@ -36,9 +39,10 @@ engine is chosen for a workload that does not name one.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -401,8 +405,19 @@ class CompiledCircuit:
 
 # ------------------------------------------------------------- compile cache
 
-#: maximum number of compiled engines kept alive
+#: maximum number of compiled engines (and of shared circuits) kept alive
 COMPILE_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=COMPILE_CACHE_SIZE)
+def shared_circuit(build: Callable[..., Circuit], *args) -> Circuit:
+    """``build(*args)``, built once per process and frozen.
+
+    The one netlist table every gate-level consumer reads.  Delays never
+    enter its key: :func:`compile_circuit` keys the exact assignment.  A
+    transform (stuck-at faults) must derive a new circuit.
+    """
+    return build(*args).freeze()
 
 _cache: "OrderedDict[Tuple[str, Tuple[int, ...]], CompiledCircuit]" = (
     OrderedDict()
@@ -487,8 +502,9 @@ def compile_cache_info() -> Dict[str, int]:
 
 
 def clear_compile_cache() -> None:
-    """Drop every cached engine and reset the counters."""
+    """Drop every cached engine and shared circuit; reset the counters."""
     global _cache_hits, _cache_misses
+    shared_circuit.cache_clear()
     _cache.clear()
     _cache_hits = 0
     _cache_misses = 0
@@ -520,6 +536,16 @@ def make_simulator(
         return compile_circuit(circuit, delay_model)
     except Exception:
         return WaveformSimulator(circuit, delay_model)
+
+
+def critical_delay(simulator: Simulator) -> int:
+    """Latest output arrival: ``static_timing(...).critical_delay``
+    without a second pass (both engines share its recurrence)."""
+    arrival = simulator.arrival
+    return max(
+        (arrival[n] for n in simulator.circuit.output_map.values()),
+        default=0,
+    )
 
 
 def evaluate_packed(

@@ -91,6 +91,23 @@ class Circuit:
         self._fanout_count: List[int] = []
         self._const_val: Dict[int, int] = {}  # nets with known constant value
         self._const_nets: Dict[int, int] = {}  # value -> canonical const net
+        self._frozen = False
+
+    def freeze(self) -> "Circuit":
+        """Make the netlist read-only (shareable) and return it.
+
+        ``input``/``gate``/``output`` raise :class:`RuntimeError` from
+        then on; derived-data memos stay settable.
+        """
+        self._frozen = True
+        return self
+
+    def _check_mutable(self) -> None:
+        if self._frozen:
+            raise RuntimeError(
+                f"circuit {self.name!r} is frozen (shared); derive a new "
+                f"circuit instead of mutating it"
+            )
 
     # ------------------------------------------------------------------ nets
     @property
@@ -111,6 +128,7 @@ class Circuit:
 
     def input(self, name: Optional[str] = None) -> int:
         """Create a primary input net."""
+        self._check_mutable()
         net = self._new_net()
         self._driven[net] = True
         self.input_nets.append(net)
@@ -123,6 +141,7 @@ class Circuit:
 
     def output(self, name: str, net: int) -> None:
         """Mark *net* as a primary output under *name*."""
+        self._check_mutable()
         self._check_net(net)
         if name in self.output_map:
             raise ValueError(f"duplicate output name {name!r}")
@@ -150,6 +169,7 @@ class Circuit:
         return the existing net — so datapaths built with constant operands
         (e.g. fixed filter coefficients) shrink to their live logic.
         """
+        self._check_mutable()
         if op not in OPS:
             raise ValueError(f"unknown op {op!r}")
         lo, hi = OPS[op]

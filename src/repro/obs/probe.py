@@ -194,14 +194,11 @@ def _probe_shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     Integer partials merge in shard order, so the probe result is
     independent of ``jobs`` (same guarantee as ``_mc_shard_worker``).
     """
-    from repro.sim.montecarlo import (
-        _worker_om,
-        settle_depths,
-        uniform_digit_batch,
-    )
+    from repro.core.online_multiplier import OnlineMultiplier
+    from repro.sim.montecarlo import settle_depths, uniform_digit_batch
 
     ndigits = payload["ndigits"]
-    om = _worker_om(ndigits, payload["delta"])
+    om = OnlineMultiplier(ndigits, payload["delta"])
     rng = np.random.default_rng(payload["seed_seq"])
     m = payload["samples"]
     xd = uniform_digit_batch(ndigits, m, rng)

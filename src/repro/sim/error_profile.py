@@ -178,7 +178,7 @@ def _design_groups(design: str, ndigits: int) -> Dict[str, object]:
 
 def _profile_shard_worker(payload: Dict[str, Any]) -> np.ndarray:
     """One profile shard: mismatch counts over the (step, position) grid."""
-    from repro.sim.sweep import sweep_shard_ports, worker_harness
+    from repro.sim.sweep import worker_harness
 
     design = payload["design"]
     ndigits = payload["ndigits"]
@@ -186,9 +186,7 @@ def _profile_shard_worker(payload: Dict[str, Any]) -> np.ndarray:
         design, ndigits, payload["backend"], payload["delay_model"]
     )
     rng = np.random.default_rng(payload["seed_seq"])
-    ports = sweep_shard_ports(
-        design, ndigits, harness, rng, payload["samples"]
-    )
+    ports = harness.random_ports(rng, payload["samples"])
     spec = _design_groups(design, ndigits)
     needed = {name for group in spec["digit_groups"] for name in group}
     with current_tracer().span(
@@ -373,7 +371,7 @@ def run_error_profile(
     vector engine (the default there) the whole grid is captured in one
     fused pass.
     """
-    from repro.sim.sweep import _sweep_circuit
+    from repro.sim.sweep import design_circuit
 
     if timing == "stage":
         if delay_model is not None:
@@ -389,7 +387,7 @@ def run_error_profile(
             f"unknown timing {timing!r}; expected 'gate' or 'stage'"
         )
     model = delay_model if delay_model is not None else FpgaDelay()
-    circuit = _sweep_circuit(design, config.ndigits)
+    circuit = design_circuit(design, config.ndigits)
     if steps is None:
         settle = static_timing(circuit, model).critical_delay
         steps = range(settle + 1)

@@ -140,19 +140,6 @@ class MonteCarloResult:
 
 # --------------------------------------------------------------- shard workers
 
-#: per-process multiplier memo, keyed by (ndigits, delta)
-_OM_CACHE: Dict[Tuple[int, int], OnlineMultiplier] = {}
-
-
-def _worker_om(ndigits: int, delta: int) -> OnlineMultiplier:
-    key = (ndigits, delta)
-    om = _OM_CACHE.get(key)
-    if om is None:
-        om = OnlineMultiplier(ndigits, delta)
-        _OM_CACHE[key] = om
-    return om
-
-
 def _mc_shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     """One Monte-Carlo shard: per-depth |error| sums and violation counts.
 
@@ -161,7 +148,7 @@ def _mc_shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     is then independent of ``jobs``.
     """
     ndigits = payload["ndigits"]
-    om = _worker_om(ndigits, payload["delta"])
+    om = OnlineMultiplier(ndigits, payload["delta"])
     rng = np.random.default_rng(payload["seed_seq"])
     m = payload["samples"]
     xd = uniform_digit_batch(ndigits, m, rng)
@@ -186,7 +173,7 @@ def _mc_shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
 def _settle_shard_worker(payload: Dict[str, Any]) -> Dict[int, int]:
     """One settling-depth shard: ``depth -> sample count`` (exact ints)."""
     ndigits = payload["ndigits"]
-    om = _worker_om(ndigits, payload["delta"])
+    om = OnlineMultiplier(ndigits, payload["delta"])
     rng = np.random.default_rng(payload["seed_seq"])
     m = payload["samples"]
     xd = uniform_digit_batch(ndigits, m, rng)

@@ -50,11 +50,13 @@ from repro.core.conversion import (
     scaled_int_to_digits,
 )
 from repro.core.online_multiplier import OnlineMultiplier
-from repro.arith.array_multiplier import build_array_multiplier
-from repro.netlist.compiled import circuit_fingerprint, make_simulator
+from repro.netlist.compiled import (
+    circuit_fingerprint,
+    critical_delay,
+    make_simulator,
+)
 from repro.netlist.delay import DelayModel, FpgaDelay, UnitDelay, delay_signature
 from repro.netlist.engines import resolve_backend
-from repro.netlist.sta import static_timing
 from repro.numrep.rounding import ceil_scaled, floor_ratio
 from repro.obs.trace import current_tracer
 from repro.runners.cache import cache_for, cache_key
@@ -74,10 +76,6 @@ from repro.runners.results import (
     restore_metrics,
 )
 from repro.sim.montecarlo import uniform_digit_batch
-
-#: designs :func:`run_sweep` can build
-SWEEP_DESIGNS = ("online", "traditional")
-
 
 @register_result
 @dataclass
@@ -212,7 +210,11 @@ class SweepResult:
 
 
 class SweepHarness:
-    """Shared machinery: build once, sweep many batches.
+    """Shared machinery: a cheap view that sweeps many batches.
+
+    The circuit is the frozen netlist of
+    :func:`~repro.netlist.compiled.shared_circuit` and the simulator comes
+    from the compile LRU, so one harness per shard costs two cache hits.
 
     ``backend`` selects the simulation engine: ``"packed"`` (the
     default, :func:`~repro.netlist.engines.resolve_backend`) compiles
@@ -235,7 +237,7 @@ class SweepHarness:
         self.simulator = make_simulator(
             circuit, self.delay_model, self.backend
         )
-        self.rated_step = static_timing(circuit, self.delay_model).critical_delay
+        self.rated_step = critical_delay(self.simulator)
 
     def decode(self, outputs: Dict[str, np.ndarray]) -> np.ndarray:
         raise NotImplementedError
@@ -333,34 +335,6 @@ def _sweep_from_partials(
     )
 
 
-def _harness_spec(spec, kind: str, style: Optional[str] = None):
-    """Resolve *spec* (registry name or OperatorSpec) for a harness.
-
-    Imported lazily: :mod:`repro.synth` depends on :mod:`repro.sim` for
-    nothing at import time, but keeping the edge out of module scope
-    makes the layering obvious and cheap.
-    """
-    from repro.synth.spec import OperatorSpec, operator_spec
-
-    resolved = operator_spec(spec) if isinstance(spec, str) else spec
-    if not isinstance(resolved, OperatorSpec):
-        raise TypeError(
-            f"spec must be a registry name or an OperatorSpec, "
-            f"got {type(resolved).__name__}"
-        )
-    if resolved.kind != kind:
-        raise ValueError(
-            f"operator spec {resolved.name!r} is a {resolved.kind!r} "
-            f"implementation; this harness sweeps {kind!r} operators"
-        )
-    if style is not None and resolved.style != style:
-        raise ValueError(
-            f"operator spec {resolved.name!r} has style {resolved.style!r}; "
-            f"this harness requires style {style!r}"
-        )
-    return resolved
-
-
 class OnlineMultiplierHarness(SweepHarness):
     """Gate-level online multiplier under overclocking.
 
@@ -375,9 +349,11 @@ class OnlineMultiplierHarness(SweepHarness):
         delay_model: Optional[DelayModel] = None,
         backend: Optional[str] = None,
     ) -> None:
-        self.spec = _harness_spec(spec, kind="mul", style="online")
+        from repro.synth.spec import resolve_operator
+
+        self.spec = resolve_operator(spec, "mul", "online")
         self.ndigits = ndigits
-        super().__init__(self.spec.build(ndigits), delay_model, backend)
+        super().__init__(self.spec.circuit(ndigits), delay_model, backend)
 
     @classmethod
     def from_spec(cls, spec="online-mult", **fmt) -> "OnlineMultiplierHarness":
@@ -415,6 +391,12 @@ class OnlineMultiplierHarness(SweepHarness):
     def sweep(self, xdigits: np.ndarray, ydigits: np.ndarray) -> SweepResult:
         return self.run(self.encode(xdigits, ydigits))
 
+    def random_ports(self, rng: np.random.Generator, m: int) -> Dict[str, np.ndarray]:
+        """Port values of *m* uniform random digit-vector operand pairs."""
+        xd = uniform_digit_batch(self.ndigits, m, rng)
+        yd = uniform_digit_batch(self.ndigits, m, rng)
+        return self.encode(xd, yd)
+
 
 class TraditionalMultiplierHarness(SweepHarness):
     """Gate-level two's-complement array multiplier under overclocking.
@@ -430,10 +412,12 @@ class TraditionalMultiplierHarness(SweepHarness):
         delay_model: Optional[DelayModel] = None,
         backend: Optional[str] = None,
     ) -> None:
-        self.spec = _harness_spec(spec, kind="mul", style="traditional")
+        from repro.synth.spec import resolve_operator
+
+        self.spec = resolve_operator(spec, "mul", "traditional")
         self.width = width
         super().__init__(
-            self.spec.build(width - 1, width=width), delay_model, backend
+            self.spec.circuit(width - 1, width=width), delay_model, backend
         )
 
     @classmethod
@@ -479,25 +463,41 @@ class TraditionalMultiplierHarness(SweepHarness):
     def sweep(self, x_scaled: np.ndarray, y_scaled: np.ndarray) -> SweepResult:
         return self.run(self.encode(x_scaled, y_scaled))
 
+    def random_ports(self, rng: np.random.Generator, m: int) -> Dict[str, np.ndarray]:
+        """Port values of *m* uniform random operand pairs (symmetric range)."""
+        lim = 2 ** (self.width - 1) - 1
+        xs = rng.integers(-lim, lim + 1, m)
+        ys = rng.integers(-lim, lim + 1, m)
+        return self.encode(xs, ys)
+
 
 # --------------------------------------------------------------- shard workers
 
-#: per-process harness memo, keyed by (design, ndigits, backend, delay sig,
-#: exact per-gate delay assignment)
-_HARNESS_CACHE: Dict[Any, SweepHarness] = {}
+#: sweep design -> (operator spec, harness class)
+_DESIGNS = {
+    "online": ("online-mult", OnlineMultiplierHarness),
+    "traditional": ("array-mult", TraditionalMultiplierHarness),
+}
 
-#: per-process circuit memo for computing delay assignments in the memo key
-_CIRCUIT_CACHE: Dict[Any, Any] = {}
+#: designs :func:`run_sweep` can build
+SWEEP_DESIGNS = tuple(_DESIGNS)
 
 
-def _worker_circuit(design: str, ndigits: int):
-    """Per-process netlist memo (one build per (design, ndigits))."""
-    key = (design, ndigits)
-    circuit = _CIRCUIT_CACHE.get(key)
-    if circuit is None:
-        circuit = _sweep_circuit(design, ndigits)
-        _CIRCUIT_CACHE[key] = circuit
-    return circuit
+def _design(design: str):
+    try:
+        return _DESIGNS[design]
+    except KeyError:
+        raise ValueError(
+            f"unknown design {design!r}; expected one of {SWEEP_DESIGNS}"
+        ) from None
+
+
+def design_circuit(design: str, ndigits: int):
+    """The shared, frozen netlist of one sweep design (the traditional
+    one is ``ndigits + 1`` bits wide, the paper's range-parity pairing)."""
+    from repro.synth.spec import operator_spec
+
+    return operator_spec(_design(design)[0]).circuit(ndigits)
 
 
 def worker_harness(
@@ -506,78 +506,26 @@ def worker_harness(
     backend: str,
     delay_model: DelayModel,
 ) -> SweepHarness:
-    """Per-process harness memo (one netlist compile per worker process).
+    """The harness of one design, built fresh (it is a cheap view).
 
-    The memo key includes the model's **exact per-gate delay assignment**,
-    not just its :func:`delay_signature`: the signature renders instance
-    attributes with ``repr``, which elides the middle of large numpy
-    arrays, so two models differing only inside an elided region would
-    alias one memo entry and silently reuse the wrong compiled timing.
-    Computing the assignment costs one :meth:`DelayModel.assign` pass per
-    shard (microseconds against a multi-second compile), with the circuit
-    itself memoized per process.
+    Nothing is memoized here: the compile LRU keys the model's exact
+    per-gate delays, never the ``repr``-based :func:`delay_signature`,
+    under which models differing in an elided numpy region alias.
     """
-    circuit = _worker_circuit(design, ndigits)
-    key = (
-        design,
-        ndigits,
-        backend,
-        delay_signature(delay_model),
-        tuple(int(d) for d in delay_model.assign(circuit)),
+    spec, cls = _design(design)
+    return cls.from_spec(
+        spec, ndigits=ndigits, delay_model=delay_model, backend=backend
     )
-    harness = _HARNESS_CACHE.get(key)
-    if harness is None:
-        if design == "online":
-            harness = OnlineMultiplierHarness.from_spec(
-                "online-mult",
-                ndigits=ndigits,
-                delay_model=delay_model,
-                backend=backend,
-            )
-        elif design == "traditional":
-            harness = TraditionalMultiplierHarness.from_spec(
-                "array-mult",
-                ndigits=ndigits,
-                delay_model=delay_model,
-                backend=backend,
-            )
-        else:
-            raise ValueError(
-                f"unknown design {design!r}; expected one of {SWEEP_DESIGNS}"
-            )
-        _HARNESS_CACHE[key] = harness
-    return harness
-
-
-def sweep_shard_ports(
-    design: str,
-    ndigits: int,
-    harness: SweepHarness,
-    rng: np.random.Generator,
-    m: int,
-) -> Dict[str, np.ndarray]:
-    """Draw one shard's operand batch and encode it as port values."""
-    if design == "online":
-        xd = uniform_digit_batch(ndigits, m, rng)
-        yd = uniform_digit_batch(ndigits, m, rng)
-        return harness.encode(xd, yd)
-    lim = 2**ndigits - 1
-    xs = rng.integers(-lim, lim + 1, m)
-    ys = rng.integers(-lim, lim + 1, m)
-    return harness.encode(xs, ys)
 
 
 def _sweep_shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     """One sweep shard: generate operands, simulate, return exact partials."""
     design = payload["design"]
-    ndigits = payload["ndigits"]
     harness = worker_harness(
-        design, ndigits, payload["backend"], payload["delay_model"]
+        design, payload["ndigits"], payload["backend"], payload["delay_model"]
     )
     rng = np.random.default_rng(payload["seed_seq"])
-    ports = sweep_shard_ports(
-        design, ndigits, harness, rng, payload["samples"]
-    )
+    ports = harness.random_ports(rng, payload["samples"])
     with current_tracer().span(
         "sweep.simulate",
         design=design,
@@ -585,16 +533,6 @@ def _sweep_shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
         samples=payload["samples"],
     ):
         return harness.run_partial(ports)
-
-
-def _sweep_circuit(design: str, ndigits: int):
-    if design == "online":
-        return OnlineMultiplier(ndigits).build_circuit()
-    if design == "traditional":
-        return build_array_multiplier(ndigits + 1)
-    raise ValueError(
-        f"unknown design {design!r}; expected one of {SWEEP_DESIGNS}"
-    )
 
 
 # ------------------------------------------------------- stage-timing sweeps
@@ -897,7 +835,7 @@ def run_sweep(
         key = None
         key_components = None
         if cache is not None:
-            circuit = _sweep_circuit(design, config.ndigits)
+            circuit = design_circuit(design, config.ndigits)
             key_components = dict(
                 experiment="sweep",
                 design=design,

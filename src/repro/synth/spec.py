@@ -55,6 +55,7 @@ from repro.core.model.expectation import OverclockingErrorModel
 from repro.core.online_adder import build_online_adder
 from repro.core.online_multiplier import OnlineMultiplier
 from repro.netlist.area import AreaReport, estimate_area
+from repro.netlist.compiled import shared_circuit
 from repro.netlist.delay import UnitDelay
 from repro.netlist.sta import static_timing
 
@@ -62,6 +63,7 @@ __all__ = [
     "OperatorSpec",
     "register_operator",
     "operator_spec",
+    "resolve_operator",
     "registered_operators",
     "default_spec_name",
     "stage_quantum",
@@ -136,6 +138,18 @@ class OperatorSpec:
             raise ValueError(f"spec kind must be 'mul' or 'add', got {self.kind!r}")
 
     # ------------------------------------------------------------ hooks
+    def circuit(self, ndigits: int, delta: int = 3, width: Optional[int] = None):
+        """The standalone netlist from the process-wide table (frozen).
+
+        ``width`` is normalized first, so every spelling of one netlist
+        shares a single table entry.
+        """
+        if self.style == "online":
+            width = None
+        elif width is None:
+            width = ndigits + 1
+        return shared_circuit(self.build, ndigits, delta, width)
+
     def stages(self, ndigits: int, delta: int = 3, width: Optional[int] = None) -> int:
         """Propagation depth in stage-delay units ``mu`` (memoized)."""
         return spec_stages(self, ndigits, delta, width)
@@ -189,6 +203,30 @@ def operator_spec(name: str) -> OperatorSpec:
         ) from None
 
 
+def resolve_operator(
+    spec, kind: str, style: Optional[str] = None
+) -> OperatorSpec:
+    """*spec* (registry name or OperatorSpec), checked to be a *kind*
+    operator — and of *style*, when given."""
+    resolved = operator_spec(spec) if isinstance(spec, str) else spec
+    if not isinstance(resolved, OperatorSpec):
+        raise TypeError(
+            f"spec must be a registry name or an OperatorSpec, "
+            f"got {type(resolved).__name__}"
+        )
+    if resolved.kind != kind:
+        raise ValueError(
+            f"operator spec {resolved.name!r} is a {resolved.kind!r} "
+            f"implementation; expected a {kind!r} operator"
+        )
+    if style is not None and resolved.style != style:
+        raise ValueError(
+            f"operator spec {resolved.name!r} has style {resolved.style!r}; "
+            f"expected style {style!r}"
+        )
+    return resolved
+
+
 def registered_operators(
     kind: Optional[str] = None, style: Optional[str] = None
 ) -> List[OperatorSpec]:
@@ -226,9 +264,9 @@ def stage_quantum(ndigits: int, delta: int = 3) -> Fraction:
     """
     key = (ndigits, delta)
     if key not in _QUANTUM_MEMO:
-        om = OnlineMultiplier(ndigits, delta)
-        depth = static_timing(om.build_circuit(), UnitDelay()).critical_delay
-        _QUANTUM_MEMO[key] = Fraction(depth, om.num_stages)
+        circuit = operator_spec("online-mult").circuit(ndigits, delta)
+        depth = static_timing(circuit, UnitDelay()).critical_delay
+        _QUANTUM_MEMO[key] = Fraction(depth, ndigits + delta)
     return _QUANTUM_MEMO[key]
 
 
@@ -242,7 +280,7 @@ def spec_stages(
             # mu is defined from this very netlist; avoid the rebuild
             _DEPTH_MEMO[key] = ndigits + delta
         else:
-            circuit = spec.build(ndigits, delta=delta, width=width)
+            circuit = spec.circuit(ndigits, delta, width)
             depth = static_timing(circuit, UnitDelay()).critical_delay
             mu = stage_quantum(ndigits, delta)
             # ceil(depth / mu), exactly
@@ -258,7 +296,7 @@ def spec_area(
     """Area estimate of *spec*'s standalone netlist (memoized)."""
     key = (spec.name, ndigits, delta, width)
     if key not in _AREA_MEMO:
-        _AREA_MEMO[key] = estimate_area(spec.build(ndigits, delta=delta, width=width))
+        _AREA_MEMO[key] = estimate_area(spec.circuit(ndigits, delta, width))
     return _AREA_MEMO[key]
 
 

@@ -133,3 +133,103 @@ class TestCacheAndResume:
         with pytest.warns(RuntimeWarning, match="corrupt"):
             resumed = run_fault_campaign(config, **ARGS)
         assert np.array_equal(golden.online_error, resumed.online_error)
+
+
+def _curves(result):
+    return result.online_error.tolist(), result.traditional_error.tolist()
+
+
+class TestSharedCircuits:
+    """Campaigns build each netlist once and never mutate the shared one."""
+
+    def test_each_builder_runs_once_per_process(self, monkeypatch):
+        import repro.synth.spec as spec_module
+        from repro.core.online_multiplier import OnlineMultiplier
+        from repro.netlist.compiled import clear_compile_cache
+        from repro.sim.sweep import run_sweep
+
+        calls = {"online": 0, "traditional": 0}
+        build_om = OnlineMultiplier.build_circuit
+        build_am = spec_module.build_array_multiplier
+
+        def counting_om(self, *args, **kwargs):
+            calls["online"] += 1
+            return build_om(self, *args, **kwargs)
+
+        def counting_am(*args, **kwargs):
+            calls["traditional"] += 1
+            return build_am(*args, **kwargs)
+
+        monkeypatch.setattr(OnlineMultiplier, "build_circuit", counting_om)
+        monkeypatch.setattr(spec_module, "build_array_multiplier", counting_am)
+        clear_compile_cache()
+        config = small_config(jobs=1, cache_dir=None)
+        run_fault_campaign(config, num_samples=80)
+        for design in ("online", "traditional"):
+            run_sweep(config, design=design, num_samples=80)
+        clear_compile_cache()
+        assert calls == {"online": 1, "traditional": 1}
+
+    def test_fault_transforms_leave_shared_circuits_untouched(self):
+        from repro.netlist.compiled import circuit_fingerprint
+        from repro.sim.sweep import design_circuit
+
+        config = small_config(jobs=1, cache_dir=None)
+        circuits = [design_circuit(d, 4) for d in ("online", "traditional")]
+        before = [
+            (c.num_gates, c.name, circuit_fingerprint(c)) for c in circuits
+        ]
+        stuck = run_fault_campaign(
+            config, model="stuck", rates=(0.0, 0.2), num_samples=80
+        )
+        drift = run_fault_campaign(
+            config, model="drift", rates=(0.0, 0.5), num_samples=80
+        )
+        assert stuck.fault_stats.stuck_gates > 0
+        assert drift.fault_stats.drifted_gates > 0
+        after = [
+            (c.num_gates, c.name, circuit_fingerprint(c))
+            for c in (design_circuit(d, 4) for d in ("online", "traditional"))
+        ]
+        assert after == before
+
+
+class TestAliasingDelayModels:
+    """Two models with one ``repr`` signature must not share answers."""
+
+    ARGS = dict(model="drift", rates=(0.0, 0.5), num_samples=80, overclock=1.5)
+
+    def test_second_model_matches_a_fresh_process(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from tests.delay_models import aliasing_pair
+
+        fast, slow = aliasing_pair()
+        config = small_config(jobs=1, cache_dir=None)
+        first = run_fault_campaign(config, delay_model=fast, **self.ARGS)
+        second = run_fault_campaign(config, delay_model=slow, **self.ARGS)
+        assert _curves(first) != _curves(second)
+
+        root = Path(__file__).resolve().parents[2]
+        script = (
+            "import json\n"
+            "from repro.faults import run_fault_campaign\n"
+            "from repro.runners import RunConfig\n"
+            "from tests.delay_models import aliasing_pair\n"
+            "result = run_fault_campaign(\n"
+            "    RunConfig(ndigits=4, shard_size=40, jobs=1, cache_dir=None),\n"
+            f"    delay_model=aliasing_pair()[1], **{self.ARGS!r})\n"
+            "print(json.dumps([result.online_error.tolist(),\n"
+            "                  result.traditional_error.tolist()]))\n"
+        )
+        fresh = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=root,
+            env={"PYTHONPATH": f"{root / 'src'}:{root}", "PATH": ""},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert list(_curves(second)) == json.loads(fresh.stdout)

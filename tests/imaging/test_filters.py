@@ -102,6 +102,11 @@ class TestKernelAndReference:
         with pytest.raises(ValueError):
             gaussian_reference(np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 5), (5, 2)])
+    def test_patches_reject_images_without_interior(self, shape):
+        with pytest.raises(ValueError, match="3x3"):
+            image_patches(np.zeros(shape, dtype=np.uint8))
+
     def test_patches_layout(self):
         img = np.arange(16, dtype=np.uint8).reshape(4, 4)
         patches = image_patches(img)
@@ -238,3 +243,50 @@ class TestDegenerateFrameStudy:
         )
         assert again.run_stats.cache == "hit"
         np.testing.assert_array_equal(again.snr_db, study.snr_db)
+
+
+class TestSharedDatapaths:
+    """Datapaths are views over the netlist table and the compile LRU."""
+
+    @pytest.mark.parametrize("backend", ["packed", "wave"])
+    @pytest.mark.parametrize("arith", ["traditional", "online"])
+    def test_rated_step_matches_static_timing(self, arith, backend):
+        from repro.netlist.delay import FpgaDelay
+        from repro.netlist.sta import static_timing
+
+        model = FpgaDelay()
+        dp = GaussianFilterDatapath(arith, delay_model=model, backend=backend)
+        expected = static_timing(dp.circuit, model).critical_delay
+        assert dp.rated_step == expected
+
+    def test_equal_datapaths_share_one_circuit(self):
+        a = GaussianFilterDatapath("online", delay_model=UnitDelay())
+        b = GaussianFilterDatapath("online", delay_model=UnitDelay())
+        assert a.circuit is b.circuit
+        assert a.simulator is b.simulator
+
+    @pytest.mark.parametrize("size", [0, 1, 2])
+    def test_study_rejects_images_without_interior(self, size):
+        from repro.imaging.filters import run_filter_study
+        from repro.runners import RunConfig
+
+        with pytest.raises(ValueError, match="size must be >= 3"):
+            run_filter_study(RunConfig(ndigits=8, cache_dir=None), size=size)
+
+    def test_aliasing_delay_models_get_their_own_timing(self):
+        """Two models with one ``repr`` signature must not share answers."""
+        from repro.imaging.filters import run_filter_study
+        from repro.runners import RunConfig
+        from tests.delay_models import aliasing_pair
+
+        config = RunConfig(ndigits=8, jobs=1, cache_dir=None)
+        args = dict(images=["lena"], factors=[1.05], size=8)
+        fast, slow = aliasing_pair()
+        run_filter_study(config, delay_model=fast, **args)
+        study = run_filter_study(config, delay_model=slow, **args)
+        image = benchmark_image("lena", size=8)
+        for arith in study.arithmetics:
+            fresh = GaussianFilterDatapath(arith, delay_model=slow).apply(image)
+            steps = study.steps(arith, "lena")
+            assert steps["rated_step"] == fresh.rated_step
+            assert steps["error_free_step"] == fresh.error_free_step

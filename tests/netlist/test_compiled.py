@@ -12,6 +12,7 @@ from repro.netlist.compiled import (
     evaluate_packed,
     make_simulator,
     resolve_backend,
+    shared_circuit,
 )
 from repro.netlist.delay import FpgaDelay, UnitDelay
 from repro.netlist.engines import BACKENDS
@@ -140,6 +141,57 @@ def test_compile_cache_hits_and_lru():
         "hits": 0, "misses": 0, "size": 0,
         "max_size": compile_cache_info()["max_size"],
     }
+
+
+# ------------------------------------------------------------- circuit table
+
+class TestSharedCircuit:
+    def test_one_build_per_key(self):
+        clear_compile_cache()
+        calls = []
+
+        def build(name):
+            calls.append(name)
+            return _toy_circuit(name)
+
+        first = shared_circuit(build, "x")
+        assert shared_circuit(build, "x") is first
+        assert shared_circuit(build, "y") is not first
+        assert calls == ["x", "y"]
+        clear_compile_cache()  # empties the table too
+        assert shared_circuit(build, "x") is not first
+        assert calls == ["x", "y", "x"]
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda c: c.input("extra"),
+            lambda c: c.gate("AND", 0, 1),
+            lambda c: c.output("extra", 0),
+            lambda c: c.const1(),
+        ],
+        ids=["input", "gate", "output", "const"],
+    )
+    def test_frozen_circuit_rejects_mutation(self, mutate):
+        c = shared_circuit(_toy_circuit, "frozen")
+        before = circuit_fingerprint(c)
+        with pytest.raises(RuntimeError, match="frozen"):
+            mutate(c)
+        assert circuit_fingerprint(c) == before
+
+    def test_frozen_circuit_keeps_derived_memos(self):
+        from repro.netlist.sta import critical_path
+
+        c = shared_circuit(_toy_circuit, "memo")
+        circuit_fingerprint(c)
+        assert critical_path(c, UnitDelay())  # sets _gate_pos_cache
+        assert c._fingerprint_cache is not None
+
+    def test_builders_still_return_mutable_circuits(self):
+        from repro.core.online_multiplier import OnlineMultiplier
+
+        c = OnlineMultiplier(3).build_circuit()
+        c.output("extra", c.gate("AND", c.input_nets[0], c.input_nets[1]))
 
 
 def test_fingerprint_tracks_mutation():

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.netlist.delay import (
-    FREE_OPS,
-    DelayModel,
-    UnitDelay,
-    delay_signature,
-)
+from repro.netlist.delay import FpgaDelay, UnitDelay, delay_signature
+from repro.netlist.sta import static_timing
 from repro.sim.montecarlo import uniform_digit_batch
 from repro.sim.sweep import (
     OnlineMultiplierHarness,
@@ -17,6 +13,7 @@ from repro.sim.sweep import (
     max_error_free_step,
     worker_harness,
 )
+from tests.delay_models import HiddenTableDelay, aliasing_pair
 
 
 @pytest.fixture(scope="module")
@@ -323,46 +320,40 @@ class TestFromSpec:
         assert h.spec is operator_spec("online-mult")
 
 
-class _HiddenTableDelay(DelayModel):
-    """A delay model whose identity hides inside a large numpy array.
-
-    ``repr`` of arrays beyond numpy's summarization threshold (1000
-    elements) elides the middle, so two instances differing only there
-    used to collide in ``worker_harness``'s memo via
-    :func:`delay_signature`.
-    """
-
-    def __init__(self, table):
-        self.table = np.asarray(table, dtype=np.int64)
-
-    def assign(self, circuit):
-        return [
-            0 if g.op in FREE_OPS else int(self.table[i % self.table.size])
-            for i, g in enumerate(circuit.gates)
-        ]
-
-
 class TestWorkerHarnessMemo:
+    """Harnesses are views: the circuit is shared, the engine keys delays."""
+
     def test_signature_aliases_but_memo_does_not(self):
-        base = np.ones(1001, dtype=np.int64)
-        slow = base.copy()
-        slow[10:40] = 50  # hidden inside the elided repr region
-        model_a = _HiddenTableDelay(base)
-        model_b = _HiddenTableDelay(slow)
+        model_a, model_b = aliasing_pair()
         # the repr-based signature cannot tell them apart ...
         assert delay_signature(model_a) == delay_signature(model_b)
-        # ... but the memo must: the compiled timings differ
+        # ... but the compile LRU must: the compiled timings differ
         h_a = worker_harness("online", 3, "packed", model_a)
         h_b = worker_harness("online", 3, "packed", model_b)
-        assert h_a is not h_b
+        assert h_a.circuit is h_b.circuit
+        assert h_a.simulator is not h_b.simulator
         assert h_a.rated_step != h_b.rated_step
 
     def test_equal_models_still_share_one_entry(self):
-        model_a = _HiddenTableDelay(np.ones(1001, dtype=np.int64))
-        model_b = _HiddenTableDelay(np.ones(1001, dtype=np.int64))
-        assert worker_harness("online", 3, "packed", model_a) is (
-            worker_harness("online", 3, "packed", model_b)
-        )
+        model_a = HiddenTableDelay(np.ones(1001, dtype=np.int64))
+        model_b = HiddenTableDelay(np.ones(1001, dtype=np.int64))
+        h_a = worker_harness("online", 3, "packed", model_a)
+        h_b = worker_harness("online", 3, "packed", model_b)
+        assert h_a.circuit is h_b.circuit
+        assert h_a.simulator is h_b.simulator
+
+
+class TestRatedStep:
+    """``rated_step`` read off the engine equals the static-timing figure."""
+
+    @pytest.mark.parametrize("backend", ["packed", "wave"])
+    @pytest.mark.parametrize("design", ["online", "traditional"])
+    def test_matches_static_timing(self, design, backend):
+        model = FpgaDelay()
+        harness = worker_harness(design, 6, backend, model)
+        assert harness.simulator.circuit is harness.circuit
+        expected = static_timing(harness.circuit, model).critical_delay
+        assert harness.rated_step == expected
 
 
 class TestComparison:

@@ -72,6 +72,11 @@ class TestCommands:
             ["sweep", "--periods", "0"],
             ["sweep", "--periods", "0.5", "inf"],
             ["filter", "--size", "0"],
+            ["filter", "--size", "1"],
+            ["filter", "--size", "2"],
+            ["faults", "--rates", "2"],
+            ["faults", "--rates", "0.1", "-0.5"],
+            ["faults", "--rates", "nan"],
             ["synth", "--wordlengths", "-3"],
             ["model", "--jobs", "0"],
         ],
