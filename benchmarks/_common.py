@@ -2,7 +2,9 @@
 
 Every ``bench_*`` module regenerates one table or figure of the paper and
 
-* prints the regenerated rows (also written to ``benchmarks/results/``),
+* prints the regenerated rows (also written to ``benchmarks/results/``,
+  except on ``--quick`` smoke runs, whose small batches must not
+  overwrite the committed tables),
 * exposes a representative kernel to ``pytest-benchmark`` so the suite
   doubles as a performance regression harness.
 
@@ -84,10 +86,15 @@ def run_config(**overrides) -> RunConfig:
 LEDGER_PATH = RESULTS_DIR / "ledger.jsonl"
 
 
-def emit(name: str, text: str) -> None:
-    """Print a regenerated table and persist it under results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+def emit(name: str, text: str, persist: bool = True) -> None:
+    """Print a regenerated table; with *persist*, also write it to results/.
+
+    ``--quick`` smoke runs pass ``persist=False``: they print the table
+    and leave the committed full-size one untouched.
+    """
+    if persist:
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     print()
     print(text)
 

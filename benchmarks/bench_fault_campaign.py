@@ -147,6 +147,7 @@ def main(argv=None) -> int:
                 f"multipliers, {num_samples} samples"
             ),
         ),
+        persist=not args.quick,
     )
     failures = acceptance_failures(measures)
     for failure in failures:

@@ -124,7 +124,7 @@ def compare_paths(num_samples: int, repeats: int = 3):
     return rows
 
 
-def report(num_samples: int, repeats: int = 3):
+def report(num_samples: int, repeats: int = 3, persist: bool = True):
     rows = compare_paths(num_samples, repeats)
     emit(
         "fused_sweep",
@@ -137,6 +137,7 @@ def report(num_samples: int, repeats: int = 3):
                 "per-period evaluation"
             ),
         ),
+        persist=persist,
     )
     return rows
 
@@ -179,7 +180,11 @@ def main(argv=None) -> int:
         num_samples = args.samples
     else:
         num_samples = 4000 if args.quick else MC_SAMPLES
-    rows = report(num_samples, repeats=1 if args.quick else 3)
+    rows = report(
+        num_samples,
+        repeats=1 if args.quick else 3,
+        persist=not args.quick,
+    )
     speedup = _kernel_speedup(rows)
     publish(
         "fused_sweep",

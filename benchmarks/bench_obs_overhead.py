@@ -88,7 +88,12 @@ def measure(num_shards: int, shard_samples: int, repeats: int = 5):
     return t_plain, t_instr, overhead
 
 
-def report(num_shards: int, shard_samples: int, repeats: int = 5):
+def report(
+    num_shards: int,
+    shard_samples: int,
+    repeats: int = 5,
+    persist: bool = True,
+):
     t_plain, t_instr, overhead = measure(num_shards, shard_samples, repeats)
     emit(
         "obs_overhead",
@@ -108,6 +113,7 @@ def report(num_shards: int, shard_samples: int, repeats: int = 5):
                 f"(budget {100 * OVERHEAD_BUDGET:.0f}%)"
             ),
         ),
+        persist=persist,
     )
     return overhead
 
@@ -137,7 +143,9 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     if args.quick:
-        overhead = report(num_shards=16, shard_samples=250, repeats=3)
+        overhead = report(
+            num_shards=16, shard_samples=250, repeats=3, persist=False
+        )
     else:
         overhead = report(num_shards=64, shard_samples=500, repeats=5)
     if overhead >= OVERHEAD_BUDGET:

@@ -81,7 +81,7 @@ def compare_engines(num_samples: int, repeats: int = 3):
     return rows
 
 
-def report(num_samples: int, repeats: int = 3):
+def report(num_samples: int, repeats: int = 3, persist: bool = True):
     rows = compare_engines(num_samples, repeats)
     emit(
         "packed_vs_wave",
@@ -93,6 +93,7 @@ def report(num_samples: int, repeats: int = 3):
                 "compiled bit-packed engine vs waveform simulator"
             ),
         ),
+        persist=persist,
     )
     return rows
 
@@ -133,7 +134,11 @@ def main(argv=None) -> int:
         num_samples = args.samples
     else:
         num_samples = 4000 if args.quick else MC_SAMPLES
-    rows = report(num_samples, repeats=1 if args.quick else 3)
+    rows = report(
+        num_samples,
+        repeats=1 if args.quick else 3,
+        persist=not args.quick,
+    )
     fpga_speedup = float(rows[0][4].rstrip("x"))
     if not args.quick and fpga_speedup < 10.0:
         print(f"FAIL: speedup {fpga_speedup:.1f}x < 10x")

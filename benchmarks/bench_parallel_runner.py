@@ -161,6 +161,7 @@ def main(argv=None) -> int:
                 f"{num_samples} samples"
             ),
         ),
+        persist=not args.quick,
     )
 
     publish(

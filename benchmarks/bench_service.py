@@ -435,6 +435,7 @@ def main(argv=None) -> int:
                 f"concurrency 4, limits {LIMITS['montecarlo']}"
             ),
         ),
+        persist=not args.quick,
     )
 
     publish(

@@ -130,7 +130,7 @@ def compare_paths(num_samples: int, repeats: int = 3):
     return rows, report, t_pruned, t_exhaustive
 
 
-def report_tables(num_samples: int, repeats: int = 3):
+def report_tables(num_samples: int, repeats: int = 3, persist: bool = True):
     rows, report, t_pruned, t_exhaustive = compare_paths(
         num_samples, repeats
     )
@@ -147,6 +147,7 @@ def report_tables(num_samples: int, repeats: int = 3):
                 f"verification ({speedup:.1f}x)"
             ),
         ),
+        persist=persist,
     )
     return report, t_pruned, t_exhaustive
 
@@ -181,7 +182,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     num_samples = args.samples or (1000 if args.quick else SAMPLES)
     report, t_pruned, t_exhaustive = report_tables(
-        num_samples, repeats=1 if args.quick else 3
+        num_samples,
+        repeats=1 if args.quick else 3,
+        persist=not args.quick,
     )
     publish(
         "synthesis",

@@ -100,7 +100,7 @@ def compare_engines(num_samples: int, repeats: int = 3):
     return rows
 
 
-def report(num_samples: int, repeats: int = 3):
+def report(num_samples: int, repeats: int = 3, persist: bool = True):
     rows = compare_engines(num_samples, repeats)
     emit(
         "vector_vs_packed",
@@ -112,6 +112,7 @@ def report(num_samples: int, repeats: int = 3):
                 "behavioral engine vs compiled bit-packed engine"
             ),
         ),
+        persist=persist,
     )
     return rows
 
@@ -162,7 +163,11 @@ def main(argv=None) -> int:
         num_samples = args.samples
     else:
         num_samples = 4000 if args.quick else MC_SAMPLES
-    rows = report(num_samples, repeats=1 if args.quick else 3)
+    rows = report(
+        num_samples,
+        repeats=1 if args.quick else 3,
+        persist=not args.quick,
+    )
     speedup = _mc_speedup(rows)
     publish(
         "vector_vs_packed",

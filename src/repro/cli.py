@@ -699,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "faults", help="fault-injection degradation curves"
     )
-    from repro.faults.models import DEFAULT_RATES, FAULT_MODELS
+    from repro.faults import DEFAULT_RATES, FAULT_MODELS
 
     p.add_argument("--model", default="jitter", choices=list(FAULT_MODELS),
                    help="fault-model family to sweep")

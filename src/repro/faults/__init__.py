@@ -39,9 +39,17 @@ uninterrupted run).
 
 from repro import _lazy
 
+#: fault-model families :func:`config_for_model` can instantiate; each
+#: maps a scalar intensity ``rate`` to one FaultConfig.  Defined here,
+#: not in :mod:`repro.faults.models`, so the CLI parser can offer them
+#: without loading the fault machinery.
+FAULT_MODELS = ("jitter", "drift", "seu", "metastable", "stuck")
+
+#: default fault-intensity grid (dimensionless, family-scaled)
+DEFAULT_RATES = (0.0, 0.02, 0.05, 0.1, 0.2)
+
 #: public name -> defining module, imported on first access
 _EXPORTS = {
-    "FAULT_MODELS": "repro.faults.models",
     "FaultConfig": "repro.faults.models",
     "config_for_model": "repro.faults.models",
     "fault_signature": "repro.faults.models",
@@ -49,7 +57,6 @@ _EXPORTS = {
     "apply_stuck_faults": "repro.faults.stuck",
     "FaultInjector": "repro.faults.inject",
     "CAMPAIGN_DESIGNS": "repro.faults.campaign",
-    "DEFAULT_RATES": "repro.faults.models",
     "FaultCampaignResult": "repro.faults.campaign",
     "FaultStats": "repro.faults.campaign",
     "run_fault_campaign": "repro.faults.campaign",
@@ -58,5 +65,5 @@ _EXPORTS = {
     "corrupt_cache_entry": "repro.faults.pipeline",
 }
 
-__all__ = list(_EXPORTS)
+__all__ = ["FAULT_MODELS", "DEFAULT_RATES", *_EXPORTS]
 __getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

@@ -27,17 +27,15 @@ Execution rides the hardened runner stack end to end:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.faults import DEFAULT_RATES
 from repro.faults.inject import CAPTURE_FAULT_KINDS, FaultInjector
-from repro.faults.models import (
-    DEFAULT_RATES,
-    FaultConfig,
-    config_for_model,
-)
+from repro.faults.models import FaultConfig, config_for_model
 from repro.faults.stuck import apply_stuck_faults
 from repro.faults.timing import DriftedDelayModel
 from repro.netlist.compiled import circuit_fingerprint, make_simulator
@@ -45,16 +43,10 @@ from repro.netlist.delay import DelayModel, FpgaDelay, delay_signature
 from repro.netlist.engines import resolve_backend
 from repro.netlist.sta import static_timing
 from repro.obs.trace import current_tracer
-from repro.runners.cache import ResultCache, cache_for, cache_key
+from repro.runners.cache import ResultCache, cache_for, cache_key, run_cached
 from repro.runners.config import RunConfig
-from repro.runners.parallel import (
-    ParallelRunner,
-    seed_tag,
-    split_samples,
-    spawn_seeds,
-)
+from repro.runners.parallel import ParallelRunner, shard_plan
 from repro.runners.results import (
-    attach_metrics,
     metrics_entry,
     register_result,
     restore_metrics,
@@ -309,200 +301,139 @@ def run_fault_campaign(
     and ``fault_stats`` attached.
     """
     engine = resolve_backend(config.backend, "netlist")
+    rates = [float(r) for r in rates]
     with current_tracer().span(
         "run.fault_campaign",
         model=model,
         ndigits=config.ndigits,
         engine=engine,
-        rates=[float(r) for r in rates],
+        rates=rates,
         num_samples=int(num_samples),
         overclock=float(overclock),
     ):
-        return _run_fault_campaign(
-            config,
-            engine,
-            model,
-            rates,
-            num_samples,
-            overclock,
-            delay_model,
-            runner,
-        )
-
-
-def _run_fault_campaign(
-    config: RunConfig,
-    engine: str,
-    model: str,
-    rates: Sequence[float],
-    num_samples: int,
-    overclock: float,
-    delay_model: Optional[DelayModel],
-    runner: Optional[ParallelRunner],
-) -> FaultCampaignResult:
-    """The campaign body; :func:`run_fault_campaign` wraps it in a span."""
-    base_model = delay_model if delay_model is not None else FpgaDelay()
-    rates = [float(r) for r in rates]
-    if not rates:
-        raise ValueError("rates must contain at least one intensity")
-    cache = cache_for(config)
-    runner = runner or ParallelRunner.from_config(config)
-    experiment = f"faults:{model}"
-    capture_steps = _capture_steps(config.ndigits, base_model, overclock)
-
-    circuits = {d: design_circuit(d, config.ndigits) for d in CAMPAIGN_DESIGNS}
-    fingerprints = {d: circuit_fingerprint(c) for d, c in circuits.items()}
-    delay_sig = delay_signature(base_model)
-    fault_configs = {
-        (d, r): config_for_model(
-            model,
-            r,
-            capture_steps[d],
-            quanta_per_unit=base_model.quanta_per_unit,
-            seed=config.seed,
-        )
-        for d in CAMPAIGN_DESIGNS
-        for r in rates
-    }
-
-    key = None
-    key_components = None
-    if cache is not None:
-        key_components = dict(
-            experiment="fault_campaign",
-            model=model,
-            rates=rates,
-            num_samples=int(num_samples),
-            overclock=float(overclock),
-            delay=delay_sig,
-            fingerprints=fingerprints,
-            delays={
-                d: list(base_model.assign(c)) for d, c in circuits.items()
-            },
-            **config.describe(),
-        )
-        key = cache_key(**key_components)
-        hit = cache.get(key)
-        if hit is not None:
-            hit.run_stats = runner.finalize_stats(
-                experiment, cache="hit"
+        base_model = delay_model if delay_model is not None else FpgaDelay()
+        if not rates:
+            raise ValueError("rates must contain at least one intensity")
+        runner = runner or ParallelRunner.from_config(config)
+        capture_steps = _capture_steps(config.ndigits, base_model, overclock)
+        circuits = {
+            d: design_circuit(d, config.ndigits) for d in CAMPAIGN_DESIGNS
+        }
+        fingerprints = {d: circuit_fingerprint(c) for d, c in circuits.items()}
+        delay_sig = delay_signature(base_model)
+        fault_configs = {
+            (d, r): config_for_model(
+                model,
+                r,
+                capture_steps[d],
+                quanta_per_unit=base_model.quanta_per_unit,
+                seed=config.seed,
             )
-            hit.fault_stats = FaultStats(model=model)
-            return attach_metrics(hit)
+            for d in CAMPAIGN_DESIGNS
+            for r in rates
+        }
 
-    sizes = split_samples(num_samples, config.shard_size)
-    # one (operand, injector) seed pair per (design, shard), shared
-    # across rates: every intensity sees the same operands and the same
-    # underlying fault draws, which couples the points of a curve.  The
-    # children are spawned here, once — spawning inside the worker would
-    # mutate the shared parent and make inline/pool layouts diverge.
-    design_seeds = {
-        d: [
-            ss.spawn(2)
-            for ss in spawn_seeds(
-                config.seed, len(sizes), seed_tag("faults"), seed_tag(d)
-            )
-        ]
-        for d in CAMPAIGN_DESIGNS
-    }
-
-    payloads: List[Dict[str, Any]] = []
-    index = 0
-    for design in CAMPAIGN_DESIGNS:
-        for rate in rates:
-            fc = fault_configs[(design, rate)]
-            for shard, m in enumerate(sizes):
-                raw_key = (
-                    _shard_raw_key(
-                        config,
-                        model,
-                        fc,
-                        design,
-                        rate,
-                        shard,
-                        m,
-                        capture_steps[design],
-                        delay_sig,
-                        fingerprints[design],
+        def compute() -> FaultCampaignResult:
+            cache = cache_for(config)  # holds the shard checkpoints
+            # one (operand, injector) seed pair per (design, shard), shared
+            # across rates: every intensity sees the same operands and the
+            # same underlying fault draws, which couples the points of a
+            # curve.  The children are spawned here, once — spawning in
+            # the worker would mutate the shared parent and make
+            # inline/pool layouts diverge.
+            plans = {
+                d: [
+                    (ss.spawn(2), m)
+                    for ss, m in shard_plan(config, num_samples, "faults", d)
+                ]
+                for d in CAMPAIGN_DESIGNS
+            }
+            payloads: List[Dict[str, Any]] = []
+            for design, rate in itertools.product(CAMPAIGN_DESIGNS, rates):
+                fc = fault_configs[(design, rate)]
+                for shard, (seqs, m) in enumerate(plans[design]):
+                    raw_key = None if cache is None else _shard_raw_key(
+                        config, model, fc, design, rate, shard, m,
+                        capture_steps[design], delay_sig, fingerprints[design],
                     )
-                    if cache is not None
-                    else None
-                )
-                payloads.append(
-                    {
-                        "design": design,
-                        "rate": rate,
-                        "shard": index,
-                        "ndigits": config.ndigits,
-                        "backend": engine,
-                        "delay_model": base_model,
-                        "fault_config": fc,
-                        "capture_step": capture_steps[design],
-                        "op_seq": design_seeds[design][shard][0],
-                        "fault_seq": design_seeds[design][shard][1],
-                        "samples": m,
-                        "cache_dir": config.cache_dir,
-                        "raw_key": raw_key,
-                    }
-                )
-                index += 1
+                    payloads.append(
+                        {
+                            "design": design,
+                            "rate": rate,
+                            "shard": len(payloads),
+                            "ndigits": config.ndigits,
+                            "backend": engine,
+                            "delay_model": base_model,
+                            "fault_config": fc,
+                            "capture_step": capture_steps[design],
+                            "op_seq": seqs[0],
+                            "fault_seq": seqs[1],
+                            "samples": m,
+                            "cache_dir": config.cache_dir,
+                            "raw_key": raw_key,
+                        }
+                    )
 
-    # resume: serve completed shards from their checkpoints
-    partials: Dict[int, Dict[str, Any]] = {}
-    resumed = 0
-    if cache is not None:
-        for payload in payloads:
-            checkpoint = cache.get_raw(payload["raw_key"])
-            if checkpoint is not None:
-                partials[payload["shard"]] = checkpoint
-                resumed += 1
-        if resumed:
-            current_tracer().event(
-                "campaign.resume", shards=resumed, total=len(payloads)
-            )
-    missing = [p for p in payloads if p["shard"] not in partials]
-    if missing:
-        computed = runner.map(
-            _campaign_shard_worker,
-            missing,
-            samples=[p["samples"] for p in missing],
-        )
-        for payload, partial in zip(missing, computed):
-            partials[payload["shard"]] = partial
+            # resume: serve completed shards from their checkpoints
+            partials: Dict[int, Dict[str, Any]] = {}
+            if cache is not None:
+                for payload in payloads:
+                    checkpoint = cache.get_raw(payload["raw_key"])
+                    if checkpoint is not None:
+                        partials[payload["shard"]] = checkpoint
+                if partials:
+                    current_tracer().event(
+                        "campaign.resume",
+                        shards=len(partials),
+                        total=len(payloads),
+                    )
+            resumed = len(partials)
+            missing = [p for p in payloads if p["shard"] not in partials]
+            if missing:
+                computed = runner.map(
+                    _campaign_shard_worker,
+                    missing,
+                    samples=[p["samples"] for p in missing],
+                )
+                for payload, partial in zip(missing, computed):
+                    partials[payload["shard"]] = partial
 
-    # merge in fixed (design, rate, shard) order — payloads are already
-    # laid out that way, so iterating shard indices in order suffices
-    result = _campaign_from_partials(
-        model, rates, [partials[p["shard"]] for p in payloads], overclock
-    )
-    if cache is not None:
-        cache.put(key, result, key_components)
-    result.run_stats = runner.finalize_stats(
-        experiment,
-        cache="miss" if cache is not None else "off",
-        engine=engine,
-    )
-    attach_metrics(result)
-    stats = FaultStats(
-        model=model,
-        shards_total=len(payloads),
-        shards_resumed=resumed,
-        shards_retried=runner.stats.retries,
-        shards_timed_out=runner.stats.timeouts,
-    )
-    for partial in partials.values():
-        for kind in CAPTURE_FAULT_KINDS:
-            stats.injected[kind] = stats.injected.get(kind, 0) + int(
-                partial.get(f"injected_{kind}", 0)
+            # merge in fixed (design, rate, shard) order — payloads are
+            # already laid out that way
+            result = _campaign_from_partials(
+                model,
+                rates,
+                [partials[p["shard"]] for p in payloads],
+                overclock,
             )
-        stats.stuck_gates = max(
-            stats.stuck_gates, int(partial.get("stuck_gates", 0))
+            result.fault_stats = _fault_stats(
+                model, partials, len(payloads), resumed, runner
+            )
+            return result
+
+        result = run_cached(
+            config,
+            runner,
+            f"faults:{model}",
+            engine,
+            lambda: dict(
+                experiment="fault_campaign",
+                model=model,
+                rates=rates,
+                num_samples=int(num_samples),
+                overclock=float(overclock),
+                delay=delay_sig,
+                fingerprints=fingerprints,
+                delays={
+                    d: list(base_model.assign(c)) for d, c in circuits.items()
+                },
+                **config.describe(),
+            ),
+            compute,
         )
-        stats.drifted_gates = max(
-            stats.drifted_gates, int(partial.get("drifted_gates", 0))
-        )
-    result.fault_stats = stats
-    return result
+        if result.run_stats.cache == "hit":
+            result.fault_stats = FaultStats(model=model)
+        return result
 
 
 def _campaign_from_partials(
@@ -544,3 +475,32 @@ def _campaign_from_partials(
         overclock=float(overclock),
         num_samples=num_samples,
     )
+
+
+def _fault_stats(
+    model: str,
+    partials: Mapping[int, Dict[str, Any]],
+    shards_total: int,
+    shards_resumed: int,
+    runner: ParallelRunner,
+) -> FaultStats:
+    """The execution-side fault bookkeeping of one computed campaign."""
+    stats = FaultStats(
+        model=model,
+        shards_total=shards_total,
+        shards_resumed=shards_resumed,
+        shards_retried=runner.stats.retries,
+        shards_timed_out=runner.stats.timeouts,
+    )
+    for partial in partials.values():
+        for kind in CAPTURE_FAULT_KINDS:
+            stats.injected[kind] = stats.injected.get(kind, 0) + int(
+                partial.get(f"injected_{kind}", 0)
+            )
+        stats.stuck_gates = max(
+            stats.stuck_gates, int(partial.get("stuck_gates", 0))
+        )
+        stats.drifted_gates = max(
+            stats.drifted_gates, int(partial.get("drifted_gates", 0))
+        )
+    return stats

@@ -18,14 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict
 
+from repro.faults import FAULT_MODELS
 from repro.numrep.rounding import ceil_scaled
-
-#: fault-model families :func:`config_for_model` can instantiate; each
-#: maps a scalar intensity ``rate`` to one FaultConfig
-FAULT_MODELS = ("jitter", "drift", "seu", "metastable", "stuck")
-
-#: default fault-intensity grid (dimensionless, family-scaled)
-DEFAULT_RATES = (0.0, 0.02, 0.05, 0.1, 0.2)
 
 
 @dataclass(frozen=True)

@@ -52,12 +52,11 @@ from repro.netlist.engines import resolve_backend
 from repro.netlist.delay import DelayModel, FpgaDelay, delay_signature
 from repro.netlist.gates import Circuit
 from repro.numrep.signed_digit import SDNumber, sd_canonical
-from repro.runners.cache import cache_for, cache_key
+from repro.runners.cache import run_cached
 from repro.runners.config import RunConfig
 from repro.runners.parallel import ParallelRunner
 from repro.obs.trace import current_tracer
 from repro.runners.results import (
-    attach_metrics,
     metrics_entry,
     register_result,
     restore_metrics,
@@ -686,6 +685,68 @@ def run_filter_study(
             raise ValueError("arithmetics must be 'online' or 'traditional'")
     model = delay_model if delay_model is not None else FpgaDelay()
     engine = resolve_backend(config.backend, "netlist")
+    runner = runner or ParallelRunner.from_config(config)
+
+    def key_components() -> Dict[str, Any]:
+        described = config.describe()
+        described.pop("seed")  # pixel-deterministic: no randomness consumed
+        described.pop("shard_size")  # jobs are whole images, never sharded
+        return dict(
+            experiment="filter_study",
+            kernel=kernel,
+            images=images,
+            arithmetics=arithmetics,
+            factors=factors,
+            size=int(size),
+            delay=delay_signature(model),
+            **described,
+        )
+
+    def compute() -> FilterStudyResult:
+        jobs = [
+            {
+                "arithmetic": arith,
+                "image": name,
+                "kernel": kernel,
+                "size": int(size),
+                "ndigits": config.ndigits,
+                "backend": engine,
+                "delay_model": model,
+                "factors": factors,
+            }
+            for arith in arithmetics
+            for name in images
+        ]
+        # one "sample" per filtered interior pixel, for throughput stats
+        samples = [(size - 2) * (size - 2)] * len(jobs)
+        parts = runner.map(_filter_job_worker, jobs, samples=samples)
+
+        num_a, num_i, num_f = len(arithmetics), len(images), len(factors)
+        rated = np.zeros((num_a, num_i), dtype=np.int64)
+        error_free = np.zeros((num_a, num_i), dtype=np.int64)
+        settle = np.zeros((num_a, num_i), dtype=np.int64)
+        mre = np.zeros((num_a, num_i, num_f), dtype=np.float64)
+        snr = np.zeros((num_a, num_i, num_f), dtype=np.float64)
+        for job_idx, part in enumerate(parts):
+            a, i = divmod(job_idx, num_i)
+            rated[a, i] = part["rated"]
+            error_free[a, i] = part["error_free"]
+            settle[a, i] = part["settle"]
+            mre[a, i, :] = part["mre"]
+            snr[a, i, :] = part["snr"]
+        return FilterStudyResult(
+            images=images,
+            arithmetics=arithmetics,
+            factors=factors,
+            kernel=kernel,
+            size=int(size),
+            ndigits=config.ndigits,
+            rated_step=rated,
+            error_free_step=error_free,
+            settle_step=settle,
+            mre_percent=mre,
+            snr_db=snr,
+        )
 
     with current_tracer().span(
         "run.filter_study",
@@ -696,106 +757,6 @@ def run_filter_study(
         ndigits=config.ndigits,
         engine=engine,
     ):
-        return _run_filter_study(
-            config,
-            engine,
-            images,
-            arithmetics,
-            factors,
-            size,
-            kernel,
-            model,
-            runner,
+        return run_cached(
+            config, runner, "filter_study", engine, key_components, compute
         )
-
-
-def _run_filter_study(
-    config: RunConfig,
-    engine: str,
-    images: List[str],
-    arithmetics: List[str],
-    factors: List[float],
-    size: int,
-    kernel: str,
-    model: DelayModel,
-    runner: Optional[ParallelRunner],
-) -> FilterStudyResult:
-    """The study body; :func:`run_filter_study` wraps it in a span."""
-    cache = cache_for(config)
-    runner = runner or ParallelRunner.from_config(config)
-    key = None
-    key_components = None
-    if cache is not None:
-        described = config.describe()
-        described.pop("seed")  # pixel-deterministic: no randomness consumed
-        described.pop("shard_size")  # jobs are whole images, never sharded
-        key_components = dict(
-            experiment="filter_study",
-            kernel=kernel,
-            images=images,
-            arithmetics=arithmetics,
-            factors=factors,
-            size=int(size),
-            delay=delay_signature(model),
-            **described,
-        )
-        key = cache_key(**key_components)
-        hit = cache.get(key)
-        if hit is not None:
-            hit.run_stats = runner.finalize_stats(
-                "filter_study", cache="hit"
-            )
-            return attach_metrics(hit)
-
-    jobs = [
-        {
-            "arithmetic": arith,
-            "image": name,
-            "kernel": kernel,
-            "size": int(size),
-            "ndigits": config.ndigits,
-            "backend": engine,
-            "delay_model": model,
-            "factors": factors,
-        }
-        for arith in arithmetics
-        for name in images
-    ]
-    # one "sample" per filtered interior pixel, for throughput stats
-    samples = [(size - 2) * (size - 2)] * len(jobs)
-    parts = runner.map(_filter_job_worker, jobs, samples=samples)
-
-    num_a, num_i, num_f = len(arithmetics), len(images), len(factors)
-    rated = np.zeros((num_a, num_i), dtype=np.int64)
-    error_free = np.zeros((num_a, num_i), dtype=np.int64)
-    settle = np.zeros((num_a, num_i), dtype=np.int64)
-    mre = np.zeros((num_a, num_i, num_f), dtype=np.float64)
-    snr = np.zeros((num_a, num_i, num_f), dtype=np.float64)
-    for job_idx, part in enumerate(parts):
-        a, i = divmod(job_idx, num_i)
-        rated[a, i] = part["rated"]
-        error_free[a, i] = part["error_free"]
-        settle[a, i] = part["settle"]
-        mre[a, i, :] = part["mre"]
-        snr[a, i, :] = part["snr"]
-    result = FilterStudyResult(
-        images=images,
-        arithmetics=arithmetics,
-        factors=factors,
-        kernel=kernel,
-        size=int(size),
-        ndigits=config.ndigits,
-        rated_step=rated,
-        error_free_step=error_free,
-        settle_step=settle,
-        mre_percent=mre,
-        snr_db=snr,
-    )
-    if cache is not None:
-        cache.put(key, result, key_components)
-    result.run_stats = runner.finalize_stats(
-        "filter_study",
-        cache="miss" if cache is not None else "off",
-        engine=engine,
-    )
-    return attach_metrics(result)

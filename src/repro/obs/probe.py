@@ -39,17 +39,10 @@ from repro.core.model import OverclockingErrorModel
 from repro.core.conversion import digits_to_scaled_int
 from repro.obs.metrics import metrics
 from repro.obs.trace import current_tracer
-from repro.runners.cache import cache_for, cache_key
+from repro.runners.cache import run_cached
 from repro.runners.config import RunConfig
-from repro.runners.parallel import (
-    ParallelRunner,
-    merge_int_sums,
-    seed_tag,
-    split_samples,
-    spawn_seeds,
-)
+from repro.runners.parallel import ParallelRunner, merge_int_sums, shard_plan
 from repro.runners.results import (
-    attach_metrics,
     metrics_entry,
     register_result,
     restore_metrics,
@@ -248,76 +241,66 @@ def run_stage_probe(
     traced under the ambient tracer.
     """
     from repro.netlist.engines import resolve_backend
-    from repro.sim.montecarlo import default_depths
+    from repro.sim.montecarlo import capture_depths, default_depths
 
     if depths is None:
         depths = default_depths(config.ndigits, config.delta)
-    depths_arr = np.asarray(sorted(int(b) for b in depths), dtype=np.int64)
+    depths = sorted(capture_depths(depths))
     engine = resolve_backend(config.backend, "om-wave")
-
-    tracer = current_tracer()
-    cache = cache_for(config)
-    key_components = dict(
-        experiment="stage_probe",
-        num_samples=int(num_samples),
-        depths=[int(b) for b in depths_arr],
-        **config.describe(),
-    )
-    key = cache_key(**key_components)
     runner = runner or ParallelRunner.from_config(config)
-    with tracer.span(
-        "run.stage_probe",
-        ndigits=config.ndigits,
-        delta=config.delta,
-        engine=engine,
-        num_samples=int(num_samples),
-        depths=[int(b) for b in depths_arr],
-    ):
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                hit.run_stats = runner.finalize_stats(
-                    "stage_probe", cache="hit"
-                )
-                return attach_metrics(hit)
 
-        sizes = split_samples(num_samples, config.shard_size)
-        seeds = spawn_seeds(config.seed, len(sizes), seed_tag("stage_probe"))
+    def compute() -> StageProbeResult:
+        plan = shard_plan(config, num_samples, "stage_probe")
         payloads = [
             {
                 "ndigits": config.ndigits,
                 "delta": config.delta,
                 "backend": engine,
-                "depths": [int(b) for b in depths_arr],
+                "depths": depths,
                 "seed_seq": ss,
                 "samples": m,
             }
-            for ss, m in zip(seeds, sizes)
+            for ss, m in plan
         ]
-        parts = runner.map(_probe_shard_worker, payloads, samples=sizes)
+        parts = runner.map(
+            _probe_shard_worker, payloads, samples=[m for _, m in plan]
+        )
         first_error = np.zeros(
-            (len(depths_arr), config.ndigits + 1), dtype=np.int64
+            (len(depths), config.ndigits + 1), dtype=np.int64
         )
         for part in parts:
             first_error += np.asarray(part["first_error"], dtype=np.int64)
         value_viol = merge_int_sums([p["value_viol"] for p in parts])
         chain = merge_int_sums([p["chain"] for p in parts])
         metrics().count("probe.samples", int(num_samples))
-        result = StageProbeResult(
+        return StageProbeResult(
             ndigits=config.ndigits,
             delta=config.delta,
             num_samples=num_samples,
-            depths=depths_arr,
+            depths=np.asarray(depths, dtype=np.int64),
             first_error_counts=first_error,
             value_violations=value_viol.astype(np.int64),
             chain_depth_counts=chain.astype(np.int64),
         )
-        if cache is not None:
-            cache.put(key, result, key_components)
-        result.run_stats = runner.finalize_stats(
+
+    with current_tracer().span(
+        "run.stage_probe",
+        ndigits=config.ndigits,
+        delta=config.delta,
+        engine=engine,
+        num_samples=int(num_samples),
+        depths=depths,
+    ):
+        return run_cached(
+            config,
+            runner,
             "stage_probe",
-            cache="miss" if cache is not None else "off",
-            engine=engine,
+            engine,
+            lambda: dict(
+                experiment="stage_probe",
+                num_samples=int(num_samples),
+                depths=depths,
+                **config.describe(),
+            ),
+            compute,
         )
-        attach_metrics(result)
-    return result

@@ -54,13 +54,13 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
 import numpy as np
 
 from repro.obs.metrics import metrics
 from repro.obs.trace import current_tracer
-from repro.runners.results import jsonable, result_from_dict
+from repro.runners.results import attach_metrics, jsonable, result_from_dict
 
 #: bump to invalidate every existing cache entry on a format change
 #: (2: the engine left the key components)
@@ -356,3 +356,40 @@ def cache_for(config) -> Optional[ResultCache]:
     if getattr(config, "cache_dir", None):
         return ResultCache(config.cache_dir)
     return None
+
+
+def run_cached(
+    config,
+    runner,
+    label: str,
+    engine: Optional[str],
+    key_components: Callable[[], Mapping[str, Any]],
+    compute: Callable[[], Any],
+) -> Any:
+    """Serve one experiment result from the cache, or compute and store it.
+
+    The cache policy of every sharded entry point, written once: with
+    ``config.cache_dir`` set, look the result up under the digest of
+    ``key_components()`` (called only then — gate-level keys assign
+    every gate delay) and return a hit labelled ``"hit"`` with no
+    engine; otherwise run ``compute()``, store its result, and label it
+    ``"miss"`` (``"off"`` without a cache) with *engine*.  *label* names
+    the run in its stats and in the ``samples_per_sec.<label>`` gauge.
+    The result leaves with ``run_stats`` and the metrics snapshot
+    attached.
+    """
+    cache = cache_for(config)
+    if cache is not None:
+        components = key_components()
+        key = cache_key(**components)
+        hit = cache.get(key)
+        if hit is not None:
+            hit.run_stats = runner.finalize_stats(label, cache="hit")
+            return attach_metrics(hit)
+    result = compute()
+    if cache is not None:
+        cache.put(key, result, components)
+    result.run_stats = runner.finalize_stats(
+        label, cache="miss" if cache is not None else "off", engine=engine
+    )
+    return attach_metrics(result)

@@ -9,7 +9,8 @@ The execution model every ``run_*`` entry point shares:
    :meth:`numpy.random.SeedSequence.spawn` (:func:`spawn_seeds`), keyed
    by the master seed plus a stable per-experiment tag
    (:func:`seed_tag`), so different experiments sharing one master seed
-   draw independent streams.
+   draw independent streams.  :func:`shard_plan` is steps 1 and 2 —
+   the one place the seed layout is written.
 3. **Map** a picklable worker over the shard payloads with
    :meth:`ParallelRunner.map` — in-process when ``jobs <= 1``, over a
    :class:`~concurrent.futures.ProcessPoolExecutor` private to that
@@ -66,7 +67,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.random  # noqa: F401  (numpy defers it to first use: load it here)
@@ -159,6 +160,26 @@ def spawn_seeds(
     """
     parent = np.random.SeedSequence([int(seed)] + [int(t) for t in tags])
     return list(parent.spawn(nshards))
+
+
+def shard_plan(
+    config, num_samples: int, *streams: str
+) -> List[Tuple[np.random.SeedSequence, int]]:
+    """The ordered ``(seed_seq, samples)`` shards of one experiment run.
+
+    Shards are ``config.shard_size`` samples each; shard ``i`` draws from
+    child ``i`` of the ``(config.seed, *seed_tag(stream))`` parent.
+    *streams* name the experiment's seed stream (``"montecarlo"``;
+    ``"sweep", design``), so experiments sharing a master seed draw
+    independent samples.  Every sharded entry point lays out its seeds
+    here, which keeps a run's streams a function of ``(seed,
+    shard_size, num_samples, streams)`` alone.
+    """
+    sizes = split_samples(num_samples, config.shard_size)
+    seeds = spawn_seeds(
+        config.seed, len(sizes), *(seed_tag(s) for s in streams)
+    )
+    return list(zip(seeds, sizes))
 
 
 @dataclass
@@ -503,10 +524,14 @@ class ParallelRunner:
         """Label the stats of the last :meth:`map` call and return them.
 
         *engine* is the resolved engine that computed the shards; a cache
-        hit computed none, so its stats carry ``engine=None``.  When the
-        run actually executed shards (``elapsed > 0``), records
-        throughput gauges — per experiment, and per engine.
+        hit computed none, so its stats are fresh ones with
+        ``engine=None`` (the last map's stats still belong to the run
+        that made it).  When the run actually executed shards
+        (``elapsed > 0``), records throughput gauges — per experiment,
+        and per engine.
         """
+        if cache == "hit":
+            self.stats = RunStats(jobs=self.jobs)
         self.stats.experiment = experiment
         self.stats.cache = cache
         self.stats.engine = None if cache == "hit" else engine

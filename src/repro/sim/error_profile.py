@@ -30,21 +30,15 @@ from repro.netlist.delay import DelayModel, FpgaDelay, delay_signature
 from repro.netlist.sim import SimulationResult
 from repro.netlist.sta import static_timing
 from repro.obs.trace import current_tracer
-from repro.runners.cache import cache_for, cache_key
+from repro.runners.cache import run_cached
 from repro.runners.config import RunConfig
-from repro.runners.parallel import (
-    ParallelRunner,
-    merge_int_sums,
-    seed_tag,
-    split_samples,
-    spawn_seeds,
-)
+from repro.runners.parallel import ParallelRunner, merge_int_sums, shard_plan
 from repro.runners.results import (
-    attach_metrics,
     metrics_entry,
     register_result,
     restore_metrics,
 )
+from repro.sim.montecarlo import capture_depths
 
 
 @register_result
@@ -277,18 +271,28 @@ def _run_stage_error_profile(
     s_tot = config.ndigits + config.delta
     if steps is None:
         steps = range(s_tot + 1)
-    steps_arr = np.asarray(
-        sorted({min(int(t), s_tot) for t in steps}), dtype=np.int64
-    )
-    if steps_arr.size == 0:
-        raise ValueError("the profile grid must contain at least one period")
-    if steps_arr[0] < 0:
-        raise ValueError("capture depths must be >= 0")
+    grid = sorted({min(t, s_tot) for t in capture_depths(steps)})
     engine = resolve_backend(config.backend, "om-wave")
-
-    cache = cache_for(config)
     runner = runner or ParallelRunner.from_config(config)
-    experiment = f"error_profile_stage:{design}"
+
+    def compute() -> DigitErrorProfile:
+        plan = shard_plan(config, num_samples, "error_profile", design)
+        payloads = [
+            {
+                "ndigits": config.ndigits,
+                "delta": config.delta,
+                "backend": engine,
+                "steps": grid,
+                "seed_seq": ss,
+                "samples": m,
+            }
+            for ss, m in plan
+        ]
+        parts = runner.map(
+            _stage_profile_shard_worker, payloads, samples=[m for _, m in plan]
+        )
+        return _profile_from_counts(design, config, grid, parts, num_samples)
+
     with current_tracer().span(
         "run.error_profile",
         design=design,
@@ -297,54 +301,33 @@ def _run_stage_error_profile(
         engine=engine,
         num_samples=int(num_samples),
     ):
-        key = None
-        key_components = None
-        if cache is not None:
-            key_components = dict(
+        return run_cached(
+            config,
+            runner,
+            f"error_profile_stage:{design}",
+            engine,
+            lambda: dict(
                 experiment="error_profile_stage",
                 design=design,
                 num_samples=int(num_samples),
-                steps=[int(t) for t in steps_arr],
+                steps=grid,
                 **config.describe(),
-            )
-            key = cache_key(**key_components)
-            hit = cache.get(key)
-            if hit is not None:
-                hit.run_stats = runner.finalize_stats(
-                    experiment, cache="hit"
-                )
-                return attach_metrics(hit)
+            ),
+            compute,
+        )
 
-        sizes = split_samples(num_samples, config.shard_size)
-        seeds = spawn_seeds(
-            config.seed, len(sizes), seed_tag("error_profile"), seed_tag(design)
-        )
-        payloads = [
-            {
-                "ndigits": config.ndigits,
-                "delta": config.delta,
-                "backend": engine,
-                "steps": [int(t) for t in steps_arr],
-                "seed_seq": ss,
-                "samples": m,
-            }
-            for ss, m in zip(seeds, sizes)
-        ]
-        parts = runner.map(_stage_profile_shard_worker, payloads, samples=sizes)
-        counts = merge_int_sums(parts)
-        spec = _design_groups(design, config.ndigits)
-        result = DigitErrorProfile(
-            steps_arr, list(spec["labels"]), counts / float(num_samples)
-        )
-        if cache is not None:
-            cache.put(key, result, key_components)
-        result.run_stats = runner.finalize_stats(
-            experiment,
-            cache="miss" if cache is not None else "off",
-            engine=engine,
-        )
-        attach_metrics(result)
-    return result
+
+def _profile_from_counts(
+    design: str, config: RunConfig, steps, parts, num_samples: int
+) -> DigitErrorProfile:
+    """Merge per-shard mismatch counts into the error-rate grid."""
+    counts = merge_int_sums(parts)
+    spec = _design_groups(design, config.ndigits)
+    return DigitErrorProfile(
+        np.asarray(steps, dtype=np.int64),
+        list(spec["labels"]),
+        counts / float(num_samples),
+    )
 
 
 # ----------------------------------------------------------- unified entry
@@ -391,12 +374,29 @@ def run_error_profile(
     if steps is None:
         settle = static_timing(circuit, model).critical_delay
         steps = range(settle + 1)
-    steps_arr = np.asarray(sorted(int(t) for t in steps), dtype=np.int64)
+    steps = sorted(capture_depths(steps))
     engine = resolve_backend(config.backend, "netlist")
-
-    cache = cache_for(config)
     runner = runner or ParallelRunner.from_config(config)
-    experiment = f"error_profile:{design}"
+
+    def compute() -> DigitErrorProfile:
+        plan = shard_plan(config, num_samples, "error_profile", design)
+        payloads = [
+            {
+                "design": design,
+                "ndigits": config.ndigits,
+                "backend": engine,
+                "delay_model": model,
+                "steps": steps,
+                "seed_seq": ss,
+                "samples": m,
+            }
+            for ss, m in plan
+        ]
+        parts = runner.map(
+            _profile_shard_worker, payloads, samples=[m for _, m in plan]
+        )
+        return _profile_from_counts(design, config, steps, parts, num_samples)
+
     with current_tracer().span(
         "run.error_profile",
         design=design,
@@ -404,55 +404,20 @@ def run_error_profile(
         engine=engine,
         num_samples=int(num_samples),
     ):
-        key = None
-        key_components = None
-        if cache is not None:
-            key_components = dict(
+        return run_cached(
+            config,
+            runner,
+            f"error_profile:{design}",
+            engine,
+            lambda: dict(
                 experiment="error_profile",
                 design=design,
                 num_samples=int(num_samples),
-                steps=[int(t) for t in steps_arr],
+                steps=steps,
                 fingerprint=circuit_fingerprint(circuit),
                 delay=delay_signature(model),
                 delays=list(model.assign(circuit)),
                 **config.describe(),
-            )
-            key = cache_key(**key_components)
-            hit = cache.get(key)
-            if hit is not None:
-                hit.run_stats = runner.finalize_stats(
-                    experiment, cache="hit"
-                )
-                return attach_metrics(hit)
-
-        sizes = split_samples(num_samples, config.shard_size)
-        seeds = spawn_seeds(
-            config.seed, len(sizes), seed_tag("error_profile"), seed_tag(design)
+            ),
+            compute,
         )
-        payloads = [
-            {
-                "design": design,
-                "ndigits": config.ndigits,
-                "backend": engine,
-                "delay_model": model,
-                "steps": [int(t) for t in steps_arr],
-                "seed_seq": ss,
-                "samples": m,
-            }
-            for ss, m in zip(seeds, sizes)
-        ]
-        parts = runner.map(_profile_shard_worker, payloads, samples=sizes)
-        counts = merge_int_sums(parts)
-        spec = _design_groups(design, config.ndigits)
-        result = DigitErrorProfile(
-            steps_arr, list(spec["labels"]), counts / float(num_samples)
-        )
-        if cache is not None:
-            cache.put(key, result, key_components)
-        result.run_stats = runner.finalize_stats(
-            experiment,
-            cache="miss" if cache is not None else "off",
-            engine=engine,
-        )
-        attach_metrics(result)
-    return result

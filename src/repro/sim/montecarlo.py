@@ -22,7 +22,9 @@ read it directly (:func:`settle_depths` for settling depths).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Any, ClassVar, Dict, Iterable, List, Mapping, Optional, Tuple,
+)
 
 import numpy as np
 
@@ -30,18 +32,15 @@ from repro.core.conversion import digits_to_scaled_int
 from repro.core.online_multiplier import OnlineMultiplier
 from repro.netlist.engines import resolve_backend
 from repro.obs.trace import current_tracer
-from repro.runners.cache import cache_for, cache_key
+from repro.runners.cache import run_cached
 from repro.runners.config import RunConfig
 from repro.runners.parallel import (
     ParallelRunner,
     merge_float_sums,
     merge_int_sums,
-    seed_tag,
-    split_samples,
-    spawn_seeds,
+    shard_plan,
 )
 from repro.runners.results import (
-    attach_metrics,
     metrics_entry,
     register_result,
     restore_metrics,
@@ -210,6 +209,23 @@ def default_depths(ndigits: int, delta: int) -> List[int]:
     return list(range(delta + 1, ndigits + delta + 1))
 
 
+def capture_depths(depths: Iterable[int]) -> List[int]:
+    """A capture-depth grid as ints; ``ValueError`` if empty or negative.
+
+    Every depth or period grid an entry point accepts passes through
+    here (Monte-Carlo and probe depths, sweep and profile steps); each
+    caller keeps its own clamping and duplicate handling.
+    """
+    grid = [int(b) for b in depths]
+    if not grid:
+        raise ValueError(
+            "the capture-depth grid must contain at least one depth"
+        )
+    if min(grid) < 0:
+        raise ValueError(f"capture depths must be >= 0, got {min(grid)}")
+    return grid
+
+
 def montecarlo_key_components(
     config: RunConfig, num_samples: int, depths: List[int]
 ) -> Dict[str, Any]:
@@ -247,65 +263,53 @@ def run_montecarlo(
     """
     if depths is None:
         depths = default_depths(config.ndigits, config.delta)
-    depths_arr = np.asarray(sorted(int(b) for b in depths), dtype=np.int64)
+    depths = sorted(capture_depths(depths))
     engine = resolve_backend(config.backend, "om-wave")
-
-    tracer = current_tracer()
-    cache = cache_for(config)
-    key_components = montecarlo_key_components(
-        config, num_samples, list(depths_arr)
-    )
-    key = cache_key(**key_components)
     runner = runner or ParallelRunner.from_config(config)
-    with tracer.span(
-        "run.montecarlo",
-        ndigits=config.ndigits,
-        delta=config.delta,
-        engine=engine,
-        num_samples=int(num_samples),
-        depths=[int(b) for b in depths_arr],
-    ):
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                hit.run_stats = runner.finalize_stats(
-                    "montecarlo", cache="hit"
-                )
-                return attach_metrics(hit)
 
-        sizes = split_samples(num_samples, config.shard_size)
-        seeds = spawn_seeds(config.seed, len(sizes), seed_tag("montecarlo"))
+    def compute() -> MonteCarloResult:
+        plan = shard_plan(config, num_samples, "montecarlo")
         payloads = [
             {
                 "ndigits": config.ndigits,
                 "delta": config.delta,
                 "backend": engine,
-                "depths": [int(b) for b in depths_arr],
+                "depths": depths,
                 "seed_seq": ss,
                 "samples": m,
             }
-            for ss, m in zip(seeds, sizes)
+            for ss, m in plan
         ]
-        parts = runner.map(_mc_shard_worker, payloads, samples=sizes)
+        parts = runner.map(
+            _mc_shard_worker, payloads, samples=[m for _, m in plan]
+        )
         sum_err = merge_float_sums([p["sum_err"] for p in parts])
         viol = merge_int_sums([p["viol"] for p in parts])
-        result = MonteCarloResult(
+        return MonteCarloResult(
             ndigits=config.ndigits,
             delta=config.delta,
             num_samples=num_samples,
-            depths=depths_arr,
+            depths=np.asarray(depths, dtype=np.int64),
             mean_abs_error=sum_err / num_samples,
             violation_probability=viol / num_samples,
         )
-        if cache is not None:
-            cache.put(key, result, key_components)
-        result.run_stats = runner.finalize_stats(
+
+    with current_tracer().span(
+        "run.montecarlo",
+        ndigits=config.ndigits,
+        delta=config.delta,
+        engine=engine,
+        num_samples=int(num_samples),
+        depths=depths,
+    ):
+        return run_cached(
+            config,
+            runner,
             "montecarlo",
-            cache="miss" if cache is not None else "off",
-            engine=engine,
+            engine,
+            lambda: montecarlo_key_components(config, num_samples, depths),
+            compute,
         )
-        attach_metrics(result)
-    return result
 
 
 def run_settle_histogram(
@@ -324,8 +328,7 @@ def run_settle_histogram(
     cheap and the dict is not a :class:`~repro.runners.results.Result`).
     """
     engine = resolve_backend(config.backend, "om-wave")
-    sizes = split_samples(num_samples, config.shard_size)
-    seeds = spawn_seeds(config.seed, len(sizes), seed_tag("settle"))
+    plan = shard_plan(config, num_samples, "settle")
     payloads = [
         {
             "ndigits": config.ndigits,
@@ -334,7 +337,7 @@ def run_settle_histogram(
             "seed_seq": ss,
             "samples": m,
         }
-        for ss, m in zip(seeds, sizes)
+        for ss, m in plan
     ]
     runner = runner or ParallelRunner.from_config(config)
     with current_tracer().span(
@@ -344,7 +347,9 @@ def run_settle_histogram(
         engine=engine,
         num_samples=int(num_samples),
     ):
-        parts = runner.map(_settle_shard_worker, payloads, samples=sizes)
+        parts = runner.map(
+            _settle_shard_worker, payloads, samples=[m for _, m in plan]
+        )
         counts: Dict[int, int] = {}
         for part in parts:
             for depth, c in part.items():

@@ -59,23 +59,20 @@ from repro.netlist.delay import DelayModel, FpgaDelay, UnitDelay, delay_signatur
 from repro.netlist.engines import resolve_backend
 from repro.numrep.rounding import ceil_scaled, floor_ratio
 from repro.obs.trace import current_tracer
-from repro.runners.cache import cache_for, cache_key
+from repro.runners.cache import run_cached
 from repro.runners.config import RunConfig
 from repro.runners.parallel import (
     ParallelRunner,
     merge_float_sums,
     merge_int_sums,
-    seed_tag,
-    split_samples,
-    spawn_seeds,
+    shard_plan,
 )
 from repro.runners.results import (
-    attach_metrics,
     metrics_entry,
     register_result,
     restore_metrics,
 )
-from repro.sim.montecarlo import uniform_digit_batch
+from repro.sim.montecarlo import capture_depths, uniform_digit_batch
 
 @register_result
 @dataclass
@@ -651,15 +648,11 @@ def stage_sweep_plan(config: RunConfig, periods=None, steps=None):
         raise ValueError("pass either steps or periods, not both")
     s_tot = config.ndigits + config.delta
     if steps is not None:
-        requested = [int(b) for b in steps]
-        if any(b < 0 for b in requested):
-            raise ValueError("capture depths must be >= 0")
+        requested = capture_depths(steps)
     elif periods is not None:
-        requested = stage_steps_for_periods(periods, s_tot)
+        requested = capture_depths(stage_steps_for_periods(periods, s_tot))
     else:
         requested = list(range(s_tot + 1))
-    if not requested:
-        raise ValueError("the sweep grid must contain at least one period")
     grid = sorted({min(b, s_tot) for b in requested})
     return requested, grid
 
@@ -698,10 +691,29 @@ def _run_stage_sweep(
         )
     requested, grid = stage_sweep_plan(config, periods=periods, steps=steps)
     engine = resolve_backend(config.backend, "om-wave")
-
-    cache = cache_for(config)
     runner = runner or ParallelRunner.from_config(config)
-    experiment = f"sweep_stage:{design}"
+
+    def compute() -> SweepResult:
+        plan = shard_plan(config, num_samples, "sweep", design)
+        payloads = [
+            {
+                "ndigits": config.ndigits,
+                "delta": config.delta,
+                "backend": engine,
+                "steps": grid,
+                "requested_periods": len(requested),
+                "seed_seq": ss,
+                "samples": m,
+            }
+            for ss, m in plan
+        ]
+        parts = runner.map(
+            _stage_sweep_shard_worker, payloads, samples=[m for _, m in plan]
+        )
+        return _sweep_from_partials(
+            parts, steps=np.asarray(grid, dtype=np.int64)
+        )
+
     with current_tracer().span(
         "run.sweep",
         design=design,
@@ -712,49 +724,16 @@ def _run_stage_sweep(
         periods=len(requested),
         depths=len(grid),
     ):
-        key = None
-        key_components = None
-        if cache is not None:
-            key_components = stage_sweep_key_components(
+        return run_cached(
+            config,
+            runner,
+            f"sweep_stage:{design}",
+            engine,
+            lambda: stage_sweep_key_components(
                 config, design, num_samples, grid
-            )
-            key = cache_key(**key_components)
-            hit = cache.get(key)
-            if hit is not None:
-                hit.run_stats = runner.finalize_stats(
-                    experiment, cache="hit"
-                )
-                return attach_metrics(hit)
-
-        sizes = split_samples(num_samples, config.shard_size)
-        seeds = spawn_seeds(
-            config.seed, len(sizes), seed_tag("sweep"), seed_tag(design)
+            ),
+            compute,
         )
-        payloads = [
-            {
-                "ndigits": config.ndigits,
-                "delta": config.delta,
-                "backend": engine,
-                "steps": [int(b) for b in grid],
-                "requested_periods": len(requested),
-                "seed_seq": ss,
-                "samples": m,
-            }
-            for ss, m in zip(seeds, sizes)
-        ]
-        parts = runner.map(_stage_sweep_shard_worker, payloads, samples=sizes)
-        result = _sweep_from_partials(
-            parts, steps=np.asarray(grid, dtype=np.int64)
-        )
-        if cache is not None:
-            cache.put(key, result, key_components)
-        result.run_stats = runner.finalize_stats(
-            experiment,
-            cache="miss" if cache is not None else "off",
-            engine=engine,
-        )
-        attach_metrics(result)
-    return result
 
 
 # ----------------------------------------------------------- unified entry
@@ -822,41 +801,22 @@ def run_sweep(
         )
     model = delay_model if delay_model is not None else FpgaDelay()
     engine = resolve_backend(config.backend, "netlist")
-    cache = cache_for(config)
     runner = runner or ParallelRunner.from_config(config)
-    experiment = f"sweep:{design}"
-    with current_tracer().span(
-        "run.sweep",
-        design=design,
-        ndigits=config.ndigits,
-        engine=engine,
-        num_samples=int(num_samples),
-    ):
-        key = None
-        key_components = None
-        if cache is not None:
-            circuit = design_circuit(design, config.ndigits)
-            key_components = dict(
-                experiment="sweep",
-                design=design,
-                num_samples=int(num_samples),
-                fingerprint=circuit_fingerprint(circuit),
-                delay=delay_signature(model),
-                delays=list(model.assign(circuit)),
-                **config.describe(),
-            )
-            key = cache_key(**key_components)
-            hit = cache.get(key)
-            if hit is not None:
-                hit.run_stats = runner.finalize_stats(
-                    experiment, cache="hit"
-                )
-                return attach_metrics(hit)
 
-        sizes = split_samples(num_samples, config.shard_size)
-        seeds = spawn_seeds(
-            config.seed, len(sizes), seed_tag("sweep"), seed_tag(design)
+    def key_components() -> Dict[str, Any]:
+        circuit = design_circuit(design, config.ndigits)
+        return dict(
+            experiment="sweep",
+            design=design,
+            num_samples=int(num_samples),
+            fingerprint=circuit_fingerprint(circuit),
+            delay=delay_signature(model),
+            delays=list(model.assign(circuit)),
+            **config.describe(),
         )
+
+    def compute() -> SweepResult:
+        plan = shard_plan(config, num_samples, "sweep", design)
         payloads = [
             {
                 "design": design,
@@ -866,19 +826,23 @@ def run_sweep(
                 "seed_seq": ss,
                 "samples": m,
             }
-            for ss, m in zip(seeds, sizes)
+            for ss, m in plan
         ]
-        parts = runner.map(_sweep_shard_worker, payloads, samples=sizes)
-        result = _sweep_from_partials(parts)
-        if cache is not None:
-            cache.put(key, result, key_components)
-        result.run_stats = runner.finalize_stats(
-            experiment,
-            cache="miss" if cache is not None else "off",
-            engine=engine,
+        parts = runner.map(
+            _sweep_shard_worker, payloads, samples=[m for _, m in plan]
         )
-        attach_metrics(result)
-    return result
+        return _sweep_from_partials(parts)
+
+    with current_tracer().span(
+        "run.sweep",
+        design=design,
+        ndigits=config.ndigits,
+        engine=engine,
+        num_samples=int(num_samples),
+    ):
+        return run_cached(
+            config, runner, f"sweep:{design}", engine, key_components, compute
+        )
 
 
 def sweep_operator(harness: SweepHarness, port_values: Dict[str, np.ndarray]) -> SweepResult:

@@ -54,13 +54,7 @@ from repro.obs.metrics import metrics
 from repro.obs.trace import current_tracer
 from repro.runners.cache import cache_for, cache_key
 from repro.runners.config import RunConfig
-from repro.runners.parallel import (
-    ParallelRunner,
-    merge_float_sums,
-    seed_tag,
-    spawn_seeds,
-    split_samples,
-)
+from repro.runners.parallel import ParallelRunner, merge_float_sums, shard_plan
 from repro.runners.results import attach_metrics
 from repro.synth.model import (
     MODEL_TOLERANCE_FACTOR,
@@ -596,8 +590,7 @@ def run_synthesis(
         for group in groups.values():
             group["depths"] = sorted(set(group["depths"]))
 
-        sizes = split_samples(num_samples, config.shard_size)
-        seeds = spawn_seeds(config.seed, len(sizes), seed_tag("synthesis"))
+        plan = shard_plan(config, num_samples, "synthesis")
 
         with tracer.span("synth.verify", groups=len(groups)):
             pending: List[Tuple[Tuple, Dict[str, Any]]] = []
@@ -626,7 +619,7 @@ def run_synthesis(
             payloads = []
             counts = []
             for gk, group in pending:
-                for ss, m in zip(seeds, sizes):
+                for ss, m in plan:
                     payloads.append(
                         {
                             "graph": graph,
@@ -641,7 +634,7 @@ def run_synthesis(
                     counts.append(m)
             parts = runner.map(_synth_verify_worker, payloads, samples=counts)
             for gi, (gk, group) in enumerate(pending):
-                shard_parts = parts[gi * len(sizes) : (gi + 1) * len(sizes)]
+                shard_parts = parts[gi * len(plan) : (gi + 1) * len(plan)]
                 result = {
                     "sum_abs_err": merge_float_sums(
                         [p["sum_abs_err"] for p in shard_parts]

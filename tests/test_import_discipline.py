@@ -68,6 +68,20 @@ def test_command_loads_no_heavy_module(argv, traced_dir):
     assert report["code"] in (None, 0)
 
 
+def test_parser_loads_no_fault_machinery(tmp_path):
+    """``--model``/``--rates`` choices come from the lazy ``repro.faults``
+    root, not from the module that defines ``FaultConfig``."""
+    out = _fresh(
+        "import json, sys\n"
+        "from repro.cli import build_parser\n"
+        "build_parser()\n"
+        "print(json.dumps([m for m in ('dataclasses', 'repro.faults.models')"
+        " if m in sys.modules]))\n",
+        cwd=tmp_path,
+    )
+    assert json.loads(out.splitlines()[-1]) == []
+
+
 def test_readme_quick_start(tmp_path):
     out = _fresh(
         "from repro import Datapath\n"
