@@ -39,18 +39,19 @@ from repro.faults.models import FaultConfig, config_for_model
 from repro.faults.stuck import apply_stuck_faults
 from repro.faults.timing import DriftedDelayModel
 from repro.netlist.compiled import circuit_fingerprint, make_simulator
-from repro.netlist.delay import DelayModel, FpgaDelay, delay_signature
+from repro.netlist.delay import (
+    DelayModel,
+    FpgaDelay,
+    delay_key_components,
+    delay_signature,
+)
 from repro.netlist.engines import resolve_backend
 from repro.netlist.sta import static_timing
 from repro.obs.trace import current_tracer
 from repro.runners.cache import ResultCache, cache_for, cache_key, run_cached
 from repro.runners.config import RunConfig
 from repro.runners.parallel import ParallelRunner, shard_plan
-from repro.runners.results import (
-    metrics_entry,
-    register_result,
-    restore_metrics,
-)
+from repro.runners.results import register_result
 from repro.sim.sweep import SweepHarness, design_circuit, worker_harness
 
 #: the two designs every campaign compares (the paper's pairing)
@@ -111,34 +112,6 @@ class FaultCampaignResult:
         raise ValueError(
             f"unknown design {design!r}; expected one of {CAMPAIGN_DESIGNS}"
         )
-
-    # ------------------------------------------------- Result protocol
-    def to_dict(self) -> Dict[str, Any]:
-        """Pure-JSON representation (see :mod:`repro.runners.results`)."""
-        return {
-            "kind": self.kind,
-            "model": self.model,
-            "rates": [float(r) for r in self.rates],
-            "online_error": [float(e) for e in self.online_error],
-            "traditional_error": [float(e) for e in self.traditional_error],
-            "overclock": float(self.overclock),
-            "num_samples": int(self.num_samples),
-            **metrics_entry(self),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultCampaignResult":
-        result = cls(
-            model=str(data["model"]),
-            rates=np.asarray(data["rates"], dtype=np.float64),
-            online_error=np.asarray(data["online_error"], dtype=np.float64),
-            traditional_error=np.asarray(
-                data["traditional_error"], dtype=np.float64
-            ),
-            overclock=float(data["overclock"]),
-            num_samples=int(data["num_samples"]),
-        )
-        return restore_metrics(result, data)
 
 
 # --------------------------------------------------------------- worker side
@@ -422,11 +395,8 @@ def run_fault_campaign(
                 rates=rates,
                 num_samples=int(num_samples),
                 overclock=float(overclock),
-                delay=delay_sig,
                 fingerprints=fingerprints,
-                delays={
-                    d: list(base_model.assign(c)) for d, c in circuits.items()
-                },
+                **delay_key_components(base_model, circuits),
                 **config.describe(),
             ),
             compute,

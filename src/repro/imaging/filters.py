@@ -34,7 +34,7 @@ MRE/SNR metrics and for writing the Fig. 7 images.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,18 +49,14 @@ from repro.imaging.metrics import snr_db as _snr_db
 from repro.imaging.synthetic import benchmark_image
 from repro.netlist.compiled import critical_delay, make_simulator, shared_circuit
 from repro.netlist.engines import resolve_backend
-from repro.netlist.delay import DelayModel, FpgaDelay, delay_signature
+from repro.netlist.delay import DelayModel, FpgaDelay, delay_key_components
 from repro.netlist.gates import Circuit
 from repro.numrep.signed_digit import SDNumber, sd_canonical
 from repro.runners.cache import run_cached
 from repro.runners.config import RunConfig
 from repro.runners.parallel import ParallelRunner
 from repro.obs.trace import current_tracer
-from repro.runners.results import (
-    metrics_entry,
-    register_result,
-    restore_metrics,
-)
+from repro.runners.results import register_result
 
 #: quantized Gaussian kernel in units of 1/64, row-major
 GAUSSIAN_KERNEL_64THS = np.array(
@@ -264,6 +260,24 @@ def _build_traditional(
     return c
 
 
+def datapath_circuit(
+    arithmetic: str,
+    kernel: np.ndarray,
+    kernel_frac_bits: int,
+    ndigits: int,
+    coefficients_as_inputs: bool = False,
+) -> Circuit:
+    """The frozen netlist of one convolution datapath, built once per process."""
+    build = _build_online if arithmetic == "online" else _build_traditional
+    return shared_circuit(
+        build,
+        tuple(int(k) for k in np.asarray(kernel).ravel()),
+        int(kernel_frac_bits),
+        int(ndigits),
+        bool(coefficients_as_inputs),
+    )
+
+
 class ConvolutionDatapath:
     """A complete 3x3 convolution datapath in one arithmetic style.
 
@@ -355,13 +369,9 @@ class ConvolutionDatapath:
         self.delay_model = (
             delay_model if delay_model is not None else FpgaDelay()
         )
-        build = _build_online if arithmetic == "online" else _build_traditional
-        self.circuit = shared_circuit(
-            build,
-            tuple(int(k) for k in kernel.ravel()),
-            int(kernel_frac_bits),
-            int(ndigits),
-            bool(coefficients_as_inputs),
+        self.circuit = datapath_circuit(
+            arithmetic, kernel, kernel_frac_bits, ndigits,
+            coefficients_as_inputs,
         )
         self.backend = resolve_backend(backend, "netlist")
         self.simulator = make_simulator(
@@ -583,42 +593,6 @@ class FilterStudyResult:
         a, i = self._cell(arithmetic, image)
         return float(self.snr_db[a, i, self._factor_index(factor)])
 
-    # ------------------------------------------------- Result protocol
-    def to_dict(self) -> Dict[str, Any]:
-        """Pure-JSON representation (see :mod:`repro.runners.results`)."""
-        return {
-            "kind": self.kind,
-            "images": list(self.images),
-            "arithmetics": list(self.arithmetics),
-            "factors": [float(f) for f in self.factors],
-            "kernel": self.kernel,
-            "size": int(self.size),
-            "ndigits": int(self.ndigits),
-            "rated_step": self.rated_step.tolist(),
-            "error_free_step": self.error_free_step.tolist(),
-            "settle_step": self.settle_step.tolist(),
-            "mre_percent": self.mre_percent.tolist(),
-            "snr_db": self.snr_db.tolist(),
-            **metrics_entry(self),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FilterStudyResult":
-        result = cls(
-            images=[str(v) for v in data["images"]],
-            arithmetics=[str(v) for v in data["arithmetics"]],
-            factors=[float(v) for v in data["factors"]],
-            kernel=str(data["kernel"]),
-            size=int(data["size"]),
-            ndigits=int(data["ndigits"]),
-            rated_step=np.asarray(data["rated_step"], dtype=np.int64),
-            error_free_step=np.asarray(data["error_free_step"], dtype=np.int64),
-            settle_step=np.asarray(data["settle_step"], dtype=np.int64),
-            mre_percent=np.asarray(data["mre_percent"], dtype=np.float64),
-            snr_db=np.asarray(data["snr_db"], dtype=np.float64),
-        )
-        return restore_metrics(result, data)
-
 
 def _filter_job_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     """One study job: filter one benchmark image with one datapath."""
@@ -683,6 +657,8 @@ def run_filter_study(
     for arith in arithmetics:
         if arith not in ("online", "traditional"):
             raise ValueError("arithmetics must be 'online' or 'traditional'")
+    if config.ndigits < 8:
+        raise ValueError("ndigits must be >= 8 to represent 8-bit pixels")
     model = delay_model if delay_model is not None else FpgaDelay()
     engine = resolve_backend(config.backend, "netlist")
     runner = runner or ParallelRunner.from_config(config)
@@ -698,7 +674,11 @@ def run_filter_study(
             arithmetics=arithmetics,
             factors=factors,
             size=int(size),
-            delay=delay_signature(model),
+            **delay_key_components(model, {
+                arith: datapath_circuit(arith, *KERNEL_PRESETS[kernel],
+                                        config.ndigits)
+                for arith in arithmetics
+            }),
             **described,
         )
 

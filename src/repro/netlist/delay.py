@@ -18,7 +18,7 @@ free).  Three models are provided:
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
 from repro.netlist.gates import Circuit, Gate
 
@@ -43,6 +43,25 @@ def delay_signature(model: "DelayModel") -> str:
         for k, v in sorted(vars(model).items())
     )
     return f"{type(model).__name__}({params})"
+
+
+def delay_key_components(
+    model: "DelayModel", circuits: Union[Circuit, Mapping[str, Circuit]]
+) -> Dict[str, Any]:
+    """Cache-key components naming the timing *model* gives *circuits*.
+
+    ``delay`` is the model's :func:`delay_signature` and ``delays`` the
+    exact per-gate delays it assigns: one list for a single circuit, one
+    per name for a mapping of circuits.  The signature alone is no
+    identity — ``repr`` elides large numpy state — so a gate-level cache
+    key carries both, and two models whose signatures collide can never
+    share an entry.
+    """
+    if isinstance(circuits, Circuit):
+        delays: Any = list(model.assign(circuits))
+    else:
+        delays = {name: list(model.assign(c)) for name, c in circuits.items()}
+    return {"delay": delay_signature(model), "delays": delays}
 
 
 class DelayModel:

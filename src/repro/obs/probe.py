@@ -31,7 +31,7 @@ served from the persistent result cache when one is configured.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Mapping, Optional
+from typing import Any, ClassVar, Dict, List, Optional
 
 import numpy as np
 
@@ -42,11 +42,7 @@ from repro.obs.trace import current_tracer
 from repro.runners.cache import run_cached
 from repro.runners.config import RunConfig
 from repro.runners.parallel import ParallelRunner, merge_int_sums, shard_plan
-from repro.runners.results import (
-    metrics_entry,
-    register_result,
-    restore_metrics,
-)
+from repro.runners.results import register_result
 
 
 @register_result
@@ -141,42 +137,6 @@ class StageProbeResult:
             }
             for b, o, p in zip(self.depths, observed, predicted)
         ]
-
-    # ------------------------------------------------- Result protocol
-    def to_dict(self) -> Dict[str, Any]:
-        """Pure-JSON representation (see :mod:`repro.runners.results`)."""
-        return {
-            "kind": self.kind,
-            "ndigits": int(self.ndigits),
-            "delta": int(self.delta),
-            "num_samples": int(self.num_samples),
-            "depths": [int(b) for b in self.depths],
-            "first_error_counts": [
-                [int(c) for c in row] for row in self.first_error_counts
-            ],
-            "value_violations": [int(v) for v in self.value_violations],
-            "chain_depth_counts": [int(c) for c in self.chain_depth_counts],
-            **metrics_entry(self),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StageProbeResult":
-        result = cls(
-            ndigits=int(data["ndigits"]),
-            delta=int(data["delta"]),
-            num_samples=int(data["num_samples"]),
-            depths=np.asarray(data["depths"], dtype=np.int64),
-            first_error_counts=np.asarray(
-                data["first_error_counts"], dtype=np.int64
-            ),
-            value_violations=np.asarray(
-                data["value_violations"], dtype=np.int64
-            ),
-            chain_depth_counts=np.asarray(
-                data["chain_depth_counts"], dtype=np.int64
-            ),
-        )
-        return restore_metrics(result, data)
 
 
 # --------------------------------------------------------------- shard worker

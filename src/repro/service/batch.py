@@ -33,9 +33,11 @@ response the member request would have produced alone:
   recomputed per member through the same rule the solo path uses
   (:func:`repro.sim.sweep.error_free_step_on_grid`).
 
-Cache keys, cache writes, and progress frames stay per-request: every
-member's result is stored under the member's own content address, so a
-later solo request cache-hits exactly as if it had run alone.
+Cache keys, cache writes, and progress frames stay per-request.  The
+evaluation itself runs with the cache off; the registry stores every
+answer — a lone member's and each fused member's slice — under the
+member's own content address, so a later solo request cache-hits
+exactly as if it had run alone, and the union grid is never stored.
 
 **Deadlines.**  A member's deadline runs from its arrival, so the wait
 for a slot counts toward it.  It is answered ``deadline`` when its own
@@ -46,6 +48,7 @@ the last member's deadline.
 from __future__ import annotations
 
 import asyncio
+from dataclasses import replace
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence
 from typing import Set, Tuple
 
@@ -53,6 +56,7 @@ from repro.obs.metrics import metrics
 from repro.obs.trace import current_tracer
 from repro.runners.cache import cache_key
 from repro.runners.parallel import CancelToken
+from repro.runners.results import result_from_dict
 from repro.service.degrade import degraded_answer
 from repro.service.requests import EvalRequest
 
@@ -71,8 +75,8 @@ def merge_requests(reqs: Sequence[EvalRequest]) -> EvalRequest:
 
     All members share a ``batch_key`` by construction, so they agree on
     kind, config, sample budget and deadline; only the grid differs.
-    The merged request carries a real content address over the union
-    grid — it caches like any organic request for that grid would.
+    The merged request carries the content address of the union grid;
+    it is never cached itself — only its members' sliced answers are.
     """
     first = reqs[0]
     for req in reqs[1:]:
@@ -120,99 +124,62 @@ def _grid_indices(union: Sequence[int], member: Sequence[int]) -> List[int]:
 
 def split_result_payload(
     kind: str, merged: Dict[str, Any], member: EvalRequest
-) -> Tuple[Dict[str, Any], Any]:
+) -> Dict[str, Any]:
     """Slice the merged result payload down to *member*'s grid.
 
-    Returns ``(payload, result)`` — the JSON payload for the response
-    and the reconstructed Result object for the member's cache write.
-    Reconstruction goes through the result classes' own
-    ``from_dict``/``to_dict`` so field order, types, and float
-    formatting match the solo path exactly.
+    Every array field of a batchable result runs along the grid, whose
+    axis is the field the member's grid parameter names, so one slice
+    serves them all; the codec then spells the payload exactly as the
+    solo path does.
     """
-    if kind == "montecarlo":
-        from repro.sim.montecarlo import MonteCarloResult
-
-        full = MonteCarloResult.from_dict(merged)
-        idx = _grid_indices(
-            [int(b) for b in full.depths], member.params["depths"]
-        )
-        result: Any = MonteCarloResult(
-            ndigits=full.ndigits,
-            delta=full.delta,
-            num_samples=full.num_samples,
-            depths=full.depths[idx],
-            mean_abs_error=full.mean_abs_error[idx],
-            violation_probability=full.violation_probability[idx],
-        )
-    elif kind == "sweep":
-        from repro.sim.sweep import SweepResult, error_free_step_on_grid
-
-        full = SweepResult.from_dict(merged)
-        idx = _grid_indices(
-            [int(b) for b in full.steps], member.params["steps"]
-        )
-        steps = full.steps[idx]
-        mean_err = full.mean_abs_error[idx]
-        result = SweepResult(
-            steps=steps,
-            mean_abs_error=mean_err,
-            violation_probability=full.violation_probability[idx],
-            rated_step=full.rated_step,
-            settle_step=full.settle_step,
-            error_free_step=error_free_step_on_grid(
-                steps, mean_err, full.settle_step
-            ),
-            num_samples=full.num_samples,
-        )
-    else:
+    if kind not in ("montecarlo", "sweep"):
         raise ValueError(f"kind {kind!r} is not batchable")
-    payload = result.to_dict()
-    payload.pop("metrics", None)
-    return payload, result
+    full = result_from_dict(merged)
+    arrays = type(full)._array_fields
+    (axis,) = [name for name in member.params if name in arrays]
+    idx = _grid_indices(getattr(full, axis), member.params[axis])
+    result = replace(full, **{name: getattr(full, name)[idx] for name in arrays})
+    if kind == "sweep":
+        from repro.sim.sweep import error_free_step_on_grid
+
+        result = replace(result, error_free_step=error_free_step_on_grid(
+            result.steps, result.mean_abs_error, result.settle_step
+        ))
+    return result.to_dict()
 
 
 def split_responses(
     merged_req: EvalRequest,
     response: Dict[str, Any],
     members: Sequence[EvalRequest],
-    cache: Optional[Any] = None,
 ) -> List[Dict[str, Any]]:
     """Per-member responses from the fused evaluation's *response*.
 
-    * Success — each member gets its sliced payload under its own id,
-      key, and cache entry (the fused run stored only the union grid).
+    * Success — each member gets its sliced payload under its own id
+      and key.
     * Degraded — each member gets its own analytical answer, same
       reason, exactly as its solo run under an open breaker would.
     * Error / deadline / cancelled / shed — the failure is copied per
       member with the member's id; the texts are grid-independent, so
       these too match the solo spelling.
     """
-    out: List[Dict[str, Any]] = []
     if response.get("degraded"):
         reason = response.get("degraded_reason", "degraded")
         return [degraded_answer(member, reason) for member in members]
     if not response.get("ok") or "result" not in response:
-        for member in members:
-            failure = dict(response)
-            failure["id"] = member.id
-            out.append(failure)
-        return out
-    for member in members:
-        payload, result = split_result_payload(
-            merged_req.kind, response["result"], member
-        )
-        if cache is not None and member.cache_key is not None:
-            cache.put(member.cache_key, result, member.key_components)
-        out.append(
-            {
-                "ok": True,
-                "id": member.id,
-                "kind": member.kind,
-                "key": member.key,
-                "result": payload,
-            }
-        )
-    return out
+        return [{**response, "id": member.id} for member in members]
+    return [
+        {
+            "ok": True,
+            "id": member.id,
+            "kind": member.kind,
+            "key": member.key,
+            "result": split_result_payload(
+                merged_req.kind, response["result"], member
+            ),
+        }
+        for member in members
+    ]
 
 
 # ----------------------------------------------------------------- registry
@@ -240,8 +207,8 @@ class InflightRegistry:
     ``async (req, members, token) -> response``, where *req* is the
     lone member or the merged request, *members* route its progress
     frames and the :class:`CancelToken` fires at the group's deadline.
-    *concurrency* is the number of groups evaluated at once; fused
-    members' results are written to *cache* under their own keys.
+    *concurrency* is the number of groups evaluated at once; every
+    member's computed answer is written to *cache* under its own key.
     """
 
     def __init__(
@@ -430,7 +397,29 @@ class InflightRegistry:
                 self._expire(member, future)
             return
         responses = [response] if len(members) == 1 else split_responses(
-            req, response, members, cache=self._cache
+            req, response, members
         )
         for (member, future), answer in zip(live, responses):
+            self._store(member, answer)
             self._settle(member, future, answer)
+
+    def _store(self, req: EvalRequest, answer: Dict[str, Any]) -> None:
+        """Write a computed answer to the cache under *req*'s own key.
+
+        The service's only cache write: evaluations run with the cache
+        off, so each answered key costs one lookup (the daemon's
+        short-circuit) and this one put.  Failures and analytical
+        (degraded) answers are never stored.
+        """
+        if (
+            self._cache is None
+            or req.cache_key is None
+            or not answer.get("ok")
+            or answer.get("degraded")
+            or "result" not in answer
+        ):
+            return
+        self._cache.put(
+            req.cache_key, result_from_dict(answer["result"]),
+            req.key_components,
+        )

@@ -10,14 +10,17 @@ A request travels::
 
     parse -> cache short-circuit -> follow an identical in-flight request
           |  or breaker -> admission -> join/open a group -> slot
-          -> retry(evaluate, cancellable) -> respond
+          -> retry(evaluate, cancellable) -> cache write -> respond
 
 * **parse** (:mod:`repro.service.requests`) — strict validation; the
   normalized request carries the same content-addressed key the result
   cache uses, plus a *compatibility* key (``batch_key``).
 * **cache short-circuit** — a persistent-cache hit answers before the
   queue is ever consulted; a full queue cannot shed work the service
-  already knows the answer to.
+  already knows the answer to.  The daemon holds the service's one
+  cache handle: evaluations run with the cache off, and each computed
+  answer is written once, under its request's key, by the in-flight
+  registry.
 * **in-flight registry** (:mod:`repro.service.batch`) — the one
   mechanism for sharing work: a request identical to one in flight
   follows its answer; otherwise, once admitted, it joins the queued
@@ -211,7 +214,10 @@ class EvalService:
             reset_timeout=self.config.reset_timeout,
             half_open_probes=self.config.half_open_probes,
         )
+        # the service's one cache handle: requests evaluate with the
+        # cache off, and the registry stores their answers through it
         self.cache = cache_for(self.config.run_config)
+        self._request_config = self.config.run_config.with_(cache_dir=None)
         self.inflight = InflightRegistry(
             self._evaluate, self.config.concurrency, cache=self.cache
         )
@@ -361,7 +367,7 @@ class EvalService:
         try:
             req = parse_request(
                 message if isinstance(message, Mapping) else None,
-                base_config=self.config.run_config,
+                base_config=self._request_config,
                 default_deadline=self.config.default_deadline,
                 max_samples=self.config.max_samples,
             )
@@ -646,9 +652,11 @@ def run_service(
     *on_start* is called with the bound port once the listener is up
     (``port=0`` binds an ephemeral one).
     """
-    service = EvalService(config)
 
     async def main() -> None:
+        # built inside the loop: before Python 3.10 the service's asyncio
+        # primitives bind to the loop current at construction
+        service = EvalService(config)
         await service.start()
         if on_start is not None:
             on_start(service.port)

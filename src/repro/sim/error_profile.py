@@ -20,24 +20,20 @@ the persistent result cache when one is configured.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence
+from typing import Any, ClassVar, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.netlist.compiled import circuit_fingerprint
 from repro.netlist.engines import resolve_backend
-from repro.netlist.delay import DelayModel, FpgaDelay, delay_signature
+from repro.netlist.delay import DelayModel, FpgaDelay, delay_key_components
 from repro.netlist.sim import SimulationResult
 from repro.netlist.sta import static_timing
 from repro.obs.trace import current_tracer
 from repro.runners.cache import run_cached
 from repro.runners.config import RunConfig
 from repro.runners.parallel import ParallelRunner, merge_int_sums, shard_plan
-from repro.runners.results import (
-    metrics_entry,
-    register_result,
-    restore_metrics,
-)
+from repro.runners.results import register_result
 from repro.sim.montecarlo import capture_depths
 
 
@@ -77,26 +73,6 @@ class DigitErrorProfile:
         if total == 0:
             return float(len(self.positions))
         return float((row * np.arange(len(row))).sum() / total)
-
-    # ------------------------------------------------- Result protocol
-    def to_dict(self) -> Dict[str, Any]:
-        """Pure-JSON representation (see :mod:`repro.runners.results`)."""
-        return {
-            "kind": self.kind,
-            "steps": [int(t) for t in self.steps],
-            "positions": list(self.positions),
-            "rates": [[float(r) for r in row] for row in self.rates],
-            **metrics_entry(self),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DigitErrorProfile":
-        result = cls(
-            steps=np.asarray(data["steps"], dtype=np.int64),
-            positions=[str(p) for p in data["positions"]],
-            rates=np.asarray(data["rates"], dtype=np.float64),
-        )
-        return restore_metrics(result, data)
 
 
 def _digit_error_counts(
@@ -415,8 +391,7 @@ def run_error_profile(
                 num_samples=int(num_samples),
                 steps=steps,
                 fingerprint=circuit_fingerprint(circuit),
-                delay=delay_signature(model),
-                delays=list(model.assign(circuit)),
+                **delay_key_components(model, circuit),
                 **config.describe(),
             ),
             compute,

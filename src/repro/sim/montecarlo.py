@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Any, ClassVar, Dict, Iterable, List, Mapping, Optional, Tuple,
+    Any, ClassVar, Dict, Iterable, List, Optional, Tuple,
 )
 
 import numpy as np
@@ -40,11 +40,7 @@ from repro.runners.parallel import (
     merge_int_sums,
     shard_plan,
 )
-from repro.runners.results import (
-    metrics_entry,
-    register_result,
-    restore_metrics,
-)
+from repro.runners.results import register_result
 
 
 def uniform_digit_batch(
@@ -105,36 +101,6 @@ class MonteCarloResult:
             float(self.mean_abs_error[idx]),
             float(self.violation_probability[idx]),
         )
-
-    # ------------------------------------------------- Result protocol
-    def to_dict(self) -> Dict[str, Any]:
-        """Pure-JSON representation (see :mod:`repro.runners.results`)."""
-        return {
-            "kind": self.kind,
-            "ndigits": int(self.ndigits),
-            "delta": int(self.delta),
-            "num_samples": int(self.num_samples),
-            "depths": [int(b) for b in self.depths],
-            "mean_abs_error": [float(e) for e in self.mean_abs_error],
-            "violation_probability": [
-                float(p) for p in self.violation_probability
-            ],
-            **metrics_entry(self),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MonteCarloResult":
-        result = cls(
-            ndigits=int(data["ndigits"]),
-            delta=int(data["delta"]),
-            num_samples=int(data["num_samples"]),
-            depths=np.asarray(data["depths"], dtype=np.int64),
-            mean_abs_error=np.asarray(data["mean_abs_error"], dtype=np.float64),
-            violation_probability=np.asarray(
-                data["violation_probability"], dtype=np.float64
-            ),
-        )
-        return restore_metrics(result, data)
 
 
 # --------------------------------------------------------------- shard workers

@@ -39,7 +39,7 @@ fused kernel changes the cost of a sweep, never a digit of it
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Mapping, Optional
+from typing import Any, ClassVar, Dict, List, Optional
 
 import numpy as np
 
@@ -55,7 +55,12 @@ from repro.netlist.compiled import (
     critical_delay,
     make_simulator,
 )
-from repro.netlist.delay import DelayModel, FpgaDelay, UnitDelay, delay_signature
+from repro.netlist.delay import (
+    DelayModel,
+    FpgaDelay,
+    UnitDelay,
+    delay_key_components,
+)
 from repro.netlist.engines import resolve_backend
 from repro.numrep.rounding import ceil_scaled, floor_ratio
 from repro.obs.trace import current_tracer
@@ -67,11 +72,7 @@ from repro.runners.parallel import (
     merge_int_sums,
     shard_plan,
 )
-from repro.runners.results import (
-    metrics_entry,
-    register_result,
-    restore_metrics,
-)
+from repro.runners.results import register_result
 from repro.sim.montecarlo import capture_depths, uniform_digit_batch
 
 @register_result
@@ -172,38 +173,6 @@ class SweepResult:
                 f"strict=False to receive None instead"
             )
         return best
-
-    # ------------------------------------------------- Result protocol
-    def to_dict(self) -> Dict[str, Any]:
-        """Pure-JSON representation (see :mod:`repro.runners.results`)."""
-        return {
-            "kind": self.kind,
-            "steps": [int(s) for s in self.steps],
-            "mean_abs_error": [float(e) for e in self.mean_abs_error],
-            "violation_probability": [
-                float(p) for p in self.violation_probability
-            ],
-            "rated_step": int(self.rated_step),
-            "settle_step": int(self.settle_step),
-            "error_free_step": int(self.error_free_step),
-            "num_samples": int(self.num_samples),
-            **metrics_entry(self),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepResult":
-        result = cls(
-            steps=np.asarray(data["steps"], dtype=np.int64),
-            mean_abs_error=np.asarray(data["mean_abs_error"], dtype=np.float64),
-            violation_probability=np.asarray(
-                data["violation_probability"], dtype=np.float64
-            ),
-            rated_step=int(data["rated_step"]),
-            settle_step=int(data["settle_step"]),
-            error_free_step=int(data["error_free_step"]),
-            num_samples=int(data["num_samples"]),
-        )
-        return restore_metrics(result, data)
 
 
 class SweepHarness:
@@ -506,7 +475,8 @@ def worker_harness(
     """The harness of one design, built fresh (it is a cheap view).
 
     Nothing is memoized here: the compile LRU keys the model's exact
-    per-gate delays, never the ``repr``-based :func:`delay_signature`,
+    per-gate delays, never the ``repr``-based
+    :func:`~repro.netlist.delay.delay_signature`,
     under which models differing in an elided numpy region alias.
     """
     spec, cls = _design(design)
@@ -810,8 +780,7 @@ def run_sweep(
             design=design,
             num_samples=int(num_samples),
             fingerprint=circuit_fingerprint(circuit),
-            delay=delay_signature(model),
-            delays=list(model.assign(circuit)),
+            **delay_key_components(model, circuit),
             **config.describe(),
         )
 

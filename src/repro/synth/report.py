@@ -17,29 +17,18 @@ Python's JSON encoder and npz storage preserve ``inf``/``nan`` exactly.
 
 from __future__ import annotations
 
-import math
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, ClassVar, Dict, List, Optional
 
 import numpy as np
 
-from repro.runners.results import (
-    jsonable,
-    metrics_entry,
-    register_result,
-    restore_metrics,
-)
+from repro.runners.results import register_result
 
 __all__ = ["SynthesisReport"]
 
-_POINT_ARRAYS = {
-    "predicted_abs_error": "float64",
-    "measured_abs_error": "float64",
-    "measured_snr_db": "float64",
-    "latency_gates": "float64",
-}
-
 
 @register_result
+@dataclass(eq=False)
 class SynthesisReport:
     """Latency-accuracy synthesis outcome for one datapath.
 
@@ -71,53 +60,51 @@ class SynthesisReport:
         Per-module prediction rows for the chosen design.
     """
 
-    kind: ClassVar[str] = "synthesis"
-    _array_fields: ClassVar[Dict[str, str]] = dict(_POINT_ARRAYS)
+    graph: Dict[str, Any]
+    target_metric: str
+    target_value: float
+    points: List[Dict[str, Any]]
+    predicted_abs_error: np.ndarray
+    measured_abs_error: np.ndarray
+    measured_snr_db: np.ndarray
+    latency_gates: np.ndarray
+    candidates_total: int
+    candidates_pruned: int
+    candidates_verified: int
+    chosen: int = -1
+    modules: List[Dict[str, Any]] = field(default_factory=list)
+    delta: int = 3
+    num_samples: int = 0
+    seed: int = 0
+    ref_frac: int = 0
 
-    def __init__(
-        self,
-        graph: Mapping[str, Any],
-        target_metric: str,
-        target_value: float,
-        points: Sequence[Mapping[str, Any]],
-        predicted_abs_error: Sequence[float],
-        measured_abs_error: Sequence[float],
-        measured_snr_db: Sequence[float],
-        latency_gates: Sequence[float],
-        candidates_total: int,
-        candidates_pruned: int,
-        candidates_verified: int,
-        chosen: int = -1,
-        modules: Sequence[Mapping[str, Any]] = (),
-        delta: int = 3,
-        num_samples: int = 0,
-        seed: int = 0,
-        ref_frac: int = 0,
-    ) -> None:
-        self.graph = dict(graph)
-        self.target_metric = str(target_metric)
-        self.target_value = float(target_value)
-        self.points = [dict(p) for p in points]
-        self.predicted_abs_error = np.asarray(predicted_abs_error, dtype=np.float64)
-        self.measured_abs_error = np.asarray(measured_abs_error, dtype=np.float64)
-        self.measured_snr_db = np.asarray(measured_snr_db, dtype=np.float64)
-        self.latency_gates = np.asarray(latency_gates, dtype=np.float64)
-        self.candidates_total = int(candidates_total)
-        self.candidates_pruned = int(candidates_pruned)
-        self.candidates_verified = int(candidates_verified)
-        self.chosen = int(chosen)
-        self.modules = [dict(m) for m in modules]
-        self.delta = int(delta)
-        self.num_samples = int(num_samples)
-        self.seed = int(seed)
-        self.ref_frac = int(ref_frac)
-        self.run_stats = None  # attached by run_synthesis, not serialized
-        for name in _POINT_ARRAYS:
-            if len(getattr(self, name)) != len(self.points):
+    kind: ClassVar[str] = "synthesis"
+    _array_fields: ClassVar[Dict[str, str]] = {
+        "predicted_abs_error": "float64",
+        "measured_abs_error": "float64",
+        "measured_snr_db": "float64",
+        "latency_gates": "float64",
+    }
+
+    def __post_init__(self) -> None:
+        self.graph = dict(self.graph)
+        self.target_metric = str(self.target_metric)
+        self.target_value = float(self.target_value)
+        self.points = [dict(p) for p in self.points]
+        self.modules = [dict(m) for m in self.modules]
+        for name in ("candidates_total", "candidates_pruned",
+                     "candidates_verified", "chosen", "delta",
+                     "num_samples", "seed", "ref_frac"):
+            setattr(self, name, int(getattr(self, name)))
+        for name, dtype in self._array_fields.items():
+            values = np.asarray(getattr(self, name), dtype=dtype)
+            if len(values) != len(self.points):
                 raise ValueError(
                     f"{name} must parallel points "
-                    f"({len(getattr(self, name))} != {len(self.points)})"
+                    f"({len(values)} != {len(self.points)})"
                 )
+            setattr(self, name, values)
+        self.run_stats = None  # attached by run_synthesis, not serialized
 
     # ------------------------------------------------------------- views
     def design_points(self) -> List[Dict[str, Any]]:
@@ -125,7 +112,7 @@ class SynthesisReport:
         rows = []
         for i, point in enumerate(self.points):
             row = dict(point)
-            for name in _POINT_ARRAYS:
+            for name in self._array_fields:
                 row[name] = float(getattr(self, name)[i])
             rows.append(row)
         return rows
@@ -151,59 +138,6 @@ class SynthesisReport:
             return float(self.measured_snr_db[i]) >= self.target_value
         mre = self.points[i]["measured_mre_percent"]
         return float(mre) <= self.target_value
-
-    # ----------------------------------------------------- serialization
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "graph": jsonable(self.graph),
-            "target_metric": self.target_metric,
-            "target_value": self.target_value,
-            "points": jsonable(self.points),
-            "predicted_abs_error": jsonable(self.predicted_abs_error),
-            "measured_abs_error": jsonable(self.measured_abs_error),
-            "measured_snr_db": jsonable(self.measured_snr_db),
-            "latency_gates": jsonable(self.latency_gates),
-            "candidates_total": self.candidates_total,
-            "candidates_pruned": self.candidates_pruned,
-            "candidates_verified": self.candidates_verified,
-            "chosen": self.chosen,
-            "modules": jsonable(self.modules),
-            "delta": self.delta,
-            "num_samples": self.num_samples,
-            "seed": self.seed,
-            "ref_frac": self.ref_frac,
-            **metrics_entry(self),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SynthesisReport":
-        report = cls(
-            graph=data["graph"],
-            target_metric=data["target_metric"],
-            target_value=data["target_value"],
-            points=data["points"],
-            predicted_abs_error=np.asarray(
-                data["predicted_abs_error"], dtype=np.float64
-            ),
-            measured_abs_error=np.asarray(
-                data["measured_abs_error"], dtype=np.float64
-            ),
-            measured_snr_db=np.asarray(
-                data["measured_snr_db"], dtype=np.float64
-            ),
-            latency_gates=np.asarray(data["latency_gates"], dtype=np.float64),
-            candidates_total=data["candidates_total"],
-            candidates_pruned=data["candidates_pruned"],
-            candidates_verified=data["candidates_verified"],
-            chosen=data.get("chosen", -1),
-            modules=data.get("modules", ()),
-            delta=data.get("delta", 3),
-            num_samples=data.get("num_samples", 0),
-            seed=data.get("seed", 0),
-            ref_frac=data.get("ref_frac", 0),
-        )
-        return restore_metrics(report, data)
 
     # ----------------------------------------------------------- display
     def summary(self) -> str:

@@ -273,6 +273,16 @@ class TestSharedDatapaths:
         with pytest.raises(ValueError, match="size must be >= 3"):
             run_filter_study(RunConfig(ndigits=8, cache_dir=None), size=size)
 
+    def test_study_rejects_short_wordlengths_before_keying(self, tmp_path):
+        """The cache key builds the datapath netlists, which need 8-bit
+        pixels to fit: the entry point says so before building them."""
+        from repro.imaging.filters import run_filter_study
+        from repro.runners import RunConfig
+
+        config = RunConfig(ndigits=4, cache_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="ndigits must be >= 8"):
+            run_filter_study(config, size=5)
+
     def test_aliasing_delay_models_get_their_own_timing(self):
         """Two models with one ``repr`` signature must not share answers."""
         from repro.imaging.filters import run_filter_study
@@ -290,3 +300,26 @@ class TestSharedDatapaths:
             steps = study.steps(arith, "lena")
             assert steps["rated_step"] == fresh.rated_step
             assert steps["error_free_step"] == fresh.error_free_step
+
+    def test_aliasing_delay_models_get_their_own_cache_entries(self, tmp_path):
+        """One cache directory: the second model must miss, not be served
+        the first model's study under their shared signature."""
+        from repro.imaging.filters import run_filter_study
+        from repro.runners import RunConfig
+        from tests.delay_models import aliasing_pair
+
+        config = RunConfig(ndigits=8, jobs=1, cache_dir=None)
+        args = dict(images=("uniform",), factors=(1.1,), size=5)
+        fast, slow = aliasing_pair()
+        cached = config.with_(cache_dir=str(tmp_path))
+        first = run_filter_study(cached, delay_model=fast, **args)
+        second = run_filter_study(cached, delay_model=slow, **args)
+        fresh = run_filter_study(config, delay_model=slow, **args)
+        assert (first.run_stats.cache, second.run_stats.cache) == (
+            "miss", "miss"
+        )
+        assert second.rated_step.tolist() == fresh.rated_step.tolist()
+        assert second.rated_step.tolist() != first.rated_step.tolist()
+        again = run_filter_study(cached, delay_model=slow, **args)
+        assert again.run_stats.cache == "hit"
+        assert again.rated_step.tolist() == fresh.rated_step.tolist()

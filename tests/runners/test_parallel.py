@@ -618,9 +618,9 @@ class TestServiceRecovery:
             concurrency=2,
             failure_threshold=1,  # a single recorded failure would open it
         )
-        service = EvalService(config, evaluator=evaluate)
 
         async def main():
+            service = EvalService(config, evaluator=evaluate)
             await service.start()
             client = await ServiceClient.connect("127.0.0.1", service.port)
             resp = await client.request(

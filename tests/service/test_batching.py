@@ -277,6 +277,28 @@ class TestPerMemberCacheWrites:
         assert canonical(replay) == canonical(b1)
 
 
+    def test_fused_group_stores_its_members_not_the_union_grid(
+        self, tmp_path
+    ):
+        config = service_config(
+            run_config=BASE.with_(cache_dir=str(tmp_path))
+        )
+        members = [
+            ("montecarlo", {"samples": 60, "depths": [2, 4]}),
+            ("montecarlo", {"samples": 60, "depths": [3]}),
+        ]
+
+        async def main():
+            service, client = await started(config)
+            responses = await queued(service, client, members)
+            await finish(service, client)
+            return responses
+
+        responses = asyncio.run(main())
+        stored = sorted(path.stem for path in tmp_path.glob("*.json"))
+        assert stored == sorted(r["key"] for r in responses)
+
+
 class TestCompatibilityBoundaries:
     def test_incompatible_requests_evaluate_separately(self):
         evaluator, calls = counted(evaluate_request)

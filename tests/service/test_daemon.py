@@ -280,6 +280,50 @@ class TestCacheShortCircuit:
         assert evaluations == []  # cache answered before the queue
 
 
+    def test_a_miss_costs_one_lookup_and_one_put(self, tmp_path, monkeypatch):
+        """The daemon's handle is the service's only one: an answered
+        miss is looked up once and stored once, and no request builds a
+        handle of its own."""
+        from repro.runners.cache import ResultCache
+
+        config = service_config(
+            run_config=BASE.with_(cache_dir=str(tmp_path))
+        )
+        opened = []
+        init = ResultCache.__init__
+
+        def counting_init(self, *args, **kwargs):
+            opened.append(args)
+            init(self, *args, **kwargs)
+
+        def cache_counters():
+            counters = metrics().snapshot()["counters"]
+            return tuple(
+                counters.get(f"cache.{name}", 0)
+                for name in ("misses", "puts", "hits")
+            )
+
+        async def main():
+            service, client = await started(config)
+            monkeypatch.setattr(ResultCache, "__init__", counting_init)
+            request = ("montecarlo", {"samples": 60, "depths": [2, 3]})
+            before = cache_counters()
+            fresh = await client.request(*request)
+            after_miss = cache_counters()
+            cached = await client.request(*request)
+            after_hit = cache_counters()
+            await finish(service, client)
+            return before, after_miss, after_hit, fresh, cached
+
+        before, after_miss, after_hit, fresh, cached = asyncio.run(main())
+        delta = lambda a, b: tuple(y - x for x, y in zip(a, b))  # noqa: E731
+        assert delta(before, after_miss) == (1, 1, 0)
+        assert delta(after_miss, after_hit) == (0, 0, 1)
+        assert opened == []
+        assert cached["cached"] is True
+        assert cached["result"] == fresh["result"]
+
+
 class TestShedding:
     def test_saturated_class_sheds_with_retry_after(self):
         metrics().reset()
