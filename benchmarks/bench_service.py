@@ -8,7 +8,7 @@ the real socket protocol:
   the ``service.coalesce_hits`` metric); every caller gets the answer.
 * **throughput** — a hand-rolled async load generator (many clients,
   bounded in-flight) drives distinct requests through the full
-  breaker → admission → in-flight registry → pool pipeline and
+  admission → in-flight registry → pool pipeline and
   reports req/s, p50 and p99 latency; a second leg measures the
   persistent-cache short-circuit path.
 * **batching** — a compatible depth fan-out, sent all at once vs one
@@ -19,9 +19,10 @@ the real socket protocol:
 * **shedding** — a saturated queue rejects fast, with a ``Retry-After``
   hint derived from live queue state, instead of growing an unbounded
   backlog.
-* **degraded** — with the pool forced down, the breaker opens and every
-  request is still answered from the Section-3 analytical model with
-  ``"degraded": true``.
+* **pool loss** — every request maps its shards over a two-worker
+  :class:`~repro.runners.ParallelRunner` pool whose worker kills itself
+  once; the runner retries on a fresh pool, so every request is still
+  answered ok with the exact values.
 
 Run standalone (``python benchmarks/bench_service.py [--quick]``) for
 the CI smoke run; the regenerated table lands in
@@ -30,17 +31,14 @@ the CI smoke run; the regenerated table lands in
 
 import argparse
 import asyncio
+import os
+import tempfile
 import time
 
 from _common import emit, publish, run_config
 from repro.obs.metrics import metrics
-from repro.service import (
-    EvalService,
-    ServiceClient,
-    ServiceConfig,
-    TransientEvalError,
-)
-from repro.service.retry import RetryPolicy
+from repro.runners import ParallelRunner
+from repro.service import EvalService, ServiceClient, ServiceConfig
 from repro.sim.reporting import format_table
 
 NDIGITS = 4
@@ -63,9 +61,6 @@ def _service_config(cache_dir=None, **overrides):
         run_config=base,
         concurrency=4,
         limits=LIMITS,
-        retry=RetryPolicy(base=0.005, cap=0.02, budget=0.06, max_attempts=3),
-        failure_threshold=3,
-        reset_timeout=60.0,  # phases are short; no accidental half-open
         drain_timeout=5.0,
     )
     kwargs.update(overrides)
@@ -332,41 +327,59 @@ def phase_shedding(num_requests):
     return row, measures
 
 
-def phase_degraded(num_requests):
-    """Pool forced down: the breaker opens, every request still answered."""
-    metrics().reset()
+def _kill_once(task):
+    """Pool shard: hard-kill the hosting worker the first time through."""
+    if not os.path.exists(task["flag"]):
+        with open(task["flag"], "w") as fh:
+            fh.write("killed")
+        os._exit(3)
+    return task["value"] * 2
 
-    def broken_evaluator(req, token):
-        raise TransientEvalError("injected pool fault")
 
-    async def body(service):
-        requests = [
-            ("montecarlo", {"samples": 100 + i, "depths": [4, 6]})
-            for i in range(num_requests)
-        ]
-        load = await _run_load(
-            service, num_clients=4, requests=requests, max_inflight=8,
+def phase_pool_loss(num_requests):
+    """A worker dies under every request: each is still answered exactly."""
+    values = list(range(4))
+    exact = [2 * v for v in values]
+
+    with tempfile.TemporaryDirectory(prefix="repro-bench-pool-") as flags:
+
+        def killing_evaluator(req, token):
+            runner = ParallelRunner(jobs=2, backoff=0.01, cancel_token=token)
+            flag = os.path.join(flags, f"{req.key}.flag")
+            tasks = [{"flag": flag, "value": v} for v in values]
+            return {
+                "values": runner.map(_kill_once, tasks),
+                "pool_failures": runner.stats.pool_failures,
+            }
+
+        async def body(service):
+            requests = [
+                ("montecarlo", {"samples": 100 + i, "depths": [4]})
+                for i in range(num_requests)
+            ]
+            return await _run_load(
+                service, num_clients=2, requests=requests, max_inflight=2,
+            )
+
+        load = asyncio.run(
+            _with_service(_service_config(), killing_evaluator, body)
         )
-        load["breaker"] = service.breaker.state
-        return load
-
-    load = asyncio.run(
-        _with_service(_service_config(), broken_evaluator, body)
-    )
-    degraded = [r for r in load["responses"] if r.get("degraded")]
+    exact_answers = [
+        r for r in load["responses"]
+        if r["ok"] and "degraded" not in r and r["result"]["values"] == exact
+    ]
+    lost = sum(r["result"]["pool_failures"] for r in exact_answers)
     measures = {
-        "answered": all(r["ok"] for r in load["responses"]),
-        "all_degraded": len(degraded) == num_requests,
-        "breaker": load["breaker"],
-        "breaker_opened": metrics().snapshot()["counters"].get(
-            "service.breaker.opened", 0
+        "all_exact": len(exact_answers) == num_requests,
+        "every_pool_lost": all(
+            r["result"]["pool_failures"] >= 1 for r in exact_answers
         ),
     }
     row = [
-        "degraded", f"{num_requests} w/ pool down",
+        "pool loss", f"{num_requests} w/ worker kill",
         f"{load['req_per_s']:.0f}", f"{load['p50'] * 1e3:.1f}",
         f"{load['p99'] * 1e3:.1f}",
-        f"{len(degraded)} analytical, breaker {load['breaker']}",
+        f"{len(exact_answers)} exact, {lost} pools lost",
     ]
     return row, measures
 
@@ -378,9 +391,9 @@ def test_service_load_smoke(tmp_path):
     assert measures["evaluations"] == 1
     assert measures["coalesce_hits"] == 5
     assert measures["all_answered"]
-    row, measures = phase_degraded(num_requests=4)
-    assert measures["answered"] and measures["all_degraded"]
-    assert measures["breaker"] == "open"
+    row, measures = phase_pool_loss(num_requests=2)
+    assert measures["all_exact"]
+    assert measures["every_pool_lost"]
 
 
 def test_service_batching_smoke():
@@ -406,11 +419,9 @@ def main(argv=None) -> int:
     fanout = 8 if args.quick else 32
     num_requests = args.requests or (40 if args.quick else 400)
     shed_requests = 12 if args.quick else 48
-    degraded_requests = 8 if args.quick else 32
+    pool_loss_requests = 4 if args.quick else 16
     batch_fanout = 6 if args.quick else 12
     batch_samples = 2000 if args.quick else 10000
-
-    import tempfile
 
     rows = []
     coalesce_row, coalesce = phase_coalescing(fanout)
@@ -422,8 +433,8 @@ def main(argv=None) -> int:
     rows.extend(batch_rows)
     shed_row, shedding = phase_shedding(shed_requests)
     rows.append(shed_row)
-    degraded_row, degraded = phase_degraded(degraded_requests)
-    rows.append(degraded_row)
+    pool_loss_row, pool_loss = phase_pool_loss(pool_loss_requests)
+    rows.append(pool_loss_row)
 
     emit(
         "service",
@@ -487,14 +498,10 @@ def main(argv=None) -> int:
     if not (shedding["retry_after_present"]
             and shedding["retry_after_positive"]):
         failures.append("shed responses missing a positive retry_after")
-    if not degraded["answered"]:
-        failures.append("pool-down phase dropped requests")
-    if not degraded["all_degraded"]:
-        failures.append("pool-down answers not all marked degraded")
-    if degraded["breaker"] != "open":
-        failures.append(
-            f"breaker state {degraded['breaker']!r} (acceptance: open)"
-        )
+    if not pool_loss["all_exact"]:
+        failures.append("pool-loss phase answered a request inexactly")
+    if not pool_loss["every_pool_lost"]:
+        failures.append("pool-loss phase lost no pool (the kill never ran)")
     for failure in failures:
         print(f"FAIL: {failure}")
     return 1 if failures else 0

@@ -22,8 +22,9 @@ Installed as ``repro-overclock`` (see ``pyproject.toml``), or run as
 ``serve``
     Long-running evaluation daemon: Monte-Carlo / sweep / synthesis
     requests over a JSON-lines TCP protocol, with admission control,
-    request coalescing, retries, a circuit breaker and analytical
-    graceful degradation (:mod:`repro.service`).
+    request coalescing and batching, deadlines and graceful drain
+    (:mod:`repro.service`).  Every answer is computed; a failure is
+    answered as one, never from the analytical model.
 ``filter``
     The Gaussian image-filter case study on one benchmark image
     (Fig. 6 / 7, Tables 1-2 style output).
@@ -42,7 +43,7 @@ Installed as ``repro-overclock`` (see ``pyproject.toml``), or run as
     Render the span tree of a trace file written by ``--trace``.
 ``top``
     Tail a live daemon: a refreshing one-screen view of queue depths,
-    breaker state, per-run shard progress and cache hit rates from the
+    drain state, per-run shard progress and cache hit rates from the
     ``statsz`` admin verb (``--once`` prints a single snapshot for CI).
 
 Every experiment subcommand accepts ``--trace PATH``: the run exports a
@@ -203,6 +204,14 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     from repro.sim.reporting import format_run_stats
     from repro.synth import AccuracyTarget, run_synthesis
     from repro.synth.demos import demo_datapath
+    from repro.synth.search import check_wordlength
+
+    flag = "--wordlengths" if args.wordlengths is not None else "--ndigits"
+    for n in args.wordlengths or [args.ndigits]:
+        try:
+            check_wordlength(n)
+        except ValueError as exc:
+            args.parser.error(f"argument {flag}: {exc}")
 
     try:
         if args.target_snr is not None:
@@ -487,8 +496,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         concurrency=args.concurrency,
         default_deadline=args.deadline,
-        failure_threshold=args.failure_threshold,
-        reset_timeout=args.reset_timeout,
         drain_timeout=args.drain_timeout,
     )
     run_service(service_config, on_start=announce)
@@ -681,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2014)
     _add_backend_flag(p)
     _add_run_flags(p)
-    p.set_defaults(func=_cmd_synth)
+    p.set_defaults(func=_cmd_synth, parser=p)
 
     p = sub.add_parser("filter", help="Gaussian-filter case study")
     p.add_argument("--image", default="lena",
@@ -752,11 +759,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the evaluation daemon (JSON-lines over TCP)",
         description="Long-running evaluation service: Monte-Carlo, sweep "
                     "and synthesis requests over a JSON-lines protocol, "
-                    "with admission control, retries, a circuit breaker "
-                    "and analytical graceful degradation.  Identical "
-                    "in-flight requests share one evaluation, and "
-                    "compatible requests queued for an evaluator slot "
-                    "fuse into one.",
+                    "with admission control, deadlines and graceful "
+                    "drain.  Identical in-flight requests share one "
+                    "evaluation, and compatible requests queued for an "
+                    "evaluator slot fuse into one.  Every answer is "
+                    "computed exactly or is an explicit failure; none "
+                    "comes from the analytical model.",
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7914,
@@ -768,10 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluator slots (resident worker threads)")
     p.add_argument("--deadline", type=float, default=None,
                    help="default per-request deadline in seconds")
-    p.add_argument("--failure-threshold", type=int, default=3,
-                   help="consecutive pool failures that open the breaker")
-    p.add_argument("--reset-timeout", type=float, default=5.0,
-                   help="breaker cooldown before half-open probes")
     p.add_argument("--drain-timeout", type=float, default=30.0,
                    help="graceful-drain bound on SIGTERM")
     _add_run_flags(p)
@@ -781,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
         "top",
         help="live one-screen view of a running service",
         description="Tail a live evaluation daemon: refreshes queue "
-                    "depths, breaker state, per-run shard progress and "
+                    "depths, drain state, per-run shard progress and "
                     "cache counters from the statsz admin verb.",
     )
     p.add_argument("--host", default="127.0.0.1")

@@ -246,8 +246,6 @@ _TOP_COUNTERS = (
     ("cache short-circuits", "service.cache_short_circuit"),
     ("coalesce hits", "service.coalesce_hits"),
     ("shed", "service.shed"),
-    ("degraded", "service.degraded"),
-    ("retries", "service.retries"),
     ("progress frames", "service.progress_frames"),
     ("events published", "events.published"),
     ("events dropped", "events.dropped"),
@@ -264,7 +262,7 @@ def _progress_bar(done: int, total: int, width: int = 20) -> str:
 def render_top(statsz: Dict[str, Any]) -> str:
     """One-screen view of a daemon's ``statsz`` payload (``repro top``).
 
-    Shows breaker/drain state, per-class queue depths, the counters an
+    Shows drain state, per-class queue depths, the counters an
     operator actually watches (with cache hit ratios derived the same
     way ``repro stats`` derives them), and a progress bar per in-flight
     run from the live shard-progress snapshots.
@@ -273,9 +271,8 @@ def render_top(statsz: Dict[str, Any]) -> str:
     draining = "yes" if statsz.get("draining") else "no"
     est = float(statsz.get("service_time_estimate", 0.0) or 0.0)
     lines.append(
-        f"breaker={statsz.get('breaker', '?')}  draining={draining}  "
-        f"inflight_keys={statsz.get('inflight_keys', 0)}  "
-        f"service_time~{est:.3g}s"
+        f"draining={draining}  inflight_keys={statsz.get('inflight_keys', 0)}"
+        f"  service_time~{est:.3g}s"
     )
     depths = statsz.get("queue_depths") or {}
     if depths:

@@ -19,11 +19,12 @@ The execution model every ``run_*`` entry point shares:
    accumulation order is fixed, so the merged statistics are
    bit-identical for ``jobs=1`` and ``jobs=N``.
 
-Failure semantics: a worker-process crash (``BrokenProcessPool``) or a
-shard exceeding the per-shard wall-clock budget (``shard_timeout``) is
-retried with exponential backoff on a fresh pool — the old pool is
-abandoned without waiting, since a hung worker would block a graceful
-shutdown indefinitely.  After ``max_pool_failures`` consecutive pool
+Failure semantics: a worker-process crash (``BrokenProcessPool``), a
+pool that cannot start its workers (an ``OSError`` such as ``EAGAIN``
+from a failed fork) or a shard exceeding the per-shard wall-clock
+budget (``shard_timeout``) is retried with exponential backoff on a
+fresh pool — the old pool is abandoned without waiting, since a hung
+worker would block a graceful shutdown indefinitely.  After ``max_pool_failures`` consecutive pool
 losses the runner *degrades to in-process execution* for the remaining
 shards, so a broken multiprocessing environment can slow an experiment
 down but never fail it.  Every pool loss records *why* — the triggering
@@ -89,6 +90,10 @@ DEFAULT_BACKOFF = 0.1
 #: polling granularity (seconds) while awaiting pool futures under a
 #: cancel token — bounds how late a cancellation is noticed
 CANCEL_POLL_INTERVAL = 0.05
+
+
+class _PoolStartFailed(Exception):
+    """The pool could not start its workers (an ``OSError`` at fork)."""
 
 
 class RunCancelled(RuntimeError):
@@ -259,8 +264,8 @@ class ParallelRunner:
     jobs:
         Worker processes; ``jobs <= 1`` runs everything in-process.
     max_pool_failures:
-        Pool losses (crash or shard timeout) tolerated before degrading
-        to in-process execution.
+        Pool losses (crash, failed worker start or shard timeout)
+        tolerated before degrading to in-process execution.
     backoff:
         Base sleep between pool rebuilds (doubles per consecutive loss).
     shard_timeout:
@@ -434,14 +439,25 @@ class ParallelRunner:
         progress = self.progress
         reason: Optional[str] = None
         while remaining and self.stats.pool_failures < self.max_pool_failures:
-            pool = ProcessPoolExecutor(max_workers=self.jobs)
+            pool = None
             try:
-                futures = {
-                    i: pool.submit(
-                        _timed_call, fn, tasks[i], worker_trace_context(i), True
-                    )
-                    for i in sorted(remaining)
-                }
+                try:
+                    pool = ProcessPoolExecutor(max_workers=self.jobs)
+                    futures = {
+                        i: pool.submit(
+                            _timed_call, fn, tasks[i],
+                            worker_trace_context(i), True,
+                        )
+                        for i in sorted(remaining)
+                    }
+                except OSError as exc:
+                    # the workers could not be started (a failed fork:
+                    # EAGAIN, ENOMEM) — a pool loss like a died worker.
+                    # An OSError the shard function raises arrives
+                    # through result() below and propagates instead.
+                    raise _PoolStartFailed(
+                        f"{type(exc).__name__}: {exc}"
+                    ) from exc
                 if progress is not None:
                     for i in futures:
                         progress.shard_started(i, counts[i])
@@ -473,17 +489,21 @@ class ParallelRunner:
                 )
             except BrokenProcessPool as exc:
                 reason = f"BrokenProcessPool: {exc}"
+            except _PoolStartFailed as exc:
+                reason = str(exc)
             except BaseException:
                 # a cancellation (or a deterministic worker error) is not
                 # a pool loss: abandon the pool without counting it
-                pool.shutdown(wait=False, cancel_futures=True)
+                if pool is not None:
+                    pool.shutdown(wait=False, cancel_futures=True)
                 raise
             else:
                 pool.shutdown(wait=True)
                 return
             # abandon the lost pool without waiting: a hung worker would
             # block a graceful shutdown for as long as it hangs
-            pool.shutdown(wait=False, cancel_futures=True)
+            if pool is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
             self.stats.pool_failures += 1
             self.stats.retries += 1
             self.stats.failure_reasons.append(reason)

@@ -12,14 +12,11 @@ needs, one concern per module:
   and *compatible* requests queued for an evaluator slot fuse into one
   union-grid evaluation, split back into bit-identical per-request
   responses.
-* :mod:`repro.service.retry` — decorrelated-jitter backoff under a
-  hard sleep budget.
-* :mod:`repro.service.breaker` — the circuit breaker over the worker
-  pool.
-* :mod:`repro.service.degrade` — analytical (Section-3 model) answers
-  while the pool is down, marked ``"degraded": true``.
 * :mod:`repro.service.daemon` — the asyncio JSON-lines server tying
-  them together, with graceful drain and health endpoints.
+  them together, with graceful drain and health endpoints.  Pool
+  failure is the runner's alone (:class:`repro.runners.ParallelRunner`
+  retries a lost pool, then finishes inline): every answer is computed
+  or an explicit failure, never an analytical stand-in.
 * :mod:`repro.service.client` — the multiplexing JSON-lines client.
 
 Stdlib-only by design: the daemon adds zero dependencies beyond what
@@ -35,23 +32,18 @@ _EXPORTS = {
     "InflightRegistry": "repro.service.batch",
     "merge_requests": "repro.service.batch",
     "split_responses": "repro.service.batch",
-    "CircuitBreaker": "repro.service.breaker",
     "ServiceClient": "repro.service.client",
     "request_once": "repro.service.client",
     "EvalService": "repro.service.daemon",
     "ServiceConfig": "repro.service.daemon",
-    "TransientEvalError": "repro.service.daemon",
     "evaluate_request": "repro.service.daemon",
     "run_service": "repro.service.daemon",
-    "degraded_answer": "repro.service.degrade",
     "ADMIN_KINDS": "repro.service.requests",
     "REQUEST_CLASSES": "repro.service.requests",
     "EvalRequest": "repro.service.requests",
     "RequestError": "repro.service.requests",
     "batch_compatibility_key": "repro.service.requests",
     "parse_request": "repro.service.requests",
-    "DEFAULT_RETRY_POLICY": "repro.service.retry",
-    "RetryPolicy": "repro.service.retry",
 }
 
 __all__ = list(_EXPORTS)

@@ -57,7 +57,6 @@ from repro.obs.trace import current_tracer
 from repro.runners.cache import cache_key
 from repro.runners.parallel import CancelToken
 from repro.runners.results import result_from_dict
-from repro.service.degrade import degraded_answer
 from repro.service.requests import EvalRequest
 
 __all__ = [
@@ -157,15 +156,10 @@ def split_responses(
 
     * Success — each member gets its sliced payload under its own id
       and key.
-    * Degraded — each member gets its own analytical answer, same
-      reason, exactly as its solo run under an open breaker would.
-    * Error / deadline / cancelled / shed — the failure is copied per
-      member with the member's id; the texts are grid-independent, so
-      these too match the solo spelling.
+    * Error / cancelled — the failure is copied per member with the
+      member's id; the texts are grid-independent, so these too match
+      the solo spelling.
     """
-    if response.get("degraded"):
-        reason = response.get("degraded_reason", "degraded")
-        return [degraded_answer(member, reason) for member in members]
     if not response.get("ok") or "result" not in response:
         return [{**response, "id": member.id} for member in members]
     return [
@@ -237,11 +231,14 @@ class InflightRegistry:
         """The future of the in-flight request for *key*, if there is one."""
         return self._futures.get(key)
 
-    def submit(self, req: EvalRequest) -> "asyncio.Future[Any]":
+    def submit(
+        self, req: EvalRequest, arrived: float
+    ) -> "asyncio.Future[Any]":
         """Join or open *req*'s group; return the future of its response.
 
         The caller has admitted *req* and checked that its key is not
-        already in flight (:meth:`follow`).
+        already in flight (:meth:`follow`).  *arrived* is the loop time
+        *req* reached the daemon; its deadline runs from then.
         """
         loop = asyncio.get_running_loop()
         future = loop.create_future()
@@ -257,7 +254,7 @@ class InflightRegistry:
             task.add_done_callback(self._tasks.discard)
         group.members.append((req, future))
         if req.deadline is not None:
-            expires = loop.time() + req.deadline
+            expires = arrived + req.deadline
             group.expires = max(expires, group.expires or expires)
             timer = loop.call_at(expires, self._expire, req, future)
             future.add_done_callback(lambda _: timer.cancel())
@@ -286,21 +283,6 @@ class InflightRegistry:
                 aborted += 1
         self._futures.clear()
         return aborted
-
-    async def pause(self, delay: float) -> None:
-        """Sleep out a retry backoff without holding an evaluator slot.
-
-        Called from inside a running group, which holds a slot; other
-        groups may use it meanwhile, so a failing pool's backoffs do
-        not stall every queued request behind them.
-        """
-        self._slots.release()
-        try:
-            await asyncio.sleep(delay)
-        finally:
-            # the group's ``async with`` releases a slot on exit, so take
-            # one back even when cancelled
-            await asyncio.shield(self._slots.acquire())
 
     # ----------------------------------------------------------- internals
     def _close(self, group: _Group) -> None:
@@ -408,14 +390,12 @@ class InflightRegistry:
 
         The service's only cache write: evaluations run with the cache
         off, so each answered key costs one lookup (the daemon's
-        short-circuit) and this one put.  Failures and analytical
-        (degraded) answers are never stored.
+        short-circuit) and this one put.  Failures are never stored.
         """
         if (
             self._cache is None
             or req.cache_key is None
             or not answer.get("ok")
-            or answer.get("degraded")
             or "result" not in answer
         ):
             return

@@ -9,8 +9,8 @@ request ``id`` for correlation).
 A request travels::
 
     parse -> cache short-circuit -> follow an identical in-flight request
-          |  or breaker -> admission -> join/open a group -> slot
-          -> retry(evaluate, cancellable) -> cache write -> respond
+          |  or admission -> join/open a group -> slot
+          -> evaluate (cancellable) -> cache write -> respond
 
 * **parse** (:mod:`repro.service.requests`) — strict validation; the
   normalized request carries the same content-addressed key the result
@@ -28,26 +28,25 @@ A request travels::
   or opens one.  A group closes when it acquires one of
   ``concurrency`` evaluator slots and runs as one union-grid
   evaluation, split back into per-request responses bit-identical to
-  their solo spelling.
-* **breaker** (:mod:`repro.service.breaker`) — a pool that keeps
-  failing is taken out of rotation; requests are answered from the
-  Section-3 analytical model (:mod:`repro.service.degrade`) with
-  ``"degraded": true`` until a half-open probe succeeds.
+  their solo spelling.  A follower handed a ``deadline`` answer that
+  is not its own (its deadline is later or absent) runs once more as
+  its own request.
 * **admission** (:mod:`repro.service.admission`) — bounded per-class
   occupancy; overload sheds fast with a ``retry_after`` hint.
-* **retry** (:mod:`repro.service.retry`) — transient pool failures are
-  retried under a jittered-backoff budget; a request ``deadline``
-  cancels the evaluation *inside* the pool via the runner's
-  :class:`~repro.runners.parallel.CancelToken`.
+* **evaluate** — the evaluator runs once per group; what it raises is
+  answered ``cancelled`` (:class:`~repro.runners.parallel.RunCancelled`)
+  or ``error``.  A request ``deadline`` cancels the evaluation *inside*
+  the pool via the runner's :class:`~repro.runners.parallel.CancelToken`.
 
 Evaluations run on a small resident :class:`~concurrent.futures.
 ThreadPoolExecutor`.  At the default ``jobs=1`` every shard runs in the
 daemon process, so per-process caches (operator netlists, compiled
 engines) amortize across requests the way a long-running service wants
 them to.  With ``jobs > 1`` each evaluation maps its shards over a
-private process pool; a died worker is retried by the runner on a fresh
-pool without ever surfacing as a request failure — which is why a
-worker crash cannot open the circuit breaker by itself.
+private process pool.  The runner is the one owner of pool failure: a
+died worker or a failed fork is retried on a fresh pool and then run
+inline, so it never surfaces as a request failure, and every answer is
+computed — none comes from the analytical model.
 
 Lifecycle: ``SIGTERM``/``SIGINT`` trigger a graceful drain — the
 listener closes, groups still waiting for a slot are answered with a
@@ -64,7 +63,6 @@ import json
 import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional
 
@@ -77,31 +75,19 @@ from repro.runners.config import RunConfig
 from repro.runners.parallel import CancelToken, ParallelRunner, RunCancelled
 from repro.service.admission import AdmissionController, ShedRequest
 from repro.service.batch import InflightRegistry
-from repro.service.breaker import CircuitBreaker
-from repro.service.degrade import degraded_answer
 from repro.service.requests import (
     ADMIN_KINDS,
     EvalRequest,
     RequestError,
     parse_request,
 )
-from repro.service.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
 __all__ = [
     "ServiceConfig",
     "EvalService",
-    "TransientEvalError",
     "evaluate_request",
     "run_service",
 ]
-
-
-class TransientEvalError(RuntimeError):
-    """A retryable evaluation failure (injectable in tests/benchmarks)."""
-
-
-#: exception types the retry policy treats as transient
-TRANSIENT_ERRORS = (TransientEvalError, BrokenProcessPool, OSError)
 
 
 @dataclass(frozen=True)
@@ -116,10 +102,6 @@ class ServiceConfig:
     total_limit: Optional[int] = None
     default_deadline: Optional[float] = None
     max_samples: int = 200_000
-    retry: RetryPolicy = DEFAULT_RETRY_POLICY
-    failure_threshold: int = 3
-    reset_timeout: float = 5.0
-    half_open_probes: int = 1
     drain_timeout: float = 30.0
 
 
@@ -185,10 +167,10 @@ def evaluate_request(
 
 
 class EvalService:
-    """One daemon instance: admission, dedup, breaker, retry, lifecycle.
+    """One daemon instance: admission, in-flight sharing, lifecycle.
 
     ``evaluator`` is injectable (tests and the load benchmark swap in
-    fault-injected ones); it must be a callable ``(EvalRequest,
+    instrumented or failing ones); it must be a callable ``(EvalRequest,
     CancelToken) -> dict`` and may run for a while — it is always
     invoked on the executor, never on the event loop.
     """
@@ -208,11 +190,6 @@ class EvalService:
             limits=self.config.limits,
             total=self.config.total_limit,
             concurrency=self.config.concurrency,
-        )
-        self.breaker = CircuitBreaker(
-            failure_threshold=self.config.failure_threshold,
-            reset_timeout=self.config.reset_timeout,
-            half_open_probes=self.config.half_open_probes,
         )
         # the service's one cache handle: requests evaluate with the
         # cache off, and the registry stores their answers through it
@@ -386,18 +363,37 @@ class EvalService:
         if cached is not None:
             return cached
 
+        loop = asyncio.get_running_loop()
+        arrived = loop.time()
+        response = await self._answer(req, arrived, send_progress)
+        if (
+            response.get("coalesced")
+            and response.get("code") == "deadline"
+            and (req.deadline is None
+                 or loop.time() < arrived + req.deadline)
+        ):
+            # the deadline that fired was the request this one followed,
+            # not its own (``key`` excludes the deadline): run it once
+            # more, as its own request
+            if self._draining:
+                return {"ok": False, "code": "draining",
+                        "error": "service draining", "id": req.id}
+            metrics().count("service.readmitted")
+            response = await self._answer(req, arrived, send_progress)
+        return response
+
+    async def _answer(
+        self,
+        req: EvalRequest,
+        arrived: float,
+        send_progress: Optional[Callable[[Dict[str, Any]], Any]],
+    ) -> Dict[str, Any]:
+        """Follow *req*'s in-flight twin, or admit and submit *req*."""
         future = self.inflight.follow(req.key)
         following = future is not None
         if following:  # identical work is in flight: share its answer
             metrics().count("service.coalesce_hits")
             current_tracer().event("service.coalesce", key=req.key)
-        elif not self.breaker.allow():
-            metrics().count("service.degraded")
-            current_tracer().event("service.degraded", key=req.key)
-            return degraded_answer(
-                req,
-                f"breaker open ({self.breaker.last_failure or 'pool down'})",
-            )
         else:
             # every admitted request, fused or not, holds its own slot
             # until answered: shedding sees the true demand, and a group
@@ -412,7 +408,7 @@ class EvalService:
                     "retry_after": exc.retry_after,
                     "id": req.id,
                 }
-            future = self.inflight.submit(req)
+            future = self.inflight.submit(req, arrived)
             started = time.monotonic()
         watch = self._add_watcher(req.key, req.id, send_progress)
         try:
@@ -498,7 +494,6 @@ class EvalService:
                 "id": req_id,
                 "status": "ready" if ready else "not-ready",
                 "draining": self._draining,
-                "breaker": self.breaker.state,
             }
         if kind == "statsz":
             return self._statsz(req_id)
@@ -513,7 +508,6 @@ class EvalService:
         return {
             "ok": True,
             "id": req_id,
-            "breaker": self.breaker.state,
             "queue_depth": self.admission.depth(),
             "inflight_keys": self.inflight.depth,
             "service_time_estimate": self.admission.service_time_estimate,
@@ -524,14 +518,13 @@ class EvalService:
         """The machine-facing snapshot `repro top` refreshes from.
 
         ``metrics`` is the *deterministic* registry view (counters +
-        histograms, gauges stripped); breaker/queue/progress state is
+        histograms, gauges stripped); drain/queue/progress state is
         live by nature and carried alongside, never inside it.
         """
         return {
             "ok": True,
             "id": req_id,
             "draining": self._draining,
-            "breaker": self.breaker.state,
             "queue_depth": self.admission.depth(),
             "queue_depths": {
                 cls: self.admission.depth(cls)
@@ -570,7 +563,7 @@ class EvalService:
         members: "list[EvalRequest]",
         token: CancelToken,
     ) -> Dict[str, Any]:
-        """One retried evaluation of *req* on the executor.
+        """One evaluation of *req* on the executor.
 
         *req* is a group's lone member or its merged request.  Progress
         frames go to every member's watchers, so each request sharing
@@ -591,37 +584,14 @@ class EvalService:
             run_id=req.key, callback=on_event
         )
 
-        def on_retry(attempt: int, delay: float, exc: BaseException) -> None:
-            metrics().count("service.retries")
-            current_tracer().event(
-                "service.retry", attempt=attempt, delay=delay, error=str(exc)
-            )
-
-        async def attempt() -> Dict[str, Any]:
-            return await loop.run_in_executor(
-                self._executor, self.evaluator, req, token
-            )
-
         try:
-            payload = await self.config.retry.acall(
-                attempt,
-                retry_on=TRANSIENT_ERRORS,
-                sleep=self.inflight.pause,
-                on_retry=on_retry,
+            payload = await loop.run_in_executor(
+                self._executor, self.evaluator, req, token
             )
         except RunCancelled as exc:
             return {"ok": False, "code": "cancelled", "error": str(exc),
                     "id": req.id}
-        except TRANSIENT_ERRORS as exc:
-            # retries spent: this is a *final* pool failure — trip the
-            # breaker's counter and still answer, from the model
-            self.breaker.record_failure(f"{type(exc).__name__}: {exc}")
-            metrics().count("service.pool_exhausted")
-            metrics().count("service.degraded")
-            return degraded_answer(
-                req, f"pool failed after retries ({type(exc).__name__})"
-            )
-        except Exception as exc:  # deterministic evaluation error
+        except Exception as exc:  # the runner already absorbed pool loss
             metrics().count("service.errors")
             return {
                 "ok": False,
@@ -633,7 +603,6 @@ class EvalService:
             progress_bus().unsubscribe(subscription)
             for key in keys:
                 self._progress.pop(key, None)
-        self.breaker.record_success()
         return {
             "ok": True,
             "id": req.id,

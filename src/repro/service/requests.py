@@ -43,7 +43,7 @@ from repro.runners.config import RunConfig
 from repro.sim.montecarlo import default_depths, montecarlo_key_components
 from repro.sim.sweep import stage_sweep_key_components, stage_sweep_plan
 from repro.synth.demos import DEMO_DATAPATHS
-from repro.synth.search import REF_FRAC, AccuracyTarget
+from repro.synth.search import AccuracyTarget, check_wordlength
 
 __all__ = [
     "REQUEST_CLASSES",
@@ -59,7 +59,7 @@ REQUEST_CLASSES = ("montecarlo", "sweep", "synthesis")
 
 #: control-plane kinds answered inline by the daemon (never queued).
 #: ``statsz`` is the deterministic machine-facing snapshot (metrics +
-#: breaker + per-class queue depths + live run progress); ``metricsz``
+#: drain state + per-class queue depths + live run progress); ``metricsz``
 #: carries the Prometheus text exposition of the same registry.
 ADMIN_KINDS = ("healthz", "readyz", "stats", "statsz", "metricsz")
 
@@ -286,16 +286,14 @@ def parse_request(
     except (ValueError, OverflowError) as exc:
         raise RequestError(str(exc)) from None
     wordlengths = _int_list(params, "wordlengths")
-    # the synthesizer quantizes shared REF_FRAC-bit operand draws, so a
-    # wordlength outside [1, REF_FRAC] can only fail — reject it here,
-    # before it takes an admission slot and evaluator time
+    # reject an unsynthesizable wordlength here, before it takes an
+    # admission slot and evaluator time
     for n in wordlengths or (config.ndigits,):
-        if not 1 <= n <= REF_FRAC:
+        try:
+            check_wordlength(n)
+        except ValueError as exc:
             field = "wordlengths entries" if wordlengths else "ndigits"
-            raise RequestError(
-                f"{field} must be in [1, {REF_FRAC}] for synthesis (the "
-                f"reference precision), got {n!r}"
-            )
+            raise RequestError(f"{field} {exc}") from None
     periods = _float_list(params, "periods")
     norm = {
         "samples": samples,

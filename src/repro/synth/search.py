@@ -68,12 +68,28 @@ from repro.vec.fused import om_sweep_vector
 __all__ = [
     "AccuracyTarget",
     "REF_FRAC",
+    "check_wordlength",
     "DEFAULT_PERIODS",
     "run_synthesis",
 ]
 
 #: fractional bits of the shared reference-precision operand draws
 REF_FRAC = 24
+
+
+def check_wordlength(ndigits: int) -> None:
+    """Raise ``ValueError`` unless ``1 <= ndigits <= REF_FRAC``.
+
+    Candidates re-quantize the shared :data:`REF_FRAC`-bit operand
+    draws, so a wider (or empty) word can only fail.  The CLI and the
+    service reject such a request with this one check before it runs.
+    """
+    if not 1 <= ndigits <= REF_FRAC:
+        raise ValueError(
+            f"must be in [1, {REF_FRAC}] for synthesis (the reference "
+            f"precision), got {ndigits!r}"
+        )
+
 
 #: default clock-period grid, as fractions of the online settle depth
 #: ``N + delta`` (in stage units) — spans deep overclocking through the
@@ -228,11 +244,8 @@ def _quantize(raw: np.ndarray, ndigits: int) -> np.ndarray:
     Round-half-away-from-zero, clamped to ``+/-(2**ndigits - 1)`` so the
     quantized value stays a valid fraction-shaped operand.
     """
+    check_wordlength(ndigits)
     shift = REF_FRAC - ndigits
-    if shift < 0:
-        raise ValueError(
-            f"wordlength {ndigits} exceeds reference precision {REF_FRAC}"
-        )
     half = 1 << (shift - 1) if shift else 0
     mag = (np.abs(raw) + half) >> shift if shift else np.abs(raw)
     q = np.sign(raw) * mag

@@ -19,29 +19,19 @@ import pytest
 
 from repro.obs.metrics import metrics
 from repro.runners.config import RunConfig
-from repro.service import (
-    EvalService,
-    ServiceClient,
-    ServiceConfig,
-    TransientEvalError,
-)
+from repro.service import EvalService, ServiceClient, ServiceConfig
 from repro.service.batch import merge_requests
 from repro.service.daemon import evaluate_request
 from repro.service.requests import parse_request
-from repro.service.retry import RetryPolicy
 
 
 BASE = RunConfig(ndigits=3, seed=7, jobs=1, cache_dir=None)
-FAST_RETRY = RetryPolicy(base=0.005, cap=0.01, budget=0.03, max_attempts=3)
 
 
 def service_config(**overrides):
     kwargs = dict(
         run_config=BASE,
         concurrency=1,
-        retry=FAST_RETRY,
-        failure_threshold=2,
-        reset_timeout=0.2,
         drain_timeout=2.0,
     )
     kwargs.update(overrides)
@@ -434,29 +424,6 @@ class TestDeadlines:
 
 
 class TestFailureSplitting:
-    def test_degraded_fused_evaluation_degrades_each_member(self):
-        def broken(req, token):
-            raise TransientEvalError("pool down")
-
-        async def main():
-            service, client = await started(evaluator=broken)
-            r1, r2 = await queued(service, client, [
-                ("montecarlo", {"samples": 80, "depths": [2, 4]}),
-                ("montecarlo", {"samples": 80, "depths": [3]}),
-            ])
-            await finish(service, client)
-            return r1, r2
-
-        r1, r2 = asyncio.run(main())
-        for resp in (r1, r2):
-            assert resp["ok"] is True
-            assert resp["degraded"] is True
-            assert resp["source"] == "analytical-model"
-        # each member's analytical answer covers its *own* grid
-        assert [row["depth"] for row in r1["result"]["rows"]] == [2, 4]
-        assert [row["depth"] for row in r2["result"]["rows"]] == [3]
-        assert r1["id"] != r2["id"]
-
     def test_deterministic_error_is_copied_per_member(self):
         def explode(req, token):
             raise ValueError("bad geometry")

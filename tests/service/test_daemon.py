@@ -1,5 +1,5 @@
 """End-to-end daemon tests: socket round trips, coalescing, shedding,
-breaker/degraded answers, deadlines and graceful drain.
+evaluation failures, deadlines and graceful drain.
 
 No pytest-asyncio here by design — each test drives its own event loop
 with ``asyncio.run``, which also guarantees the daemon's lifecycle is
@@ -16,26 +16,16 @@ import time
 from repro.obs.metrics import metrics
 from repro.runners.config import RunConfig
 from repro.runners.parallel import RunCancelled
-from repro.service import (
-    EvalService,
-    ServiceClient,
-    ServiceConfig,
-    TransientEvalError,
-)
-from repro.service.retry import RetryPolicy
+from repro.service import EvalService, ServiceClient, ServiceConfig
 
 
 BASE = RunConfig(ndigits=3, seed=7, jobs=1, cache_dir=None)
-FAST_RETRY = RetryPolicy(base=0.005, cap=0.01, budget=0.03, max_attempts=3)
 
 
 def service_config(**overrides):
     kwargs = dict(
         run_config=BASE,
         concurrency=2,
-        retry=FAST_RETRY,
-        failure_threshold=2,
-        reset_timeout=0.2,
         drain_timeout=2.0,
     )
     kwargs.update(overrides)
@@ -97,7 +87,7 @@ class TestRoundTrip:
         health, ready, stats = asyncio.run(main())
         assert health["ok"] and health["status"] == "alive"
         assert ready["ok"] and ready["status"] == "ready"
-        assert stats["breaker"] == "closed"
+        assert "breaker" not in ready and "breaker" not in stats
         assert stats["queue_depth"] == 0
 
     def test_bad_requests_answered_not_dropped(self):
@@ -359,126 +349,57 @@ class TestShedding:
         assert metrics().snapshot()["counters"]["service.shed"] == 1
 
 
-class TestBreakerAndDegradation:
-    def test_pool_down_still_answers_every_request(self):
+class TestEvaluationFailure:
+    def test_evaluator_exception_is_answered_error_once(self):
         metrics().reset()
+        calls = []
 
         def broken(req, token):
-            raise TransientEvalError("worker exploded")
+            calls.append(req.key)
+            raise OSError("worker exploded")
 
         async def main():
             service, client = await started(evaluator=broken)
-            responses = []
-            for i in range(5):
-                responses.append(await client.request(
-                    "montecarlo", {"samples": 100 + i, "depths": [4]}
-                ))
-            state = service.breaker.state
+            failed = await client.request(
+                "montecarlo", {"samples": 100, "depths": [4]}
+            )
+            # the next request is evaluated as usual: nothing was tripped
+            service.evaluator = lambda req, token: {"v": 1}
+            healthy = await client.request(
+                "montecarlo", {"samples": 101, "depths": [4]}
+            )
             await finish(service, client)
-            return responses, state
+            return failed, healthy
 
-        responses, state = asyncio.run(main())
-        assert state == "open"
-        # every request answered, all via the analytical degraded path
-        assert all(r["ok"] for r in responses)
-        assert all(r["degraded"] for r in responses)
-        # first two paid the retry schedule and tripped the breaker;
-        # the rest short-circuited on the open breaker
+        failed, healthy = asyncio.run(main())
+        assert len(calls) == 1  # no retry: the runner owns pool loss
+        assert failed["ok"] is False
+        assert failed["code"] == "error"
+        assert failed["error"] == "OSError: worker exploded"
+        assert "degraded" not in failed
+        assert healthy == {
+            "ok": True, "id": healthy["id"], "kind": "montecarlo",
+            "key": healthy["key"], "result": {"v": 1},
+        }
         counters = metrics().snapshot()["counters"]
-        assert counters["service.breaker.opened"] == 1
-        assert counters["service.pool_exhausted"] == 2
-        assert counters["service.degraded"] == 5
-        assert counters["service.retries"] == 2 * 2  # 2 retries x 2 requests
+        assert counters["service.errors"] == 1
 
-    def test_retry_backoff_does_not_hold_the_only_slot(self):
-        def fail_one(req, token):
-            if req.params["samples"] == 100:
-                raise TransientEvalError("worker exploded")
-            return {"v": 1}
-
-        config = service_config(
-            concurrency=1,
-            failure_threshold=5,
-            retry=RetryPolicy(base=0.2, cap=0.2, budget=0.4, max_attempts=3),
-        )
+    def test_run_cancelled_is_answered_cancelled(self):
+        def cancelled(req, token):
+            raise RunCancelled("stopped")
 
         async def main():
-            service, client = await started(config, evaluator=fail_one)
-            order = []
-
-            async def ask(samples):
-                resp = await client.request(
-                    "montecarlo", {"samples": samples, "depths": [4]}
-                )
-                order.append(samples)
-                return resp
-
-            failing = asyncio.ensure_future(ask(100))
-            while metrics().snapshot()["counters"].get(
-                    "service.retries", 0) == 0:
-                await asyncio.sleep(0.005)
-            healthy = await ask(101)
-            degraded = await failing
-            await finish(service, client)
-            return healthy, degraded, order
-
-        metrics().reset()
-        healthy, degraded, order = asyncio.run(main())
-        assert healthy["ok"] and "degraded" not in healthy
-        assert degraded["degraded"] is True
-        assert order == [101, 100]  # served during the other's backoff
-
-    def test_half_open_probe_restores_service(self):
-        calls = {"n": 0}
-
-        def flaky_then_fixed(req, token):
-            calls["n"] += 1
-            if calls["n"] <= 6:  # 2 requests x 3 attempts all fail
-                raise TransientEvalError("still down")
-            return {"v": "recovered"}
-
-        async def main():
-            service, client = await started(evaluator=flaky_then_fixed)
-            for i in range(2):
-                r = await client.request(
-                    "montecarlo", {"samples": 200 + i, "depths": [4]}
-                )
-                assert r["degraded"]
-            assert service.breaker.state == "open"
-            await asyncio.sleep(0.25)  # past reset_timeout
-            probe = await client.request(
-                "montecarlo", {"samples": 300, "depths": [4]}
-            )
-            state = service.breaker.state
-            await finish(service, client)
-            return probe, state
-
-        probe, state = asyncio.run(main())
-        assert probe["ok"] is True
-        assert "degraded" not in probe
-        assert probe["result"]["v"] == "recovered"
-        assert state == "closed"
-
-    def test_degraded_montecarlo_answer_has_model_rows(self):
-        def broken(req, token):
-            raise TransientEvalError("down")
-
-        config = service_config(failure_threshold=1)
-
-        async def main():
-            service, client = await started(config, evaluator=broken)
-            r = await client.request(
-                "montecarlo", {"samples": 100, "depths": [4, 6]}
+            service, client = await started(evaluator=cancelled)
+            resp = await client.request(
+                "montecarlo", {"samples": 100, "depths": [4]}
             )
             await finish(service, client)
-            return r
+            return resp
 
-        r = asyncio.run(main())
-        assert r["degraded"] is True
-        assert r["source"] == "analytical-model"
-        rows = r["result"]["rows"]
-        assert [row["depth"] for row in rows] == [4, 6]
-        assert rows[0]["mean_abs_error"] >= rows[1]["mean_abs_error"]
+        resp = asyncio.run(main())
+        assert resp["ok"] is False
+        assert resp["code"] == "cancelled"
+        assert resp["error"] == "stopped"
 
 
 class TestLeaderFailure:
@@ -540,6 +461,58 @@ class TestDeadline:
         assert r["ok"] is False
         assert r["code"] == "deadline"
         assert elapsed < 5.0  # nowhere near the evaluator's 10s
+
+    def test_follower_is_not_cut_short_by_its_leaders_deadline(self):
+        calls = []
+        slow = cooperative_slow(0.6)
+
+        def evaluate(req, token):
+            calls.append(req.deadline)
+            return slow(req, token)
+
+        async def main():
+            service, client = await started(evaluator=evaluate)
+            request = ("montecarlo", {"samples": 100, "depths": [4]})
+            leader = asyncio.ensure_future(
+                client.request(*request, deadline=0.3)
+            )
+            while service.inflight.depth == 0:
+                await asyncio.sleep(0.005)
+            follower = await client.request(*request)
+            leader = await leader
+            await finish(service, client)
+            return leader, follower
+
+        metrics().reset()
+        leader, follower = asyncio.run(main())
+        assert leader["code"] == "deadline"
+        # the follower set no deadline: it is run as its own request
+        assert follower["ok"] is True, follower
+        assert follower["result"] == {"slept": 0.6}
+        assert "coalesced" not in follower
+        assert calls == [0.3, None]
+        assert metrics().snapshot()["counters"]["service.readmitted"] == 1
+
+    def test_follower_past_its_own_deadline_keeps_the_deadline(self):
+        async def main():
+            service, client = await started(
+                evaluator=cooperative_slow(10.0)
+            )
+            request = ("montecarlo", {"samples": 100, "depths": [4]})
+            leader = asyncio.ensure_future(
+                client.request(*request, deadline=0.3)
+            )
+            while service.inflight.depth == 0:
+                await asyncio.sleep(0.005)
+            follower = await client.request(*request, deadline=0.05)
+            leader = await leader
+            await finish(service, client)
+            return leader, follower
+
+        leader, follower = asyncio.run(main())
+        assert leader["code"] == "deadline"
+        assert follower["code"] == "deadline"
+        assert follower["coalesced"] is True
 
     def test_fast_request_beats_its_deadline(self):
         async def main():

@@ -3,9 +3,10 @@ the service's in-flight sharing.
 
 The mix holds identical requests (which must share one evaluation),
 compatible ones (same batch class, different grids), incompatible ones
-and synthesis requests.  The evaluator injects one transient failure
-and the daemon is drained while work is still in flight.  Only public
+and synthesis requests.  The evaluator raises for one request, and the
+daemon is drained while work is still in flight.  Only public
 behaviour is checked: every request gets exactly one final response,
+the failing request and its followers are answered ``error`` while
 every ``ok`` answer is byte-equal to an in-process
 :func:`~repro.service.daemon.evaluate_request` of the same request, no
 handler dies, and nothing is left in flight.
@@ -13,22 +14,19 @@ handler dies, and nothing is left in flight.
 
 import asyncio
 import json
-import threading
 import time
 
 from repro.obs.metrics import metrics
 from repro.runners.config import RunConfig
 from repro.runners.parallel import CancelToken
-from repro.service import EvalService, ServiceConfig, TransientEvalError
+from repro.service import EvalService, ServiceConfig
 from repro.service.daemon import evaluate_request
 from repro.service.requests import parse_request
-from repro.service.retry import RetryPolicy
 
 BASE = RunConfig(ndigits=3, seed=7, jobs=1, cache_dir=None)
-FAST_RETRY = RetryPolicy(base=0.005, cap=0.01, budget=0.5, max_attempts=3)
 
 MIX = [
-    # identical: one evaluation, the rest follow
+    # identical: one evaluation, which fails; the rest follow it
     ("montecarlo", {"samples": 120, "depths": [2, 4]}),
     ("montecarlo", {"samples": 120, "depths": [2, 4]}),
     ("montecarlo", {"samples": 120, "depths": [2, 4]}),
@@ -55,19 +53,19 @@ def reference(kind, params):
     return json.dumps(json.loads(json.dumps(payload)), sort_keys=True)
 
 
-def flaky_slow_evaluator(completed):
-    """The real evaluator, a little slow, failing transiently exactly once.
+#: the MIX entries whose evaluation raises: the identical trio above
+FAILING = {0, 1, 2}
+
+
+def failing_slow_evaluator(completed):
+    """The real evaluator, a little slow, raising for the identical trio.
 
     Appends to *completed* after each evaluation it finishes.
     """
-    lock = threading.Lock()
-    state = {"failed": False}
 
     def evaluate(req, token):
-        with lock:
-            fail, state["failed"] = not state["failed"], True
-        if fail:
-            raise TransientEvalError("injected transient fault")
+        if req.kind == "montecarlo" and req.params["samples"] == 120:
+            raise RuntimeError("injected evaluation fault")
         time.sleep(0.03)
         payload = evaluate_request(req, token)
         completed.append(req.key)
@@ -101,18 +99,11 @@ async def read_frames(reader, expected_ids, quiet=0.2, bound=30.0):
 
 def test_mixed_traffic_with_a_fault_and_a_drain():
     metrics().reset()
-    config = ServiceConfig(
-        run_config=BASE,
-        concurrency=2,
-        retry=FAST_RETRY,
-        failure_threshold=3,
-        reset_timeout=0.2,
-        drain_timeout=2.0,
-    )
+    config = ServiceConfig(run_config=BASE, concurrency=2, drain_timeout=2.0)
     completed = []
 
     async def main():
-        evaluator = flaky_slow_evaluator(completed)
+        evaluator = failing_slow_evaluator(completed)
         service = EvalService(config, evaluator=evaluator)
         await service.start()
         reader, writer = await asyncio.open_connection(
@@ -143,11 +134,16 @@ def test_mixed_traffic_with_a_fault_and_a_drain():
 
     refs = {}
     for frame in finals:
+        index = int(frame["id"][1:])
+        if index in FAILING:
+            assert frame["code"] == "error", frame
+            assert frame["error"] == "RuntimeError: injected evaluation fault"
+            continue
         assert frame["ok"] or frame["code"] == "draining", frame
         if not frame["ok"]:
             continue
         assert not frame.get("degraded"), frame
-        kind, params = MIX[int(frame["id"][1:])]
+        kind, params = MIX[index]
         key = json.dumps([kind, params], sort_keys=True)
         if key not in refs:
             refs[key] = reference(kind, params)
@@ -155,6 +151,6 @@ def test_mixed_traffic_with_a_fault_and_a_drain():
 
     counters = metrics().snapshot()["counters"]
     assert counters.get("service.internal_errors", 0) == 0
-    assert counters.get("service.retries", 0) == 1  # the injected fault
+    assert counters["service.errors"] == 1  # one evaluation, three answers
     assert statsz["inflight_keys"] == 0
     assert statsz["queue_depth"] == 0

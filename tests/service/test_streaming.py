@@ -13,19 +13,14 @@ from repro.obs.events import ProgressReporter
 from repro.runners.config import RunConfig
 from repro.service import EvalService, ServiceClient, ServiceConfig
 from repro.service.client import request_once
-from repro.service.retry import RetryPolicy
 
 BASE = RunConfig(ndigits=3, seed=7, jobs=1, cache_dir=None)
-FAST_RETRY = RetryPolicy(base=0.005, cap=0.01, budget=0.03, max_attempts=3)
 
 
 def service_config(**overrides):
     kwargs = dict(
         run_config=BASE,
         concurrency=2,
-        retry=FAST_RETRY,
-        failure_threshold=2,
-        reset_timeout=0.2,
         drain_timeout=2.0,
     )
     kwargs.update(overrides)
@@ -181,7 +176,6 @@ class TestStatsz:
         statsz = asyncio.run(main())
         assert statsz["ok"] is True
         assert statsz["draining"] is False
-        assert statsz["breaker"] == "closed"
         assert statsz["queue_depth"] == 0
         assert statsz["queue_depths"] == {
             "montecarlo": 0, "sweep": 0, "synthesis": 0,

@@ -78,6 +78,8 @@ class TestCommands:
             ["faults", "--rates", "0.1", "-0.5"],
             ["faults", "--rates", "nan"],
             ["synth", "--wordlengths", "-3"],
+            ["synth", "--wordlengths", "40"],
+            ["synth", "--ndigits", "30"],
             ["model", "--jobs", "0"],
         ],
         ids=lambda argv: " ".join(argv),
