@@ -50,6 +50,11 @@ Every experiment subcommand accepts ``--trace PATH``: the run exports a
 JSONL span tree (config, shards, simulation, cache events) plus a final
 metrics snapshot to *PATH*, and records it as the "last trace" so
 ``repro stats`` / ``repro trace --last`` work without arguments.
+
+The ``model``, ``sweep`` and ``synth`` subparsers are generated from
+the request-kind declarations of :mod:`repro.experiments`, which
+``repro serve`` parses its wire requests with too, so the same
+arguments give the same cache key on both surfaces.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ import argparse
 import sys
 
 
-def _config_from_args(args: argparse.Namespace, **overrides):
+def _config_from_args(args: argparse.Namespace):
     """Build the :class:`~repro.runners.RunConfig` a subcommand asked for.
 
     Flags the subcommand does not define fall back to the RunConfig
@@ -78,18 +83,39 @@ def _config_from_args(args: argparse.Namespace, **overrides):
         kwargs["cache_dir"] = None
     elif getattr(args, "cache_dir", None) is not None:
         kwargs["cache_dir"] = args.cache_dir
-    kwargs.update(overrides)
     return RunConfig(**kwargs)
 
 
-def _cmd_model(args: argparse.Namespace) -> int:
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    """Normalize a ``model``/``sweep``/``synth`` invocation through its
+    kind's one declaration, run the kind's entry point, print its report.
+    A rejected value is a usage error (exit 2)."""
+    from repro.experiments import EXPERIMENTS, RequestError, normalize
+
+    exp = EXPERIMENTS[args.kind]
+    values = {
+        p.name: getattr(args, p.name)
+        for p in exp.params
+        if getattr(args, p.name, None) is not None
+    }
+    try:
+        config, params, _ = normalize(
+            args.kind, values, _config_from_args(args), "cli"
+        )
+    except RequestError as exc:
+        if exc.param is not None:
+            args.parser.error(f"argument {_flag(exc.param)}: {exc.reason}")
+        print(f"{args.parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
+    args.report(args, config, exp.run(config, params))
+    return 0
+
+
+def _report_model(args: argparse.Namespace, config, mc) -> None:
     from repro.core.model import OverclockingErrorModel
-    from repro.sim.montecarlo import run_montecarlo
     from repro.sim.reporting import format_run_stats, format_table
 
-    config = _config_from_args(args)
-    model = OverclockingErrorModel(args.ndigits)
-    mc = run_montecarlo(config, num_samples=args.samples)
+    model = OverclockingErrorModel(config.ndigits)
     if args.calibrate:
         model = model.calibrated([int(b) for b in mc.depths], mc.mean_abs_error)
         print(f"calibrated kappa = {model.kappa:.3f}")
@@ -105,10 +131,10 @@ def _cmd_model(args: argparse.Namespace) -> int:
     print(format_table(
         ["b", "Ts norm.", "MC E|eps|", "model E|eps|", "MC P(viol)"],
         rows,
-        title=f"{args.ndigits}-digit online multiplier: model vs Monte-Carlo",
+        title=f"{config.ndigits}-digit online multiplier: model vs "
+              f"Monte-Carlo",
     ))
     print(format_run_stats(mc.run_stats))
-    return 0
 
 
 def _cmd_chains(args: argparse.Namespace) -> int:
@@ -164,18 +190,9 @@ def _cmd_multiplier(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _report_sweep(args: argparse.Namespace, config, res) -> None:
     from repro.sim.reporting import format_run_stats, format_table
-    from repro.sim.sweep import run_sweep
 
-    config = _config_from_args(args)
-    res = run_sweep(
-        config,
-        design="online",
-        num_samples=args.samples,
-        timing="stage",
-        periods=args.periods,
-    )
     rows = []
     for i, b in enumerate(res.steps):
         b = int(b)
@@ -197,40 +214,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"{res.error_free_step} ticks"
     )
     print(format_run_stats(res.run_stats))
-    return 0
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
+def _report_synth(args: argparse.Namespace, config, report) -> None:
     from repro.sim.reporting import format_run_stats
-    from repro.synth import AccuracyTarget, run_synthesis
-    from repro.synth.demos import demo_datapath
-    from repro.synth.search import check_wordlength
 
-    flag = "--wordlengths" if args.wordlengths is not None else "--ndigits"
-    for n in args.wordlengths or [args.ndigits]:
-        try:
-            check_wordlength(n)
-        except ValueError as exc:
-            args.parser.error(f"argument {flag}: {exc}")
-
-    try:
-        if args.target_snr is not None:
-            target = AccuracyTarget("snr", args.target_snr)
-        else:
-            target = AccuracyTarget("mre", args.target_mre)
-    except ValueError as exc:
-        print(f"repro-overclock synth: error: {exc}", file=sys.stderr)
-        return 2
-    config = _config_from_args(args)
-    datapath = demo_datapath(args.datapath, config.ndigits)
-    kwargs = {}
-    if args.wordlengths is not None:
-        kwargs["wordlengths"] = args.wordlengths
-    if args.periods is not None:
-        kwargs["periods"] = args.periods
-    report = run_synthesis(
-        config, datapath, target, num_samples=args.samples, **kwargs
-    )
     print(report.summary())
     point = report.chosen_point
     if point is not None:
@@ -243,7 +231,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             f"{point['area_luts']} LUTs) [{assign}]"
         )
     print(format_run_stats(report.run_stats))
-    return 0
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
@@ -502,26 +489,63 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _int_at_least(minimum: int):
-    """argparse type of a size flag: a whole number >= *minimum*."""
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
-    def parse(text: str) -> int:
+
+def _argtype(param):
+    """argparse ``type`` of a declared :class:`~repro.experiments.Param`."""
+
+    def parse(text: str):
         try:
-            value = int(text)
+            value = param.type(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"invalid int value: {text!r}"
+                f"invalid {param.type.__name__} value: {text!r}"
             ) from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be >= {minimum}, got {value}"
-            )
-        return value
+        try:
+            return param.check_one(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
 
-_positive_int = _int_at_least(1)
+def _add_param(p, param, **changes) -> None:
+    """The ``--flag`` of a declared parameter; *changes* override its
+    declaration (``cli=`` default, ``help=``) for one subcommand."""
+    param = param._replace(**changes)
+    kwargs = {"default": param.cli, "help": param.help}
+    if param.choices:
+        kwargs["choices"] = list(param.choices)
+    else:
+        kwargs["type"] = _argtype(param)
+    if param.many:
+        kwargs["nargs"] = "+"
+    if param.metavar:
+        kwargs["metavar"] = param.metavar
+    p.add_argument(_flag(param.name), **kwargs)
+
+
+def _add_experiment(sub, kind: str, report, name: str, **kwargs):
+    """The subparser of request kind *kind*: a flag per declared
+    parameter that has a CLI default, in declared order.  Parameters of
+    which a request gives at most one form a mutually exclusive group
+    whose flags default to None (the normalizer fills the default)."""
+    from repro.experiments import EXPERIMENTS, WIRE_ONLY
+
+    exp = EXPERIMENTS[kind]
+    p = sub.add_parser(name, **kwargs)
+    flags = [q for q in exp.params if q.cli is not WIRE_ONLY]
+    either = [q.name for q in flags if q.name in exp.exclusive]
+    group = p.add_mutually_exclusive_group() if len(either) > 1 else None
+    for q in flags:
+        if q.name in either and group is not None:
+            _add_param(group, q, cli=None)
+        else:
+            _add_param(p, q)
+    p.set_defaults(func=_cmd_experiment, kind=kind, report=report, parser=p)
+    return p
 
 
 def _unit_interval(text: str) -> float:
@@ -537,43 +561,12 @@ def _unit_interval(text: str) -> float:
     return value
 
 
-def _positive_float(text: str) -> float:
-    """argparse type of a clock period: a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid float value: {text!r}"
-        ) from None
-    if not 0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number > 0, got {text}"
-        )
-    return value
-
-
-def _add_backend_flag(p: argparse.ArgumentParser) -> None:
-    from repro.netlist.engines import BACKENDS
-
-    p.add_argument(
-        "--backend",
-        default=None,
-        choices=list(BACKENDS),
-        help="simulation engine (default: chosen per workload — vector "
-             "for OM-wave runs, packed for gate-level netlists): "
-             "compiled bit-packed, interpreting waveform, or vector "
-             "(digit-level behavioral; netlist runs use packed)",
-    )
-
-
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        help="worker processes for sharded experiments "
-             "(default: $REPRO_JOBS or 1)",
-    )
+    from repro.experiments import Param
+
+    _add_param(p, Param("jobs", int, 1, cli=None,
+                        help="worker processes for sharded experiments "
+                             "(default: $REPRO_JOBS or 1)"))
     p.add_argument(
         "--cache-dir",
         default=None,
@@ -595,112 +588,63 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments import BACKEND, NDIGITS, SAMPLES, SEED, Param
+
     parser = argparse.ArgumentParser(
         prog="repro-overclock",
         description="Regenerate the online-arithmetic overclocking experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "model",
+    p = _add_experiment(
+        sub, "montecarlo", _report_model, "model",
         aliases=["montecarlo"],
         help="error model vs Monte-Carlo (Fig. 4)",
     )
-    p.add_argument("--ndigits", type=_positive_int, default=8)
-    p.add_argument("--samples", type=_positive_int, default=20000)
-    p.add_argument("--seed", type=int, default=2014)
     p.add_argument("--calibrate", action="store_true",
                    help="fit kappa to the Monte-Carlo before reporting")
-    _add_backend_flag(p)
+    _add_param(p, BACKEND, cli=None)
     _add_run_flags(p)
-    p.set_defaults(func=_cmd_model)
 
     p = sub.add_parser("chains", help="chain-delay statistics (Fig. 5)")
-    p.add_argument("--ndigits", type=_positive_int, default=8)
+    _add_param(p, NDIGITS)
     p.set_defaults(func=_cmd_chains)
 
     p = sub.add_parser("multiplier", help="gate-level multiplier sweep")
-    p.add_argument("--ndigits", type=_positive_int, default=8)
-    p.add_argument("--samples", type=_positive_int, default=3000)
-    p.add_argument("--seed", type=int, default=2014)
-    _add_backend_flag(p)
+    _add_param(p, NDIGITS)
+    _add_param(p, SAMPLES, cli=3000)
+    _add_param(p, SEED)
+    _add_param(p, BACKEND, cli=None)
     _add_run_flags(p)
     p.set_defaults(func=_cmd_multiplier)
 
-    p = sub.add_parser(
-        "sweep",
+    p = _add_experiment(
+        sub, "sweep", _report_sweep, "sweep",
         help="stage-delay latency-accuracy sweep (fused on the "
              "default vector engine)",
     )
-    p.add_argument("--ndigits", type=_positive_int, default=8)
-    p.add_argument("--samples", type=_positive_int, default=20000)
-    p.add_argument("--seed", type=int, default=2014)
-    p.add_argument(
-        "--periods",
-        type=_positive_float,
-        nargs="+",
-        default=None,
-        metavar="P",
-        help="normalized clock periods (fractions of the structural "
-             "delay); default sweeps every chain-cut depth 0 .. N+delta",
-    )
-    _add_backend_flag(p)
+    _add_param(p, BACKEND, cli=None)
     _add_run_flags(p)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser(
-        "synth",
+    p = _add_experiment(
+        sub, "synthesis", _report_synth, "synth",
         help="latency-accuracy auto-synthesis of a demo datapath "
              "(Pareto front + chosen assignment)",
     )
-    p.add_argument(
-        "--datapath",
-        default="prodsum",
-        choices=["prodsum", "mac", "dot3"],
-        help="demo dataflow graph: product-of-products + sum (4 ops, "
-             "mixed-optimal), multiply-accumulate (3 ops), or a 3-tap "
-             "dot product (5 ops)",
-    )
-    p.add_argument("--ndigits", type=_positive_int, default=6)
-    p.add_argument(
-        "--wordlengths",
-        type=_positive_int,
-        nargs="+",
-        default=None,
-        metavar="N",
-        help="word lengths to search (default: just --ndigits)",
-    )
-    p.add_argument("--target-mre", type=float, default=5.0,
-                   help="accuracy bound: mean relative error in percent "
-                        "(the 6-digit quantization floor is ~1.2%%)")
-    p.add_argument("--target-snr", type=float, default=None,
-                   help="accuracy bound: SNR in dB (overrides --target-mre)")
-    p.add_argument(
-        "--periods",
-        type=_positive_float,
-        nargs="+",
-        default=None,
-        metavar="P",
-        help="clock periods as fractions of the online settle depth "
-             "(default: the repro.synth.DEFAULT_PERIODS grid)",
-    )
-    p.add_argument("--samples", type=_positive_int, default=4000)
-    p.add_argument("--seed", type=int, default=2014)
-    _add_backend_flag(p)
+    _add_param(p, BACKEND, cli=None)
     _add_run_flags(p)
-    p.set_defaults(func=_cmd_synth, parser=p)
 
     p = sub.add_parser("filter", help="Gaussian-filter case study")
     p.add_argument("--image", default="lena",
                    choices=["lena", "pepper", "sailboat", "tiffany", "uniform"])
-    p.add_argument("--size", type=_int_at_least(3), default=48,
-                   help="image edge length (>= 3, the kernel size)")
-    _add_backend_flag(p)
+    _add_param(p, Param("size", int, 3, cli=48,
+                        help="image edge length (>= 3, the kernel size)"))
+    _add_param(p, BACKEND, cli=None)
     _add_run_flags(p)
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("area", help="area comparison (Table 4)")
-    p.add_argument("--ndigits", type=_positive_int, default=8)
+    _add_param(p, NDIGITS)
     p.set_defaults(func=_cmd_area)
 
     p = sub.add_parser(
@@ -713,24 +657,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rates", type=_unit_interval, nargs="+",
                    default=list(DEFAULT_RATES),
                    help="fault-intensity grid in [0, 1]")
-    p.add_argument("--ndigits", type=_positive_int, default=8)
-    p.add_argument("--samples", type=_positive_int, default=2000)
-    p.add_argument("--seed", type=int, default=2014)
+    _add_param(p, NDIGITS)
+    _add_param(p, SAMPLES, cli=2000)
+    _add_param(p, SEED)
     p.add_argument("--overclock", type=float, default=1.0,
                    help="clock speedup over the rated period")
     p.add_argument("--shard-timeout", type=float, default=None,
                    help="per-shard wall-clock budget in seconds")
-    _add_backend_flag(p)
+    _add_param(p, BACKEND, cli=None)
     _add_run_flags(p)
     p.set_defaults(func=_cmd_faults)
 
     p = sub.add_parser(
         "probe", help="per-stage digit-error telemetry vs Algorithm 2"
     )
-    p.add_argument("--ndigits", type=_positive_int, default=8)
-    p.add_argument("--samples", type=_positive_int, default=20000)
-    p.add_argument("--seed", type=int, default=2014)
-    _add_backend_flag(p)
+    _add_param(p, NDIGITS)
+    _add_param(p, SAMPLES, cli=20000)
+    _add_param(p, SEED)
+    _add_param(p, BACKEND, cli=None)
     _add_run_flags(p)
     p.set_defaults(func=_cmd_probe)
 
@@ -769,9 +713,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7914,
                    help="listen port (0 = ephemeral)")
-    p.add_argument("--ndigits", type=_positive_int, default=8,
-                   help="default word length for requests that omit one")
-    p.add_argument("--seed", type=int, default=2014)
+    _add_param(p, NDIGITS,
+               help="default word length for requests that omit one")
+    _add_param(p, SEED)
     p.add_argument("--concurrency", type=int, default=2,
                    help="evaluator slots (resident worker threads)")
     p.add_argument("--deadline", type=float, default=None,
@@ -806,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["online-mult", "online-adder", "trad-mult", "rca",
                  "kogge-stone"],
     )
-    p.add_argument("--ndigits", type=_positive_int, default=8)
+    _add_param(p, NDIGITS)
     p.add_argument("--module", default=None, help="Verilog module name")
     p.add_argument("-o", "--output", default="-",
                    help="output file ('-' = stdout)")

@@ -114,22 +114,19 @@ class RunConfig:
     shard_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.ndigits, int) or self.ndigits < 1:
-            raise ValueError(
-                f"ndigits must be an integer >= 1, got {self.ndigits!r}"
-            )
-        if not isinstance(self.delta, int) or self.delta < 1:
-            raise ValueError(
-                f"delta must be an integer >= 1, got {self.delta!r}"
-            )
+        for name, lo in (
+            ("ndigits", 1), ("delta", 1), ("seed", 0), ("shard_size", 1)
+        ):
+            value = getattr(self, name)
+            bad = not isinstance(value, int) or isinstance(value, bool)
+            if bad or value < lo:
+                raise ValueError(
+                    f"{name} must be an integer >= {lo}, got {value!r}"
+                )
         if not isinstance(self.jobs, int) or self.jobs < 1:
             raise ValueError(
                 f"jobs must be an integer >= 1, got {self.jobs!r} "
                 "(use jobs=1 for in-process execution)"
-            )
-        if not isinstance(self.shard_size, int) or self.shard_size < 1:
-            raise ValueError(
-                f"shard_size must be an integer >= 1, got {self.shard_size!r}"
             )
         if self.shard_timeout is not None and not self.shard_timeout > 0:
             raise ValueError(

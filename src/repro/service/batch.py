@@ -52,15 +52,16 @@ from dataclasses import replace
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence
 from typing import Set, Tuple
 
+from repro.experiments import EXPERIMENTS
 from repro.obs.metrics import metrics
 from repro.obs.trace import current_tracer
-from repro.runners.cache import cache_key
 from repro.runners.parallel import CancelToken
 from repro.runners.results import result_from_dict
-from repro.service.requests import EvalRequest
+from repro.service.requests import EvalRequest, eval_request
 
 __all__ = [
     "InflightRegistry",
+    "deadline_response",
     "merge_requests",
     "split_result_payload",
     "split_responses",
@@ -83,35 +84,13 @@ def merge_requests(reqs: Sequence[EvalRequest]) -> EvalRequest:
             raise ValueError(
                 "cannot merge requests from different batch classes"
             )
-    if first.kind == "montecarlo":
-        from repro.sim.montecarlo import montecarlo_key_components
-
-        depths = sorted({int(b) for r in reqs for b in r.params["depths"]})
-        components = montecarlo_key_components(
-            first.config, first.params["samples"], depths
-        )
-        params = {"samples": first.params["samples"], "depths": tuple(depths)}
-    elif first.kind == "sweep":
-        from repro.sim.sweep import stage_sweep_key_components
-
-        steps = sorted({int(b) for r in reqs for b in r.params["steps"]})
-        components = stage_sweep_key_components(
-            first.config, "online", first.params["samples"], steps
-        )
-        params = {"samples": first.params["samples"], "steps": tuple(steps)}
-    else:
+    axis = EXPERIMENTS[first.kind].axis
+    if axis is None:
         raise ValueError(f"kind {first.kind!r} is not batchable")
-    key = cache_key(**components)
-    return EvalRequest(
-        id=None,
-        kind=first.kind,
-        config=first.config,
-        params=params,
-        key_components=components,
-        key=key,
-        cache_key=key,
+    union = sorted({int(b) for r in reqs for b in r.params[axis]})
+    return eval_request(
+        first.kind, {**first.params, axis: union}, first.config,
         deadline=first.deadline,
-        batch_key=first.batch_key,
     )
 
 
@@ -126,16 +105,16 @@ def split_result_payload(
 ) -> Dict[str, Any]:
     """Slice the merged result payload down to *member*'s grid.
 
-    Every array field of a batchable result runs along the grid, whose
-    axis is the field the member's grid parameter names, so one slice
-    serves them all; the codec then spells the payload exactly as the
-    solo path does.
+    Every array field of a batchable result runs along the kind's grid
+    axis, whose result field bears the axis parameter's name, so one
+    slice serves them all; the codec then spells the payload exactly as
+    the solo path does.
     """
-    if kind not in ("montecarlo", "sweep"):
+    axis = EXPERIMENTS[kind].axis
+    if axis is None:
         raise ValueError(f"kind {kind!r} is not batchable")
     full = result_from_dict(merged)
     arrays = type(full)._array_fields
-    (axis,) = [name for name in member.params if name in arrays]
     idx = _grid_indices(getattr(full, axis), member.params[axis])
     result = replace(full, **{name: getattr(full, name)[idx] for name in arrays})
     if kind == "sweep":
@@ -177,6 +156,16 @@ def split_responses(
 
 
 # ----------------------------------------------------------------- registry
+
+def deadline_response(req: EvalRequest) -> Dict[str, Any]:
+    """The answer of a request whose own deadline elapsed."""
+    return {
+        "ok": False,
+        "code": "deadline",
+        "error": f"deadline of {req.deadline}s exceeded",
+        "id": req.id,
+    }
+
 
 class _Group:
     """Members sharing one evaluation; open until it holds a slot."""
@@ -306,13 +295,7 @@ class InflightRegistry:
         return True
 
     def _expire(self, req: EvalRequest, future: asyncio.Future) -> None:
-        response = {
-            "ok": False,
-            "code": "deadline",
-            "error": f"deadline of {req.deadline}s exceeded",
-            "id": req.id,
-        }
-        if self._settle(req, future, response):
+        if self._settle(req, future, deadline_response(req)):
             metrics().count("service.deadline_exceeded")
 
     async def _run(self, group: _Group) -> None:

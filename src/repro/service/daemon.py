@@ -28,8 +28,9 @@ A request travels::
   or opens one.  A group closes when it acquires one of
   ``concurrency`` evaluator slots and runs as one union-grid
   evaluation, split back into per-request responses bit-identical to
-  their solo spelling.  A follower handed a ``deadline`` answer that
-  is not its own (its deadline is later or absent) runs once more as
+  their solo spelling.  A follower waits for its leader no longer
+  than its own deadline; one handed a ``deadline`` answer that is
+  not its own (its deadline is later or absent) runs once more as
   its own request.
 * **admission** (:mod:`repro.service.admission`) — bounded per-class
   occupancy; overload sheds fast with a ``retry_after`` hint.
@@ -66,6 +67,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional
 
+from repro.experiments import EXPERIMENTS
 from repro.obs.events import ProgressEvent, ProgressReporter, progress_bus
 from repro.obs.export import render_prometheus
 from repro.obs.metrics import deterministic_snapshot, metrics
@@ -74,7 +76,7 @@ from repro.runners.cache import cache_for
 from repro.runners.config import RunConfig
 from repro.runners.parallel import CancelToken, ParallelRunner, RunCancelled
 from repro.service.admission import AdmissionController, ShedRequest
-from repro.service.batch import InflightRegistry
+from repro.service.batch import InflightRegistry, deadline_response
 from repro.service.requests import (
     ADMIN_KINDS,
     EvalRequest,
@@ -108,7 +110,7 @@ class ServiceConfig:
 def evaluate_request(
     req: EvalRequest, cancel_token: CancelToken
 ) -> Dict[str, Any]:
-    """Default evaluator: run the experiment entry point, return its dict.
+    """Default evaluator: run the kind's entry point, return its dict.
 
     Runs on a worker thread.  The :class:`CancelToken` threads through
     to the :class:`ParallelRunner` so a fired deadline stops the
@@ -121,46 +123,7 @@ def evaluate_request(
     # request's key, so the daemon can stream progress frames to every
     # request sharing this evaluation
     runner.progress = ProgressReporter(experiment=req.kind, run_id=req.key)
-    params = req.params
-    if req.kind == "montecarlo":
-        from repro.sim.montecarlo import run_montecarlo
-
-        result = run_montecarlo(
-            config,
-            num_samples=params["samples"],
-            depths=list(params["depths"]),
-            runner=runner,
-        )
-    elif req.kind == "sweep":
-        from repro.sim.sweep import run_sweep
-
-        result = run_sweep(
-            config,
-            design="online",
-            num_samples=params["samples"],
-            timing="stage",
-            steps=list(params["steps"]),
-            runner=runner,
-        )
-    else:  # synthesis
-        from repro.synth.demos import demo_datapath
-        from repro.synth.search import run_synthesis
-
-        kwargs: Dict[str, Any] = {}
-        if params["periods"]:  # otherwise keep run_synthesis's default grid
-            kwargs["periods"] = list(params["periods"])
-        result = run_synthesis(
-            config,
-            demo_datapath(params["datapath"], config.ndigits),
-            target={
-                "metric": params["target_metric"],
-                "value": params["target_value"],
-            },
-            wordlengths=params["wordlengths"],
-            num_samples=params["samples"],
-            runner=runner,
-            **kwargs,
-        )
+    result = EXPERIMENTS[req.kind].run(config, req.params, runner)
     payload = result.to_dict()
     payload.pop("metrics", None)
     return payload
@@ -412,6 +375,15 @@ class EvalService:
             started = time.monotonic()
         watch = self._add_watcher(req.key, req.id, send_progress)
         try:
+            if following and req.deadline is not None:
+                # wait for the leader no longer than this request's own
+                # deadline; the leader's future and watchers stay alone
+                loop = asyncio.get_running_loop()
+                left = max(0.0, arrived + req.deadline - loop.time())
+                await asyncio.wait({future}, timeout=left)
+                if not future.done():
+                    metrics().count("service.deadline_exceeded")
+                    return {**deadline_response(req), "coalesced": True}
             response = dict(await asyncio.shield(future))
         finally:
             self._remove_watcher(req.key, watch)

@@ -13,6 +13,10 @@ names, out-of-range values and oversized sample budgets are rejected
 with a :class:`RequestError` naming the offending field — a malformed
 request must never reach the queue, let alone the pool.
 
+This module parses the envelope; each kind's parameters, with their
+bounds and defaults, are declared once in :mod:`repro.experiments`,
+whose normalizer the CLI shares.
+
 Normalization produces an :class:`EvalRequest` whose ``key`` is the
 **same content address the result cache uses** (the experiment entry
 points' key-component builders are imported, not imitated), which is
@@ -34,16 +38,12 @@ requests have no batchable axis and carry ``batch_key=None``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional
 
+from repro.experiments import EXPERIMENTS, Param, RequestError, normalize
 from repro.runners.cache import cache_key
 from repro.runners.config import RunConfig
-from repro.sim.montecarlo import default_depths, montecarlo_key_components
-from repro.sim.sweep import stage_sweep_key_components, stage_sweep_plan
-from repro.synth.demos import DEMO_DATAPATHS
-from repro.synth.search import AccuracyTarget, check_wordlength
 
 __all__ = [
     "REQUEST_CLASSES",
@@ -51,11 +51,12 @@ __all__ = [
     "RequestError",
     "EvalRequest",
     "batch_compatibility_key",
+    "eval_request",
     "parse_request",
 ]
 
 #: evaluation request classes, each with its own admission limit
-REQUEST_CLASSES = ("montecarlo", "sweep", "synthesis")
+REQUEST_CLASSES = tuple(EXPERIMENTS)
 
 #: control-plane kinds answered inline by the daemon (never queued).
 #: ``statsz`` is the deterministic machine-facing snapshot (metrics +
@@ -67,22 +68,8 @@ ADMIN_KINDS = ("healthz", "readyz", "stats", "statsz", "metricsz")
 #: able to monopolize the pool for minutes
 MAX_SAMPLES = 200_000
 
-_ALLOWED_PARAMS = {
-    "montecarlo": {
-        "ndigits", "delta", "seed", "backend", "samples", "depths",
-    },
-    "sweep": {
-        "ndigits", "delta", "seed", "backend", "samples", "periods", "steps",
-    },
-    "synthesis": {
-        "ndigits", "delta", "seed", "backend", "samples", "datapath",
-        "target_mre", "target_snr", "wordlengths", "periods",
-    },
-}
-
-
-class RequestError(ValueError):
-    """A request failed validation; the message is client-facing."""
+#: the envelope's optional per-request wall-clock budget, in seconds
+_DEADLINE = Param("deadline", float, 0)
 
 
 @dataclass(frozen=True)
@@ -105,14 +92,14 @@ def batch_compatibility_key(
 ) -> Optional[str]:
     """Compatibility class of one request for service-side fusion.
 
-    Everything but the depth/step grid must match for two requests to
+    Everything but the kind's grid axis must match for two requests to
     fuse: the :meth:`RunConfig.describe` fields (geometry, seed, shard
     size) pin the sample stream, ``samples`` pins the shard
     layout, and ``deadline`` keeps the fused evaluation's cancellation
-    semantics identical to each member's solo run.  Only montecarlo and
-    sweep requests batch — synthesis has no shared-grid axis.
+    semantics identical to each member's solo run.  A kind without a
+    grid axis (synthesis) never batches.
     """
-    if kind not in ("montecarlo", "sweep"):
+    if EXPERIMENTS[kind].axis is None:
         return None
     return cache_key(
         experiment=f"service.batch.{kind}",
@@ -122,74 +109,26 @@ def batch_compatibility_key(
     )
 
 
-def _is_number(value: Any) -> bool:
-    """A finite JSON number: JSON parsing admits NaN and +/-Infinity."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
+def eval_request(
+    kind: str,
+    values: Mapping[str, Any],
+    base: RunConfig,
+    req_id: Optional[str] = None,
+    deadline: Optional[float] = None,
+) -> EvalRequest:
+    """The keyed :class:`EvalRequest` of *values* (see
+    :func:`repro.experiments.normalize`)."""
+    config, params, components = normalize(kind, values, base)
+    key = cache_key(**components)
+    return EvalRequest(
+        id=req_id, kind=kind, config=config, params=params,
+        key_components=components, key=key,
+        cache_key=key if EXPERIMENTS[kind].cached else None,
+        deadline=deadline,
+        batch_key=batch_compatibility_key(
+            kind, config, params["samples"], deadline
+        ),
     )
-
-
-def _int_field(params: Mapping, name: str, default: int, lo: int, hi: int) -> int:
-    value = params.get(name, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise RequestError(f"{name} must be an integer, got {value!r}")
-    if not lo <= value <= hi:
-        raise RequestError(
-            f"{name} must be in [{lo}, {hi}], got {value!r}"
-        )
-    return value
-
-
-def _int_list(params: Mapping, name: str) -> Optional[Tuple[int, ...]]:
-    value = params.get(name)
-    if value is None:
-        return None
-    if not isinstance(value, (list, tuple)) or not value:
-        raise RequestError(f"{name} must be a non-empty list of integers")
-    out = []
-    for v in value:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise RequestError(
-                f"{name} entries must be integers >= 0, got {v!r}"
-            )
-        out.append(v)
-    return tuple(out)
-
-
-def _float_list(params: Mapping, name: str) -> Optional[Tuple[float, ...]]:
-    value = params.get(name)
-    if value is None:
-        return None
-    if not isinstance(value, (list, tuple)) or not value:
-        raise RequestError(f"{name} must be a non-empty list of numbers")
-    out = []
-    for v in value:
-        if not _is_number(v) or v <= 0:
-            raise RequestError(
-                f"{name} entries must be positive finite numbers, got {v!r}"
-            )
-        out.append(float(v))
-    return tuple(out)
-
-
-def _request_config(params: Mapping, base: RunConfig) -> RunConfig:
-    """Per-request RunConfig: geometry/seed/backend override the base."""
-    overrides: Dict[str, Any] = {}
-    for name in ("ndigits", "delta", "seed"):
-        if name in params:
-            overrides[name] = params[name]
-    if "backend" in params:
-        if not isinstance(params["backend"], str):
-            raise RequestError(
-                f"backend must be a string, got {params['backend']!r}"
-            )
-        overrides["backend"] = params["backend"]
-    try:
-        return base.with_(**overrides) if overrides else base
-    except ValueError as exc:
-        raise RequestError(str(exc)) from exc
 
 
 def parse_request(
@@ -213,111 +152,21 @@ def parse_request(
     params = message.get("params", {})
     if not isinstance(params, Mapping):
         raise RequestError("params must be a JSON object")
-    unknown = set(params) - _ALLOWED_PARAMS[kind]
+    unknown = set(params) - {p.name for p in EXPERIMENTS[kind].params}
     if unknown:
         raise RequestError(
             f"unknown parameter(s) for {kind}: {', '.join(sorted(unknown))}"
         )
     deadline = message.get("deadline", default_deadline)
     if deadline is not None:
-        if not _is_number(deadline) or deadline <= 0:
-            raise RequestError(
-                f"deadline must be a positive finite number of seconds, got "
-                f"{deadline!r}"
-            )
-        deadline = float(deadline)
-
-    config = _request_config(params, base_config)
-    samples = _int_field(
-        params, "samples", default=4000, lo=1, hi=max_samples
-    )
-
-    if kind == "montecarlo":
-        depths = _int_list(params, "depths")
-        if depths is None:
-            depths = tuple(default_depths(config.ndigits, config.delta))
-        depths = tuple(sorted(int(b) for b in depths))
-        components = montecarlo_key_components(config, samples, list(depths))
-        key = cache_key(**components)
-        norm = {"samples": samples, "depths": depths}
-        return EvalRequest(
-            id=req_id, kind=kind, config=config, params=norm,
-            key_components=components, key=key, cache_key=key,
-            deadline=deadline,
-            batch_key=batch_compatibility_key(kind, config, samples, deadline),
-        )
-
-    if kind == "sweep":
-        steps = _int_list(params, "steps")
-        periods = _float_list(params, "periods")
         try:
-            _, grid = stage_sweep_plan(config, periods=periods, steps=steps)
+            deadline = _DEADLINE.check(deadline)
         except ValueError as exc:
-            raise RequestError(str(exc)) from exc
-        components = stage_sweep_key_components(
-            config, "online", samples, grid
-        )
-        key = cache_key(**components)
-        norm = {"samples": samples, "steps": tuple(grid)}
-        return EvalRequest(
-            id=req_id, kind=kind, config=config, params=norm,
-            key_components=components, key=key, cache_key=key,
-            deadline=deadline,
-            batch_key=batch_compatibility_key(kind, config, samples, deadline),
-        )
-
-    # synthesis
-    datapath = params.get("datapath", "prodsum")
-    if datapath not in DEMO_DATAPATHS:
+            raise RequestError(str(exc), "deadline") from None
+    req = eval_request(kind, params, base_config, req_id, deadline)
+    if req.params["samples"] > max_samples:
         raise RequestError(
-            f"unknown datapath {datapath!r}; expected one of "
-            f"{', '.join(DEMO_DATAPATHS)}"
+            f"must be in [1, {max_samples}], got {req.params['samples']}",
+            "samples",
         )
-    if "target_mre" in params and "target_snr" in params:
-        raise RequestError("pass either target_mre or target_snr, not both")
-    if "target_snr" in params:
-        metric, value = "snr", params["target_snr"]
-    else:
-        metric, value = "mre", params.get("target_mre", 5.0)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise RequestError(f"target_{metric} must be a number, got {value!r}")
-    try:
-        target = AccuracyTarget(metric, float(value))
-    except (ValueError, OverflowError) as exc:
-        raise RequestError(str(exc)) from None
-    wordlengths = _int_list(params, "wordlengths")
-    # reject an unsynthesizable wordlength here, before it takes an
-    # admission slot and evaluator time
-    for n in wordlengths or (config.ndigits,):
-        try:
-            check_wordlength(n)
-        except ValueError as exc:
-            field = "wordlengths entries" if wordlengths else "ndigits"
-            raise RequestError(f"{field} {exc}") from None
-    periods = _float_list(params, "periods")
-    norm = {
-        "samples": samples,
-        "datapath": datapath,
-        "target_metric": target.metric,
-        "target_value": target.value,
-        "wordlengths": wordlengths,
-        "periods": periods,
-    }
-    components = dict(
-        experiment="service.synthesis",
-        datapath=datapath,
-        target_metric=target.metric,
-        target_value=target.value,
-        wordlengths=list(wordlengths) if wordlengths else None,
-        periods=list(periods) if periods else None,
-        num_samples=samples,
-        **config.describe(),
-    )
-    # synthesis has no whole-report cache entry (its verification runs
-    # dedup per candidate group inside run_synthesis), so only the
-    # coalescing key exists
-    return EvalRequest(
-        id=req_id, kind=kind, config=config, params=norm,
-        key_components=components, key=cache_key(**components),
-        cache_key=None, deadline=deadline,
-    )
+    return req

@@ -13,6 +13,30 @@ implementations all register into.
 
 from repro import _lazy
 
+#: the demo datapaths :func:`repro.synth.demos.demo_datapath` builds, in
+#: CLI/display order.  Defined here, not in :mod:`repro.synth.demos`, so
+#: the request declarations (:mod:`repro.experiments`) can offer them
+#: without loading the datapath machinery.
+DEMO_DATAPATHS = ("prodsum", "mac", "dot3")
+
+#: fractional bits of the synthesizer's shared reference-precision
+#: operand draws
+REF_FRAC = 24
+
+
+def check_wordlength(ndigits: int) -> None:
+    """Raise ``ValueError`` unless ``1 <= ndigits <= REF_FRAC``.
+
+    Candidates re-quantize the shared :data:`REF_FRAC`-bit operand
+    draws, so a wider (or empty) word can only fail.
+    """
+    if not 1 <= ndigits <= REF_FRAC:
+        raise ValueError(
+            f"must be in [1, {REF_FRAC}] for synthesis (the reference "
+            f"precision), got {ndigits!r}"
+        )
+
+
 #: public name -> defining module, imported on first access
 _EXPORTS = {
     "AccuracyTarget": "repro.synth.search",
@@ -21,7 +45,6 @@ _EXPORTS = {
     "OperatorSpec": "repro.synth.spec",
     "PredictedDesign": "repro.synth.model",
     "PredictedModule": "repro.synth.model",
-    "REF_FRAC": "repro.synth.search",
     "SynthesisReport": "repro.synth.report",
     "default_spec_name": "repro.synth.spec",
     "enumerate_assignments": "repro.synth.search",
@@ -38,5 +61,5 @@ _EXPORTS = {
     "within_model_tolerance": "repro.synth.model",
 }
 
-__all__ = list(_EXPORTS)
+__all__ = ["DEMO_DATAPATHS", "REF_FRAC", "check_wordlength", *_EXPORTS]
 __getattr__, __dir__ = _lazy.lazy_exports(globals(), _EXPORTS)

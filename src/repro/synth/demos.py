@@ -18,9 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from repro.core.synthesis import Datapath
-
-#: the names :func:`demo_datapath` accepts, in CLI/display order
-DEMO_DATAPATHS = ("prodsum", "mac", "dot3")
+from repro.synth import DEMO_DATAPATHS
 
 
 def demo_datapath(name: str, ndigits: int) -> Datapath:

@@ -56,6 +56,7 @@ from repro.runners.cache import cache_for, cache_key
 from repro.runners.config import RunConfig
 from repro.runners.parallel import ParallelRunner, merge_float_sums, shard_plan
 from repro.runners.results import attach_metrics
+from repro.synth import REF_FRAC, check_wordlength
 from repro.synth.model import (
     MODEL_TOLERANCE_FACTOR,
     predict_design,
@@ -67,29 +68,9 @@ from repro.vec.fused import om_sweep_vector
 
 __all__ = [
     "AccuracyTarget",
-    "REF_FRAC",
-    "check_wordlength",
     "DEFAULT_PERIODS",
     "run_synthesis",
 ]
-
-#: fractional bits of the shared reference-precision operand draws
-REF_FRAC = 24
-
-
-def check_wordlength(ndigits: int) -> None:
-    """Raise ``ValueError`` unless ``1 <= ndigits <= REF_FRAC``.
-
-    Candidates re-quantize the shared :data:`REF_FRAC`-bit operand
-    draws, so a wider (or empty) word can only fail.  The CLI and the
-    service reject such a request with this one check before it runs.
-    """
-    if not 1 <= ndigits <= REF_FRAC:
-        raise ValueError(
-            f"must be in [1, {REF_FRAC}] for synthesis (the reference "
-            f"precision), got {ndigits!r}"
-        )
-
 
 #: default clock-period grid, as fractions of the online settle depth
 #: ``N + delta`` (in stage units) — spans deep overclocking through the

@@ -56,6 +56,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"seed": -1},
+            {"seed": 1.5},
+            {"seed": "7"},
+            {"seed": True},
+            {"ndigits": True},
+            {"delta": True},
+        ],
+    )
+    def test_rejects_a_bool_or_non_integer_seed_and_geometry(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            RunConfig(**kwargs)
+
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
             RunConfig(backend="quantum")

@@ -514,6 +514,33 @@ class TestDeadline:
         assert follower["code"] == "deadline"
         assert follower["coalesced"] is True
 
+    def test_follower_is_answered_at_its_own_deadline(self):
+        async def main():
+            service, client = await started(
+                evaluator=cooperative_slow(2.0)
+            )
+            request = ("montecarlo", {"samples": 100, "depths": [4]})
+            leader = asyncio.ensure_future(
+                client.request(*request, deadline=0.3)
+            )
+            while service.inflight.depth == 0:
+                await asyncio.sleep(0.005)
+            t0 = time.monotonic()
+            follower = await client.request(*request, deadline=0.05)
+            elapsed = time.monotonic() - t0
+            leader = await leader
+            await finish(service, client)
+            return leader, follower, elapsed
+
+        leader, follower, elapsed = asyncio.run(main())
+        assert elapsed < 0.2, elapsed
+        assert follower["code"] == "deadline"
+        assert follower["error"] == "deadline of 0.05s exceeded"
+        assert follower["coalesced"] is True
+        # the leader's evaluation and answer are untouched
+        assert leader["code"] == "deadline"
+        assert leader["error"] == "deadline of 0.3s exceeded"
+
     def test_fast_request_beats_its_deadline(self):
         async def main():
             service, client = await started(evaluator=lambda r, t: {"v": 1})

@@ -135,6 +135,15 @@ class TestValidation:
             {"kind": "synthesis", "params": {"target_mre": -0.5}},
             {"kind": "synthesis", "params": {"target_snr": float("nan")}},
             {"kind": "synthesis", "params": {"target_mre": "5"}},
+            # a seed is an integer >= 0, and no parameter takes a bool
+            {"kind": "montecarlo", "params": {"seed": "abc"}},
+            {"kind": "montecarlo", "params": {"seed": -1}},
+            {"kind": "montecarlo", "params": {"seed": 1.5}},
+            {"kind": "sweep", "params": {"seed": True}},
+            {"kind": "synthesis", "params": {"seed": -1}},
+            {"kind": "montecarlo", "params": {"ndigits": True}},
+            {"kind": "sweep", "params": {"delta": True}},
+            {"kind": "montecarlo", "params": {"depths": [True]}},
         ],
     )
     def test_rejected(self, message):

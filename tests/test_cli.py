@@ -1,5 +1,7 @@
 """Tests for the repro-overclock command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -18,6 +20,25 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+
+HELP_SNAPSHOTS = Path(__file__).resolve().parent / "data" / "help"
+
+
+@pytest.mark.parametrize("command", ["model", "sweep", "synth"])
+def test_generated_help_matches_the_snapshot(monkeypatch, capsys, command):
+    """The subparsers generated from the request-kind declarations print
+    the ``--help`` the hand-written ones did (at 80 columns), apart from
+    ``synth``'s either/or target group."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    # Python < 3.10 titles the option list "optional arguments"
+    out = capsys.readouterr().out.replace("optional arguments:", "options:")
+    assert out == (HELP_SNAPSHOTS / f"{command}.txt").read_text(
+        encoding="utf-8"
+    )
 
 
 class TestCommands:
@@ -81,6 +102,14 @@ class TestCommands:
             ["synth", "--wordlengths", "40"],
             ["synth", "--ndigits", "30"],
             ["model", "--jobs", "0"],
+            ["model", "--seed", "-1"],
+            ["multiplier", "--seed", "-1"],
+            ["sweep", "--seed", "-1"],
+            ["synth", "--seed", "-1"],
+            ["faults", "--seed", "-1"],
+            ["probe", "--seed", "-1"],
+            ["serve", "--seed", "-1"],
+            ["model", "--seed", "1.5"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -95,6 +124,12 @@ class TestCommands:
         last = captured.err.rstrip("\n").splitlines()[-1]
         assert last.startswith(f"repro-overclock {argv[0]}: error: "
                                f"argument {flag}")
+
+    def test_synth_targets_are_either_or(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--target-mre", "5", "--target-snr", "20"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_size_flags_still_reject_non_numbers(self, capsys):
         with pytest.raises(SystemExit):
@@ -173,6 +208,23 @@ class TestObservability:
         capsys.readouterr()
         assert main(["trace", str(sink)]) == 0
         assert "run.montecarlo" in capsys.readouterr().out
+
+    def test_trace_no_events_hides_point_events(self, tmp_path, capsys):
+        import json
+
+        sink = tmp_path / "events.jsonl"
+        sink.write_text("\n".join(json.dumps(r) for r in (
+            {"type": "span", "id": "t1", "parent": None, "name": "run.x",
+             "start": 0.0, "end": 1.0, "dur": 1.0, "attrs": {}},
+            {"type": "event", "span": "t1", "name": "cache.hit", "t": 0.5,
+             "attrs": {}},
+        )) + "\n")
+        assert main(["trace", str(sink)]) == 0
+        assert "* cache.hit" in capsys.readouterr().out
+        assert main(["trace", str(sink), "--no-events"]) == 0
+        out = capsys.readouterr().out
+        assert "run.x" in out
+        assert "cache.hit" not in out
 
     def test_stats_subcommand_renders_metrics(
         self, tmp_path, monkeypatch, capsys
