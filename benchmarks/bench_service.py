@@ -120,7 +120,7 @@ def phase_coalescing(fanout):
     metrics().reset()
     evaluations = []
 
-    def counting_evaluator(req, token):
+    def counting_evaluator(req, token, progress):
         evaluations.append(req.key)
         time.sleep(0.15)  # hold the leader open so every follower joins
         return {"value": 1}
@@ -159,7 +159,7 @@ def phase_coalescing(fanout):
 def phase_throughput(num_requests, cache_dir):
     """Distinct requests through the full pipeline; then cache hits."""
 
-    def stub_evaluator(req, token):
+    def stub_evaluator(req, token, progress):
         return {"v": req.params["samples"]}
 
     async def distinct(service):
@@ -292,7 +292,7 @@ def phase_shedding(num_requests):
     """A saturated queue sheds fast with a Retry-After hint."""
     metrics().reset()
 
-    def slow_evaluator(req, token):
+    def slow_evaluator(req, token, progress):
         time.sleep(0.4)
         return {"v": 1}
 
@@ -343,7 +343,7 @@ def phase_pool_loss(num_requests):
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-pool-") as flags:
 
-        def killing_evaluator(req, token):
+        def killing_evaluator(req, token, progress):
             runner = ParallelRunner(jobs=2, backoff=0.01, cancel_token=token)
             flag = os.path.join(flags, f"{req.key}.flag")
             tasks = [{"flag": flag, "value": v} for v in values]

@@ -588,7 +588,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.experiments import BACKEND, NDIGITS, SAMPLES, SEED, Param
+    from repro.experiments import (
+        BACKEND, DEADLINE, NDIGITS, SAMPLES, SEED, Param,
+    )
 
     parser = argparse.ArgumentParser(
         prog="repro-overclock",
@@ -660,10 +662,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param(p, NDIGITS)
     _add_param(p, SAMPLES, cli=2000)
     _add_param(p, SEED)
-    p.add_argument("--overclock", type=float, default=1.0,
-                   help="clock speedup over the rated period")
-    p.add_argument("--shard-timeout", type=float, default=None,
-                   help="per-shard wall-clock budget in seconds")
+    _add_param(p, Param("overclock", float, 0, cli=1.0,
+                        help="clock speedup over the rated period"))
+    _add_param(p, Param("shard_timeout", float, 0, cli=None,
+                        help="per-shard wall-clock budget in seconds"))
     _add_param(p, BACKEND, cli=None)
     _add_run_flags(p)
     p.set_defaults(func=_cmd_faults)
@@ -716,12 +718,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param(p, NDIGITS,
                help="default word length for requests that omit one")
     _add_param(p, SEED)
-    p.add_argument("--concurrency", type=int, default=2,
-                   help="evaluator slots (resident worker threads)")
-    p.add_argument("--deadline", type=float, default=None,
-                   help="default per-request deadline in seconds")
-    p.add_argument("--drain-timeout", type=float, default=30.0,
-                   help="graceful-drain bound on SIGTERM")
+    _add_param(p, Param("concurrency", int, 1, cli=2,
+                        help="evaluator slots (resident worker threads)"))
+    _add_param(p, DEADLINE)
+    _add_param(p, Param("drain_timeout", float, 0, cli=30.0,
+                        help="graceful-drain bound on SIGTERM"))
     _add_run_flags(p)
     p.set_defaults(func=_cmd_serve)
 
@@ -735,12 +736,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7914,
                    help="service port (matches 'repro serve')")
-    p.add_argument("--interval", type=float, default=1.0,
-                   help="refresh period in seconds")
+    _add_param(p, Param("interval", float, 0, cli=1.0,
+                        help="refresh period in seconds"))
     p.add_argument("--once", action="store_true",
                    help="print one snapshot and exit (non-TTY / CI mode)")
-    p.add_argument("--timeout", type=float, default=5.0,
-                   help="statsz request timeout in seconds")
+    _add_param(p, Param("timeout", float, 0, cli=5.0,
+                        help="statsz request timeout in seconds"))
     p.set_defaults(func=_cmd_top)
 
     p = sub.add_parser("verilog", help="export an operator as Verilog")

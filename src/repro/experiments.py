@@ -136,6 +136,10 @@ BACKEND = Param(
 )
 SAMPLES = Param("samples", int, 1, serve=4000)
 PERIODS = Param("periods", float, 0, many=True, metavar="P")
+#: the request envelope's optional wall-clock budget in seconds: the
+#: wire's ``deadline`` field and ``repro serve --deadline`` check it alike
+DEADLINE = Param("deadline", float, 0, cli=None,
+                 help="default per-request deadline in seconds")
 
 
 # ------------------------------------------------------------ montecarlo

@@ -11,10 +11,11 @@ Three cooperating pieces (see DESIGN.md "Observability"):
 * :mod:`repro.obs.probe` — the :class:`StageErrorProbe` experiment:
   first-erroneous-digit histograms and propagation-chain depths per
   overclocked period, cross-checked against Algorithm 2.
-* :mod:`repro.obs.events` — live shard-progress telemetry: a bounded
-  thread-safe event bus fed by :class:`~repro.runners.parallel.ParallelRunner`
-  lifecycle transitions, streamed by the service and tailed by
-  ``repro top``.
+* :mod:`repro.obs.events` — live shard-progress telemetry: a
+  :class:`ProgressReporter` fed by :class:`~repro.runners.parallel.ParallelRunner`
+  lifecycle transitions hands each event to one callback, through which
+  the service streams progress frames and keeps the ``statsz`` view
+  ``repro top`` renders.
 * :mod:`repro.obs.export` — stdlib-only Prometheus text exposition of
   a metrics snapshot (``render_prometheus``).
 * :mod:`repro.obs.ledger` — the schema-versioned bench-regression
@@ -34,17 +35,14 @@ from repro import _lazy
 _EXPORTS = {
     "DISABLED": "repro.obs.trace",
     "TRACE_ENV": "repro.obs.trace",
-    "EventBus": "repro.obs.events",
     "MetricsRegistry": "repro.obs.metrics",
     "ProgressEvent": "repro.obs.events",
     "ProgressReporter": "repro.obs.events",
     "StageProbeResult": "repro.obs.probe",
-    "Subscription": "repro.obs.events",
     "Tracer": "repro.obs.trace",
     "current_tracer": "repro.obs.trace",
     "deterministic_snapshot": "repro.obs.metrics",
     "metrics": "repro.obs.metrics",
-    "progress_bus": "repro.obs.events",
     "render_prometheus": "repro.obs.export",
     "reset_env_default": "repro.obs.trace",
     "run_stage_probe": "repro.obs.probe",

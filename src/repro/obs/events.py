@@ -1,29 +1,24 @@
-"""Live shard-progress telemetry: a bounded event bus and its reporter.
+"""Live shard-progress telemetry: progress events and their reporter.
 
 :mod:`repro.obs.trace` and :mod:`repro.obs.metrics` materialize *after*
 a run completes — a span tree is only exported once the root span
 closes, a metrics snapshot is taken when the entry point returns.  A
 long sweep or synthesis search is therefore unobservable in flight.
 This module adds the third leg: **live, structured progress events**
-published while the shards are still running, so the evaluation service
+emitted while the shards are still running, so the evaluation service
 can stream per-shard progress to waiting clients and ``repro top`` can
 render a refreshing view of a busy daemon.
 
-Three cooperating pieces:
+Two pieces:
 
 * :class:`ProgressEvent` — one immutable shard lifecycle transition
   (``queued`` / ``started`` / ``retried`` / ``cancelled`` /
   ``completed``) with cumulative counters and an EWMA-based ETA.
-* :class:`EventBus` — a **bounded, thread-safe** fan-out: each
-  subscriber owns a fixed-size ring buffer (drop-oldest policy; drops
-  are counted on the subscription and under the ``events.dropped``
-  metric, never silently).  Publishing with no subscribers is a few
-  dict operations — cheap enough to leave on unconditionally.
 * :class:`ProgressReporter` — the stateful accumulator
   :class:`~repro.runners.parallel.ParallelRunner` feeds from its shard
-  lifecycle transitions.  One reporter per run; the service keys it by
-  the request's content-addressed key (``run_id``) so subscribers can
-  filter one request's events out of a busy daemon's stream.
+  lifecycle transitions.  One reporter per run; each transition becomes
+  one event handed to the reporter's ``on_event`` callable (the daemon
+  passes one that hops the event onto its event loop).
 
 Determinism contract (mirrors the tracer's): event *content* is a pure
 function of the run — the multiset of ``(transition, shard, samples)``
@@ -40,25 +35,19 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.obs.metrics import metrics
 
 __all__ = [
     "TRANSITIONS",
     "ProgressEvent",
-    "Subscription",
-    "EventBus",
     "ProgressReporter",
-    "progress_bus",
 ]
 
 #: shard lifecycle transitions, in per-shard order (``retried`` loops
 #: back to ``started``; ``completed`` and ``cancelled`` are terminal)
 TRANSITIONS = ("queued", "started", "retried", "cancelled", "completed")
-
-#: default per-subscription ring-buffer capacity
-DEFAULT_CAPACITY = 1024
 
 #: EWMA smoothing factor of the per-sample throughput estimate
 ETA_ALPHA = 0.3
@@ -102,134 +91,18 @@ class ProgressEvent:
         }
 
 
-class Subscription:
-    """One subscriber's bounded view of the bus.
-
-    Events land in a fixed-size ring (oldest dropped first, counted in
-    :attr:`dropped`); an optional *callback* additionally fires on every
-    matching publish — the service uses it to hop events onto the
-    asyncio loop with ``call_soon_threadsafe``.
-    """
-
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        run_id: Optional[str] = None,
-        callback: Optional[Callable[[ProgressEvent], None]] = None,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity!r}")
-        self.capacity = capacity
-        self.run_id = run_id
-        self.callback = callback
-        self.dropped = 0
-        self._lock = threading.Lock()
-        self._events: List[ProgressEvent] = []
-
-    def matches(self, event: ProgressEvent) -> bool:
-        return self.run_id is None or event.run_id == self.run_id
-
-    def _offer(self, event: ProgressEvent) -> None:
-        with self._lock:
-            if len(self._events) >= self.capacity:
-                del self._events[0]
-                self.dropped += 1
-                metrics().count("events.dropped")
-            self._events.append(event)
-
-    def drain(self) -> List[ProgressEvent]:
-        """Remove and return everything buffered so far (oldest first)."""
-        with self._lock:
-            events = self._events
-            self._events = []
-        return events
-
-    @property
-    def pending(self) -> int:
-        with self._lock:
-            return len(self._events)
-
-
-class EventBus:
-    """Thread-safe bounded fan-out of :class:`ProgressEvent` records.
-
-    Publishers never block and never fail: a slow subscriber loses its
-    *oldest* buffered events (bounded memory, counted drops) instead of
-    stalling the shard loop that publishes.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._subs: List[Subscription] = []
-
-    def subscribe(
-        self,
-        run_id: Optional[str] = None,
-        callback: Optional[Callable[[ProgressEvent], None]] = None,
-        capacity: Optional[int] = None,
-    ) -> Subscription:
-        """Register a subscriber; filter to one *run_id* when given."""
-        sub = Subscription(
-            capacity=capacity or self.capacity,
-            run_id=run_id,
-            callback=callback,
-        )
-        with self._lock:
-            self._subs.append(sub)
-        return sub
-
-    def unsubscribe(self, sub: Subscription) -> None:
-        """Remove *sub* (idempotent)."""
-        with self._lock:
-            try:
-                self._subs.remove(sub)
-            except ValueError:
-                pass
-
-    @property
-    def num_subscribers(self) -> int:
-        with self._lock:
-            return len(self._subs)
-
-    def publish(self, event: ProgressEvent) -> None:
-        """Deliver *event* to every matching subscriber (never raises).
-
-        Callbacks run outside the bus lock — a subscriber hopping onto
-        an event loop must not serialize other publishers — and a
-        callback error is counted (``events.callback_errors``) rather
-        than propagated into the shard loop.
-        """
-        with self._lock:
-            subs = list(self._subs)
-        metrics().count("events.published")
-        for sub in subs:
-            if not sub.matches(event):
-                continue
-            sub._offer(event)
-            if sub.callback is not None:
-                try:
-                    sub.callback(event)
-                except Exception:
-                    metrics().count("events.callback_errors")
-
-
-_GLOBAL_BUS = EventBus()
-
-
-def progress_bus() -> EventBus:
-    """The process-wide bus runners publish to and services tail."""
-    return _GLOBAL_BUS
-
-
 class ProgressReporter:
     """Accumulates shard transitions into cumulative progress events.
 
     One reporter per run.  :class:`~repro.runners.parallel.ParallelRunner`
     calls the ``shard_*`` methods from its lifecycle transitions; each
-    call publishes one :class:`ProgressEvent` to the bus.  Thread-safe:
-    pool futures complete on the collecting thread, inline shards on the
-    caller's — both may interleave with a service thread snapshotting.
+    call hands one :class:`ProgressEvent` to *on_event* (None: events
+    are only counted).  *on_event* runs on the shard loop's thread and
+    never raises into it: an error is counted under
+    ``events.callback_errors`` — a daemon's callback raises once drain
+    has closed the event loop it hops onto.  Thread-safe: pool futures
+    complete on the collecting thread, inline shards on the caller's —
+    both may interleave with a service thread snapshotting.
 
     ``begin`` *accumulates* totals rather than resetting them, so a run
     that maps several task batches (synthesis verifies many candidate
@@ -241,11 +114,11 @@ class ProgressReporter:
         self,
         experiment: str = "",
         run_id: str = "",
-        bus: Optional[EventBus] = None,
+        on_event: Optional[Callable[[ProgressEvent], None]] = None,
     ) -> None:
         self.experiment = experiment
         self.run_id = run_id
-        self.bus = bus if bus is not None else progress_bus()
+        self.on_event = on_event
         self._lock = threading.Lock()
         self._seq = 0
         self.shards_total = 0
@@ -334,4 +207,9 @@ class ProgressReporter:
                 eta_s=round(eta, 3) if eta is not None else None,
                 seq=self._seq,
             )
-        self.bus.publish(event)
+        metrics().count("events.published")
+        if self.on_event is not None:
+            try:
+                self.on_event(event)
+            except Exception:
+                metrics().count("events.callback_errors")

@@ -248,7 +248,6 @@ _TOP_COUNTERS = (
     ("shed", "service.shed"),
     ("progress frames", "service.progress_frames"),
     ("events published", "events.published"),
-    ("events dropped", "events.dropped"),
 )
 
 

@@ -288,9 +288,9 @@ class ParallelRunner:
         Optional :class:`~repro.obs.events.ProgressReporter` fed from
         every shard lifecycle transition (``queued`` / ``started`` /
         ``retried`` / ``cancelled`` / ``completed``); the service
-        attaches one keyed by the request's content address so clients
-        can stream per-shard progress.  None (the default) publishes
-        nothing and costs one attribute check per transition site.
+        hands one to each evaluation so clients can stream per-shard
+        progress.  None (the default) reports nothing and costs one
+        attribute check per transition site.
     """
 
     def __init__(

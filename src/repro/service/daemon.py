@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.experiments import EXPERIMENTS
-from repro.obs.events import ProgressEvent, ProgressReporter, progress_bus
+from repro.obs.events import ProgressEvent, ProgressReporter
 from repro.obs.export import render_prometheus
 from repro.obs.metrics import deterministic_snapshot, metrics
 from repro.obs.trace import current_tracer
@@ -108,21 +108,22 @@ class ServiceConfig:
 
 
 def evaluate_request(
-    req: EvalRequest, cancel_token: CancelToken
+    req: EvalRequest,
+    cancel_token: CancelToken,
+    progress: Optional[ProgressReporter],
 ) -> Dict[str, Any]:
     """Default evaluator: run the kind's entry point, return its dict.
 
     Runs on a worker thread.  The :class:`CancelToken` threads through
     to the :class:`ParallelRunner` so a fired deadline stops the
-    evaluation between shards instead of orphaning it.
+    evaluation between shards instead of orphaning it, and the runner
+    feeds its shard lifecycle to *progress*, the reporter the daemon
+    built to stream frames to every request sharing this evaluation.
     """
     config = req.config
     runner = ParallelRunner.from_config(config)
     runner.cancel_token = cancel_token
-    # publish shard lifecycle onto the process-wide bus keyed by the
-    # request's key, so the daemon can stream progress frames to every
-    # request sharing this evaluation
-    runner.progress = ProgressReporter(experiment=req.kind, run_id=req.key)
+    runner.progress = progress
     result = EXPERIMENTS[req.kind].run(config, req.params, runner)
     payload = result.to_dict()
     payload.pop("metrics", None)
@@ -134,15 +135,16 @@ class EvalService:
 
     ``evaluator`` is injectable (tests and the load benchmark swap in
     instrumented or failing ones); it must be a callable ``(EvalRequest,
-    CancelToken) -> dict`` and may run for a while — it is always
-    invoked on the executor, never on the event loop.
+    CancelToken, ProgressReporter) -> dict`` and may run for a while —
+    it is always invoked on the executor, never on the event loop.
     """
 
     def __init__(
         self,
         config: Optional[ServiceConfig] = None,
         evaluator: Optional[
-            Callable[[EvalRequest, CancelToken], Dict[str, Any]]
+            Callable[[EvalRequest, CancelToken, ProgressReporter],
+                     Dict[str, Any]]
         ] = None,
     ) -> None:
         self.config = config or ServiceConfig()
@@ -396,7 +398,7 @@ class EvalService:
             response["coalesced"] = True
         return response
 
-    # ---------------------------------------------------------- progress bus
+    # -------------------------------------------------------------- progress
     def _add_watcher(
         self,
         key: str,
@@ -420,34 +422,39 @@ class EvalService:
             if not watchers:
                 self._watchers.pop(key, None)
 
-    def _dispatch_progress(self, key: str, event: ProgressEvent) -> None:
-        """Fan one bus event out to every connection watching *key*.
+    def _dispatch_progress(
+        self, keys: "list[str]", event: ProgressEvent
+    ) -> None:
+        """Fan one progress event out to every connection watching one
+        of *keys* (the members of the evaluation that emitted it).
 
         Runs on the event loop (hopped from the evaluator thread via
         ``call_soon_threadsafe``), so the registries need no locks and
         every frame is scheduled before the final response of the
-        evaluation that published it.
+        evaluation that emitted it.
         """
-        self._progress[key] = event.to_dict()
-        watchers = self._watchers.get(key)
-        if not watchers:
-            return
-        metrics().count("service.progress_frames", len(watchers))
-        for req_id, send in list(watchers.values()):
-            frame = {
-                "event": "progress",
-                "id": req_id,
-                "key": key,
-                "transition": event.transition,
-                "shard": event.shard,
-                "shards_done": event.shards_done,
-                "shards_total": event.shards_total,
-                "samples_done": event.samples_done,
-                "samples_total": event.samples_total,
-                "eta_s": event.eta_s,
-                "seq": event.seq,
-            }
-            asyncio.ensure_future(send(frame))
+        snapshot = event.to_dict()
+        for key in keys:
+            self._progress[key] = snapshot
+            watchers = self._watchers.get(key)
+            if not watchers:
+                continue
+            metrics().count("service.progress_frames", len(watchers))
+            for req_id, send in list(watchers.values()):
+                frame = {
+                    "event": "progress",
+                    "id": req_id,
+                    "key": key,
+                    "transition": event.transition,
+                    "shard": event.shard,
+                    "shards_done": event.shards_done,
+                    "shards_total": event.shards_total,
+                    "samples_done": event.samples_done,
+                    "samples_total": event.samples_total,
+                    "eta_s": event.eta_s,
+                    "seq": event.seq,
+                }
+                asyncio.ensure_future(send(frame))
 
     def _admin(self, message: Mapping[str, Any]) -> Dict[str, Any]:
         kind = message["kind"]
@@ -546,19 +553,17 @@ class EvalService:
         loop = asyncio.get_running_loop()
 
         def on_event(event: ProgressEvent) -> None:
-            # runs on the evaluator thread: hop onto the loop, where the
-            # watcher registries live and writes are ordered before the
-            # final response
-            for key in keys:
-                loop.call_soon_threadsafe(self._dispatch_progress, key, event)
+            # runs on the evaluator thread: one hop onto the loop, where
+            # the watcher registries live and writes are ordered before
+            # the final response
+            loop.call_soon_threadsafe(self._dispatch_progress, keys, event)
 
-        subscription = progress_bus().subscribe(
-            run_id=req.key, callback=on_event
+        reporter = ProgressReporter(
+            experiment=req.kind, run_id=req.key, on_event=on_event
         )
-
         try:
             payload = await loop.run_in_executor(
-                self._executor, self.evaluator, req, token
+                self._executor, self.evaluator, req, token, reporter
             )
         except RunCancelled as exc:
             return {"ok": False, "code": "cancelled", "error": str(exc),
@@ -572,7 +577,6 @@ class EvalService:
                 "id": req.id,
             }
         finally:
-            progress_bus().unsubscribe(subscription)
             for key in keys:
                 self._progress.pop(key, None)
         return {

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
-from repro.experiments import EXPERIMENTS, Param, RequestError, normalize
+from repro.experiments import DEADLINE, EXPERIMENTS, RequestError, normalize
 from repro.runners.cache import cache_key
 from repro.runners.config import RunConfig
 
@@ -67,9 +67,6 @@ ADMIN_KINDS = ("healthz", "readyz", "stats", "statsz", "metricsz")
 #: hard ceiling on per-request sample budgets — one request must not be
 #: able to monopolize the pool for minutes
 MAX_SAMPLES = 200_000
-
-#: the envelope's optional per-request wall-clock budget, in seconds
-_DEADLINE = Param("deadline", float, 0)
 
 
 @dataclass(frozen=True)
@@ -160,7 +157,7 @@ def parse_request(
     deadline = message.get("deadline", default_deadline)
     if deadline is not None:
         try:
-            deadline = _DEADLINE.check(deadline)
+            deadline = DEADLINE.check(deadline)
         except ValueError as exc:
             raise RequestError(str(exc), "deadline") from None
     req = eval_request(kind, params, base_config, req_id, deadline)

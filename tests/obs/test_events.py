@@ -1,96 +1,17 @@
-"""Event bus + ProgressReporter: bounds, drops, lifecycle, determinism."""
+"""ProgressReporter: lifecycle, callback isolation, determinism."""
 
 import threading
 
 import pytest
 
-from repro.obs.events import (
-    DEFAULT_CAPACITY,
-    EventBus,
-    ProgressReporter,
-    Subscription,
-    progress_bus,
-)
+from repro.obs.events import ProgressReporter
 from repro.obs.metrics import metrics
 from repro.runners import ParallelRunner
 
 
-class TestEventBus:
-    def test_publish_reaches_subscriber(self):
-        bus = EventBus()
-        sub = bus.subscribe()
-        reporter = ProgressReporter(experiment="mc", run_id="k1", bus=bus)
-        reporter.begin(2, 20)
-        reporter.shard_queued(0, 10)
-        reporter.shard_queued(1, 10)
-        events = sub.drain()
-        assert [e.transition for e in events] == ["queued", "queued"]
-        assert [e.shard for e in events] == [0, 1]
-        assert sub.drain() == []  # drain removes
-
-    def test_run_id_filter(self):
-        bus = EventBus()
-        mine = bus.subscribe(run_id="k1")
-        other = bus.subscribe(run_id="k2")
-        everyone = bus.subscribe()
-        ProgressReporter(run_id="k1", bus=bus).shard_queued(0, 1)
-        assert mine.pending == 1
-        assert other.pending == 0
-        assert everyone.pending == 1
-
-    def test_bounded_ring_drops_oldest_and_counts(self):
-        before = metrics().snapshot()["counters"].get("events.dropped", 0)
-        bus = EventBus()
-        sub = bus.subscribe(capacity=3)
-        reporter = ProgressReporter(run_id="k", bus=bus)
-        for shard in range(5):
-            reporter.shard_queued(shard, 1)
-        assert sub.dropped == 2
-        events = sub.drain()
-        assert [e.shard for e in events] == [2, 3, 4]  # oldest gone
-        after = metrics().snapshot()["counters"]["events.dropped"]
-        assert after == before + 2
-
-    def test_callback_fires_and_errors_are_counted(self):
-        before = metrics().snapshot()["counters"].get(
-            "events.callback_errors", 0
-        )
-        bus = EventBus()
-        seen = []
-
-        def bad_callback(event):
-            seen.append(event)
-            raise RuntimeError("subscriber bug")
-
-        bus.subscribe(callback=bad_callback)
-        reporter = ProgressReporter(run_id="k", bus=bus)
-        reporter.shard_queued(0, 1)  # must not raise into the publisher
-        assert len(seen) == 1
-        after = metrics().snapshot()["counters"]["events.callback_errors"]
-        assert after == before + 1
-
-    def test_unsubscribe_is_idempotent(self):
-        bus = EventBus()
-        sub = bus.subscribe()
-        assert bus.num_subscribers == 1
-        bus.unsubscribe(sub)
-        bus.unsubscribe(sub)
-        assert bus.num_subscribers == 0
-        ProgressReporter(run_id="k", bus=bus).shard_queued(0, 1)
-        assert sub.pending == 0
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Subscription(capacity=0)
-
-    def test_global_bus_is_a_singleton(self):
-        assert progress_bus() is progress_bus()
-        assert progress_bus().capacity == DEFAULT_CAPACITY
-
-
 class TestProgressReporter:
     def test_counters_accumulate_and_eta_needs_a_completion(self):
-        reporter = ProgressReporter(experiment="mc", run_id="k", bus=EventBus())
+        reporter = ProgressReporter(experiment="mc", run_id="k")
         reporter.begin(2, 200)
         assert reporter.eta_seconds() is None
         reporter.shard_completed(0, 100, elapsed=1.0)  # 100 samples/s
@@ -103,7 +24,7 @@ class TestProgressReporter:
         assert snap["samples_total"] == 200
 
     def test_begin_is_additive_across_batches(self):
-        reporter = ProgressReporter(run_id="k", bus=EventBus())
+        reporter = ProgressReporter(run_id="k")
         reporter.begin(2, 20)
         reporter.shard_completed(0, 10, elapsed=0.1)
         reporter.shard_completed(1, 10, elapsed=0.1)
@@ -114,16 +35,14 @@ class TestProgressReporter:
         assert snap["shards_done"] == 2  # never reset mid-run
 
     def test_seq_and_done_counts_monotonic(self):
-        bus = EventBus()
-        sub = bus.subscribe()
-        reporter = ProgressReporter(run_id="k", bus=bus)
+        events = []
+        reporter = ProgressReporter(run_id="k", on_event=events.append)
         reporter.begin(3, 30)
         for shard in range(3):
             reporter.shard_queued(shard, 10)
         for shard in range(3):
             reporter.shard_started(shard, 10)
             reporter.shard_completed(shard, 10, elapsed=0.01)
-        events = sub.drain()
         seqs = [e.seq for e in events]
         assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
         done = [e.shards_done for e in events]
@@ -132,12 +51,11 @@ class TestProgressReporter:
         assert events[-1].samples_done == 30
 
     def test_event_to_dict_round_trips_all_fields(self):
-        bus = EventBus()
-        sub = bus.subscribe()
-        ProgressReporter(experiment="mc", run_id="k9", bus=bus).shard_queued(
-            4, 25
-        )
-        payload = sub.drain()[0].to_dict()
+        events = []
+        ProgressReporter(
+            experiment="mc", run_id="k9", on_event=events.append
+        ).shard_queued(4, 25)
+        payload = events[0].to_dict()
         assert payload["run_id"] == "k9"
         assert payload["experiment"] == "mc"
         assert payload["transition"] == "queued"
@@ -146,9 +64,8 @@ class TestProgressReporter:
         assert payload["eta_s"] is None
 
     def test_thread_safe_publishing(self):
-        bus = EventBus()
-        sub = bus.subscribe(capacity=10_000)
-        reporter = ProgressReporter(run_id="k", bus=bus)
+        events = []
+        reporter = ProgressReporter(run_id="k", on_event=events.append)
         reporter.begin(400, 400)
 
         def complete(lo, hi):
@@ -164,9 +81,32 @@ class TestProgressReporter:
         for t in threads:
             t.join()
         assert reporter.snapshot()["shards_done"] == 400
-        events = sub.drain()
         assert len(events) == 400
         assert events[-1].seq == 400
+
+    def test_callback_fires_and_errors_are_counted(self):
+        before = metrics().snapshot()["counters"].get(
+            "events.callback_errors", 0
+        )
+        seen = []
+
+        def bad_callback(event):
+            seen.append(event)
+            raise RuntimeError("closed event loop")
+
+        reporter = ProgressReporter(run_id="k", on_event=bad_callback)
+        reporter.begin(1, 1)
+        # none of the shard_* transitions raises into the shard loop
+        reporter.shard_queued(0, 1)
+        reporter.shard_started(0, 1)
+        reporter.shard_retried(0, 1)
+        reporter.shard_cancelled(0, 1)
+        reporter.shard_completed(0, 1, elapsed=0.01)
+        assert [e.transition for e in seen] == [
+            "queued", "started", "retried", "cancelled", "completed",
+        ]
+        after = metrics().snapshot()["counters"]["events.callback_errors"]
+        assert after == before + 5  # each raise counted once
 
 
 # module-level worker: must be picklable for the process pool
@@ -175,15 +115,14 @@ def _triple(task):
 
 
 def _run_events(jobs: int):
-    bus = EventBus()
-    sub = bus.subscribe(capacity=10_000)
+    events = []
     runner = ParallelRunner(jobs=jobs)
     runner.progress = ProgressReporter(
-        experiment="unit", run_id="det", bus=bus
+        experiment="unit", run_id="det", on_event=events.append
     )
     results = runner.map(_triple, list(range(6)), samples=[10] * 6)
     assert results == [3 * i for i in range(6)]
-    return sub.drain()
+    return events
 
 
 class TestRunnerDeterminism:
@@ -224,9 +163,4 @@ class TestRunnerDeterminism:
     def test_no_progress_by_default(self):
         runner = ParallelRunner(jobs=1)
         assert runner.progress is None
-        sub = progress_bus().subscribe(run_id="never-used")
-        try:
-            runner.map(_triple, [1, 2])
-            assert sub.pending == 0
-        finally:
-            progress_bus().unsubscribe(sub)
+        assert runner.map(_triple, [1, 2]) == [3, 6]

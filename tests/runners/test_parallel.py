@@ -487,14 +487,15 @@ class TestFailurePathTelemetry:
         assert len(prefixed) == 2  # the two pool shards shipped buffers
 
     def test_inline_cancel_emits_terminal_cancelled_transitions(self):
-        from repro.obs.events import EventBus, ProgressReporter
+        from repro.obs.events import ProgressReporter
         from repro.runners import CancelToken, RunCancelled
 
-        bus = EventBus()
-        sub = bus.subscribe()
+        events = []
         token = CancelToken()
         runner = ParallelRunner(jobs=1, cancel_token=token)
-        runner.progress = ProgressReporter(run_id="cancel", bus=bus)
+        runner.progress = ProgressReporter(
+            run_id="cancel", on_event=events.append
+        )
         executed = []
 
         def worker(task):
@@ -507,7 +508,7 @@ class TestFailurePathTelemetry:
             runner.map(worker, [1, 2, 3, 4], samples=[5, 5, 5, 5])
 
         transitions = {}
-        for event in sub.drain():
+        for event in events:
             transitions.setdefault(event.shard, []).append(event.transition)
         assert transitions[0] == ["queued", "started", "completed"]
         assert transitions[1] == ["queued", "started", "completed"]
@@ -520,12 +521,11 @@ class TestFailurePathTelemetry:
         import threading
 
         from repro.obs import Tracer, metrics, use_tracer
-        from repro.obs.events import EventBus, ProgressReporter
+        from repro.obs.events import ProgressReporter
         from repro.runners import CancelToken, RunCancelled
 
         before = metrics().snapshot()["counters"].get("test.fold_counter", 0)
-        bus = EventBus()
-        sub = bus.subscribe()
+        events = []
         token = CancelToken()
         tracer = Tracer()
         tasks = [
@@ -539,7 +539,9 @@ class TestFailurePathTelemetry:
         try:
             with use_tracer(tracer):
                 runner = ParallelRunner(jobs=2, cancel_token=token)
-                runner.progress = ProgressReporter(run_id="pc", bus=bus)
+                runner.progress = ProgressReporter(
+                    run_id="pc", on_event=events.append
+                )
                 with pytest.raises(RunCancelled, match="deadline"):
                     runner.map(
                         _count_span_and_sleep, tasks, samples=[1] * 4
@@ -549,7 +551,7 @@ class TestFailurePathTelemetry:
 
         completed = {s.index for s in runner.stats.shards}
         terminal = {}
-        for event in sub.drain():
+        for event in events:
             terminal[event.shard] = event.transition
         # every shard terminates: collected ones completed, the rest
         # with an explicit cancelled transition
@@ -570,12 +572,13 @@ class TestFailurePathTelemetry:
         assert all(w["parent"] in shard_ids for w in work_spans)
 
     def test_pool_loss_emits_retried_transitions(self):
-        from repro.obs.events import EventBus, ProgressReporter
+        from repro.obs.events import ProgressReporter
 
-        bus = EventBus()
-        sub = bus.subscribe(capacity=10_000)
+        events = []
         runner = ParallelRunner(jobs=2, backoff=0.01)
-        runner.progress = ProgressReporter(run_id="crashy", bus=bus)
+        runner.progress = ProgressReporter(
+            run_id="crashy", on_event=events.append
+        )
         tasks = [{"parent": os.getpid(), "value": v} for v in range(4)]
         results = runner.map(_crash_in_child, tasks, samples=[1] * 4)
         assert results == [0, 2, 4, 6]
@@ -583,7 +586,7 @@ class TestFailurePathTelemetry:
         assert stats.degraded
 
         transitions = {}
-        for event in sub.drain():
+        for event in events:
             transitions.setdefault(event.shard, []).append(event.transition)
         for shard, seq in transitions.items():
             assert seq[0] == "queued"
@@ -628,7 +631,7 @@ class TestServiceRecovery:
 
         flag = str(tmp_path / "service-killed.flag")
 
-        def evaluate(req, token):
+        def evaluate(req, token, progress):
             # run the request over a per-run pool whose worker kills
             # itself once — the one real pool failure a daemon sees
             runner = ParallelRunner(jobs=2, backoff=0.01, cancel_token=token)

@@ -42,9 +42,9 @@ def counted(evaluator):
     """Wrap an evaluator, recording each invocation's coalescing key."""
     calls = []
 
-    def wrapped(req, token):
+    def wrapped(req, token, progress):
         calls.append(req.key)
-        return evaluator(req, token)
+        return evaluator(req, token, progress)
 
     return wrapped, calls
 
@@ -63,13 +63,13 @@ class Gate:
         self.entered = threading.Event()
         self.opened = threading.Event()
 
-    def __call__(self, req, token):
+    def __call__(self, req, token, progress):
         kind, params = self.BLOCKER
         if req.kind == kind and req.params["samples"] == params["samples"]:
             self.entered.set()
             self.opened.wait(timeout=10.0)
             return {"blocked": True}
-        return self.evaluator(req, token)
+        return self.evaluator(req, token, progress)
 
 
 async def started(config=None, evaluator=None):
@@ -240,6 +240,44 @@ class TestBatchedBitIdentity:
         assert r2["result"]["depths"] == [3]
 
 
+class TestBatchedProgress:
+    def test_every_fused_member_streams_its_own_frames(self):
+        members = [
+            ({"samples": 80, "depths": [2, 4]}, []),
+            ({"samples": 80, "depths": [3]}, []),
+        ]
+
+        async def main():
+            service, client = await started(
+                service_config(run_config=BASE.with_(shard_size=20))
+            )
+            blocker = await hold_slot(service, client)
+            tasks = [
+                asyncio.ensure_future(client.request(
+                    "montecarlo", params, on_progress=frames.append
+                ))
+                for params, frames in members
+            ]
+            while service.inflight.depth < 1 + len(members):
+                await asyncio.sleep(0.005)
+            service.evaluator.opened.set()
+            await blocker
+            responses = await asyncio.gather(*tasks)
+            await finish(service, client)
+            return responses
+
+        responses = asyncio.run(main())
+        for resp, (_, frames) in zip(responses, members):
+            assert resp["ok"] is True
+            assert frames, "a fused member streamed no progress"
+            assert {f["id"] for f in frames} == {resp["id"]}
+            assert {f["key"] for f in frames} == {resp["key"]}
+            assert frames[-1]["shards_done"] == frames[-1]["shards_total"] == 4
+        # one evaluation: every member sees each of its events
+        seqs = [[f["seq"] for f in frames] for _, frames in members]
+        assert seqs[0] == seqs[1]
+
+
 class TestPerMemberCacheWrites:
     def test_batched_members_cache_under_their_own_keys(self, tmp_path):
         evaluator, calls = counted(evaluate_request)
@@ -342,9 +380,9 @@ class TestCompatibilityBoundaries:
     def test_lone_compatible_request_never_waits(self):
         starts = []
 
-        def timed(req, token):
+        def timed(req, token, progress):
             starts.append(time.monotonic())
-            return evaluate_request(req, token)
+            return evaluate_request(req, token, progress)
 
         async def main():
             service, client = await started(evaluator=timed)
@@ -389,9 +427,9 @@ class TestCompatibilityBoundaries:
 
 class TestDeadlines:
     def test_late_joiner_is_not_cut_short_by_the_openers_deadline(self):
-        def slow(req, token):
+        def slow(req, token, progress):
             time.sleep(1.5)
-            return evaluate_request(req, token)
+            return evaluate_request(req, token, progress)
 
         async def main():
             service, client = await started(evaluator=slow)
@@ -425,7 +463,7 @@ class TestDeadlines:
 
 class TestFailureSplitting:
     def test_deterministic_error_is_copied_per_member(self):
-        def explode(req, token):
+        def explode(req, token, progress):
             raise ValueError("bad geometry")
 
         async def main():

@@ -47,7 +47,7 @@ async def finish(service, client):
 def cooperative_slow(duration):
     """An evaluator that honors the runner cancel token."""
 
-    def evaluate(req, token):
+    def evaluate(req, token, progress):
         deadline = time.monotonic() + duration
         while time.monotonic() < deadline:
             if token.cancelled:
@@ -129,7 +129,7 @@ class TestRoundTrip:
     def test_unsynthesizable_wordlengths_never_reach_the_evaluator(self):
         calls = []
 
-        def counting(req, token):
+        def counting(req, token, progress):
             calls.append(req.params)
             return {"value": 1}
 
@@ -163,7 +163,7 @@ class TestCoalescing:
         evaluations = []
         release = threading.Event()
 
-        def evaluate(req, token):
+        def evaluate(req, token, progress):
             evaluations.append(req.key)
             release.wait(timeout=5.0)
             return {"value": 42}
@@ -196,7 +196,7 @@ class TestCoalescing:
     def test_distinct_requests_do_not_coalesce(self):
         evaluations = []
 
-        def evaluate(req, token):
+        def evaluate(req, token, progress):
             evaluations.append(req.key)
             return {"ok": 1}
 
@@ -215,7 +215,7 @@ class TestCoalescing:
     def test_followers_get_their_own_request_id(self):
         release = threading.Event()
 
-        def evaluate(req, token):
+        def evaluate(req, token, progress):
             release.wait(timeout=5.0)
             return {"v": 1}
 
@@ -241,7 +241,7 @@ class TestCacheShortCircuit:
     def test_cached_result_answers_without_evaluating(self, tmp_path):
         evaluations = []
 
-        def evaluate(req, token):
+        def evaluate(req, token, progress):
             evaluations.append(req.key)
             return {"v": 7}
 
@@ -319,7 +319,7 @@ class TestShedding:
         metrics().reset()
         release = threading.Event()
 
-        def evaluate(req, token):
+        def evaluate(req, token, progress):
             release.wait(timeout=5.0)
             return {"v": 1}
 
@@ -354,7 +354,7 @@ class TestEvaluationFailure:
         metrics().reset()
         calls = []
 
-        def broken(req, token):
+        def broken(req, token, progress):
             calls.append(req.key)
             raise OSError("worker exploded")
 
@@ -364,7 +364,7 @@ class TestEvaluationFailure:
                 "montecarlo", {"samples": 100, "depths": [4]}
             )
             # the next request is evaluated as usual: nothing was tripped
-            service.evaluator = lambda req, token: {"v": 1}
+            service.evaluator = lambda req, token, progress: {"v": 1}
             healthy = await client.request(
                 "montecarlo", {"samples": 101, "depths": [4]}
             )
@@ -385,7 +385,7 @@ class TestEvaluationFailure:
         assert counters["service.errors"] == 1
 
     def test_run_cancelled_is_answered_cancelled(self):
-        def cancelled(req, token):
+        def cancelled(req, token, progress):
             raise RunCancelled("stopped")
 
         async def main():
@@ -466,9 +466,9 @@ class TestDeadline:
         calls = []
         slow = cooperative_slow(0.6)
 
-        def evaluate(req, token):
+        def evaluate(req, token, progress):
             calls.append(req.deadline)
-            return slow(req, token)
+            return slow(req, token, progress)
 
         async def main():
             service, client = await started(evaluator=evaluate)
@@ -543,7 +543,7 @@ class TestDeadline:
 
     def test_fast_request_beats_its_deadline(self):
         async def main():
-            service, client = await started(evaluator=lambda r, t: {"v": 1})
+            service, client = await started(evaluator=lambda r, t, p: {"v": 1})
             r = await client.request(
                 "montecarlo", {"samples": 100, "depths": [4]}, deadline=30.0
             )
@@ -558,7 +558,7 @@ class TestDrain:
     def test_drain_finishes_inflight_then_rejects(self):
         release = threading.Event()
 
-        def evaluate(req, token):
+        def evaluate(req, token, progress):
             release.wait(timeout=5.0)
             return {"v": "done"}
 
@@ -595,3 +595,46 @@ class TestDrain:
             await client.aclose()
 
         asyncio.run(main())
+
+    def test_progress_after_drain_closed_the_loop_does_not_raise(self):
+        # a straggler outlives drain_timeout and the event loop; its
+        # next shard report cannot hop onto the closed loop, and must
+        # not raise into the orphaned evaluator thread either
+        release = threading.Event()
+        reported = threading.Event()
+        raised = []
+
+        def evaluate(req, token, progress):
+            release.wait(timeout=5.0)
+            try:
+                progress.begin(1, 1)
+                progress.shard_queued(0, 1)
+            except Exception as exc:  # pragma: no cover - the failure
+                raised.append(exc)
+            reported.set()
+            return {"v": "late"}
+
+        async def main():
+            service, client = await started(
+                service_config(drain_timeout=0.1), evaluator=evaluate
+            )
+            inflight = asyncio.ensure_future(
+                client.request("montecarlo", {"samples": 100, "depths": [3]})
+            )
+            while service.admission.depth() == 0:
+                await asyncio.sleep(0.01)
+            await service.drain()
+            resp = await inflight
+            await client.aclose()
+            return resp
+
+        before = metrics().snapshot()["counters"].get(
+            "events.callback_errors", 0
+        )
+        resp = asyncio.run(main())  # returns with the loop closed
+        release.set()
+        assert reported.wait(timeout=5.0)
+        assert resp["code"] == "draining"  # the straggler was rejected
+        assert raised == []
+        after = metrics().snapshot()["counters"]["events.callback_errors"]
+        assert after == before + 1  # the one report that found no loop

@@ -49,7 +49,7 @@ MIX = [
 def reference(kind, params):
     """The in-process answer, spelled the way the socket carries it."""
     req = parse_request({"kind": kind, "params": params}, base_config=BASE)
-    payload = evaluate_request(req, CancelToken())
+    payload = evaluate_request(req, CancelToken(), None)
     return json.dumps(json.loads(json.dumps(payload)), sort_keys=True)
 
 
@@ -63,11 +63,11 @@ def failing_slow_evaluator(completed):
     Appends to *completed* after each evaluation it finishes.
     """
 
-    def evaluate(req, token):
+    def evaluate(req, token, progress):
         if req.kind == "montecarlo" and req.params["samples"] == 120:
             raise RuntimeError("injected evaluation fault")
         time.sleep(0.03)
-        payload = evaluate_request(req, token)
+        payload = evaluate_request(req, token, progress)
         completed.append(req.key)
         return payload
 

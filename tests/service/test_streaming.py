@@ -9,10 +9,11 @@ import asyncio
 import threading
 import time
 
-from repro.obs.events import ProgressReporter
 from repro.runners.config import RunConfig
+from repro.runners.parallel import ParallelRunner
 from repro.service import EvalService, ServiceClient, ServiceConfig
 from repro.service.client import request_once
+from tests.runners.test_parallel import _kill_once
 
 BASE = RunConfig(ndigits=3, seed=7, jobs=1, cache_dir=None)
 
@@ -40,17 +41,17 @@ async def finish(service, client):
 
 
 def streaming_evaluator(num_shards=4, pause=0.03):
-    """Publishes shard progress on the global bus the way the runner does."""
+    """Reports shard progress to the handed reporter the way the runner
+    does."""
 
-    def evaluate(req, token):
-        reporter = ProgressReporter(experiment=req.kind, run_id=req.key)
-        reporter.begin(num_shards, num_shards * 10)
+    def evaluate(req, token, progress):
+        progress.begin(num_shards, num_shards * 10)
         for shard in range(num_shards):
-            reporter.shard_queued(shard, 10)
+            progress.shard_queued(shard, 10)
         for shard in range(num_shards):
-            reporter.shard_started(shard, 10)
+            progress.shard_started(shard, 10)
             time.sleep(pause)
-            reporter.shard_completed(shard, 10, elapsed=pause)
+            progress.shard_completed(shard, 10, elapsed=pause)
         return {"shards": num_shards}
 
     return evaluate
@@ -58,8 +59,8 @@ def streaming_evaluator(num_shards=4, pause=0.03):
 
 class TestLeaderStreaming:
     def test_real_montecarlo_streams_before_final(self):
-        # the full path: evaluate_request attaches the reporter, the
-        # runner publishes, the daemon hops frames onto the loop
+        # the full path: the daemon hands evaluate_request its reporter,
+        # the runner reports to it, the daemon hops frames onto the loop
         frames = []
         config = service_config(
             run_config=BASE.with_(shard_size=50)  # 400 samples -> 8 shards
@@ -120,6 +121,57 @@ class TestLeaderStreaming:
 
         resp = asyncio.run(main())
         assert resp["ok"] is True  # frames consumed and dropped silently
+
+
+class TestPoolProgress:
+    def test_pool_progress_streams_retried_then_completed(self, tmp_path):
+        # frames cross a process pool that loses a worker: the runner
+        # reports to the daemon's reporter from the collecting thread
+        flag = str(tmp_path / "killed.flag")
+        frames = []
+
+        def evaluate(req, token, progress):
+            runner = ParallelRunner(
+                jobs=2, backoff=0.01, cancel_token=token, progress=progress
+            )
+            tasks = [{"flag": flag, "value": v} for v in range(4)]
+            values = runner.map(_kill_once, tasks, samples=[1] * 4)
+            return {
+                "values": values,
+                "pool_failures": runner.stats.pool_failures,
+            }
+
+        async def main():
+            service, client = await started(evaluator=evaluate)
+            resp = await client.request(
+                "montecarlo", {"samples": 100, "depths": [3]},
+                on_progress=frames.append,
+            )
+            await finish(service, client)
+            return resp
+
+        resp = asyncio.run(main())
+        assert resp["ok"] is True
+        assert resp["result"] == {"values": [0, 2, 4, 6], "pool_failures": 1}
+        by_shard = {}
+        for frame in frames:
+            by_shard.setdefault(frame["shard"], []).append(
+                frame["transition"]
+            )
+        assert sorted(by_shard) == [0, 1, 2, 3]
+        retried = [s for s, seq in by_shard.items() if "retried" in seq]
+        assert retried, "no shard was retried after the worker died"
+        for shard, seq in by_shard.items():
+            if shard in retried:
+                # lost with the pool, run again on the fresh one
+                assert seq == [
+                    "queued", "started", "retried", "started", "completed",
+                ]
+            else:
+                assert seq == ["queued", "started", "completed"]
+        done = [f["shards_done"] for f in frames]
+        assert done == sorted(done)
+        assert frames[-1]["shards_done"] == frames[-1]["shards_total"] == 4
 
 
 class TestFollowerStreaming:
@@ -260,7 +312,7 @@ class TestHealthzDraining:
     def test_healthz_reports_draining(self):
         release = threading.Event()
 
-        def evaluate(req, token):
+        def evaluate(req, token, progress):
             release.wait(timeout=5.0)
             return {"v": "done"}
 

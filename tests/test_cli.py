@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -110,10 +111,25 @@ class TestCommands:
             ["probe", "--seed", "-1"],
             ["serve", "--seed", "-1"],
             ["model", "--seed", "1.5"],
+            ["faults", "--overclock", "0"],
+            ["faults", "--overclock", "nan"],
+            ["faults", "--shard-timeout", "0"],
+            ["serve", "--concurrency", "0"],
+            ["serve", "--deadline", "0"],
+            ["serve", "--drain-timeout", "0"],
+            ["top", "--interval", "0"],
+            ["top", "--timeout", "0"],
         ],
         ids=lambda argv: " ".join(argv),
     )
-    def test_invalid_size_is_a_usage_error(self, capsys, argv):
+    def test_invalid_size_is_a_usage_error(self, capsys, monkeypatch, argv):
+        # a bad value let through would start a daemon or a refresh
+        # loop that never returns: fail instead of hanging
+        for command in ("_cmd_serve", "_cmd_top"):
+            monkeypatch.setattr(
+                cli, command,
+                lambda args: pytest.fail(f"{argv} was accepted"),
+            )
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
