@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.netlist.gates import Circuit
+from repro.netlist.gates import Circuit, lut_cofactor
 
 
 class LogicOps:
@@ -235,28 +235,14 @@ class NetOps(LogicOps):
 
     def lut(self, table: Sequence[int], bits: Sequence[int]) -> int:
         # constant-fold inputs that are tie-offs to shrink the LUT
-        live = [
-            (k, b)
-            for k, b in enumerate(bits)
-            if not self._is_const(b, 0) and not self._is_const(b, 1)
-        ]
-        fixed = {
-            k: (1 if self._is_const(b, 1) else 0)
-            for k, b in enumerate(bits)
-            if self._is_const(b, 0) or self._is_const(b, 1)
-        }
+        fixed = tuple(
+            0 if b == self._const0 else 1 if b == self._const1 else None
+            for b in bits
+        )
+        live = [b for b, v in zip(bits, fixed) if v is None]
         if len(live) == len(bits):
             return self.circuit.lut(table, *bits)
-        sub_table = []
-        for m in range(2 ** len(live)):
-            idx = 0
-            for j, (k, _net) in enumerate(live):
-                idx |= ((m >> j) & 1) << k
-            for k, v in fixed.items():
-                idx |= v << k
-            sub_table.append(table[idx])
-        if not live:
-            return self.const(sub_table[0])
+        sub_table = lut_cofactor(tuple(table), fixed)
         if len(set(sub_table)) == 1:
             return self.const(sub_table[0])
-        return self.circuit.lut(sub_table, *(net for _k, net in live))
+        return self.circuit.lut(sub_table, *live)

@@ -13,13 +13,20 @@ conventional operator fails catastrophically.
 Execution rides the hardened runner stack end to end:
 
 * shards split and seed exactly like :func:`repro.sim.sweep.run_sweep`
-  (``jobs=1`` and ``jobs=N`` merge bit-identically; one operand stream
+  (``jobs=1`` and ``jobs=N`` merge bit-identically); one operand stream
   per ``(design, shard)`` is *reused across rates*, so curves compare
-  fault intensities on identical operands);
-* every completed shard **checkpoints** its exact partial sums into the
-  persistent result cache (:meth:`~repro.runners.ResultCache.put_raw`),
-  so a campaign killed mid-flight resumes from the completed shards and
-  the resumed merge is bit-identical to an uninterrupted run;
+  fault intensities on identical operands;
+* the unit of work is one ``(design, shard)``: it draws its operands
+  and runs the clean simulation once, and that one clean result serves
+  every rate — a rate simulates again only when its faults change the
+  simulator (delay drift, stuck-at gates); capture-boundary faults
+  (jitter, metastability, SEUs) perturb the clean result's capture;
+* every completed ``(design, rate, shard)`` cell **checkpoints** its
+  exact partial sums into the persistent result cache
+  (:meth:`~repro.runners.ResultCache.put_raw`) as soon as its rate is
+  done, so a campaign killed mid-flight resumes from the completed
+  cells — a unit reruns only its missing rates — and the resumed merge
+  is bit-identical to an uninterrupted run;
 * the finished campaign result is cached whole, keyed by the clean
   netlist fingerprints, the exact base delay assignment and the full
   fault parameterisation.
@@ -64,7 +71,9 @@ class FaultStats:
 
     Ephemeral like ``RunStats`` (never cached): counts of injected
     faults by kind, structural fault sizes, and how many shards were
-    resumed from checkpoints versus retried after pool losses.
+    resumed from checkpoints versus retried after pool losses.  Its
+    shards are the ``(design, rate, shard)`` checkpoint cells; the
+    runner's own ``RunStats`` counts ``(design, shard)`` units.
     """
 
     model: str = ""
@@ -141,60 +150,72 @@ def _faulted_simulator(clean: SweepHarness, fault_config: FaultConfig):
     return make_simulator(circuit, model, clean.backend), stuck, drifted
 
 
-def _campaign_shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """One campaign shard: simulate clean + faulted, return exact partials.
+def _campaign_unit_worker(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """One ``(design, shard)`` unit: simulate once, capture every rate.
 
-    The returned mapping contains only JSON scalars (floats round-trip
-    exactly), so it doubles as the shard's checkpoint payload.
+    The unit draws its operands and runs the clean simulation once; each
+    of its rates then captures either that clean result or, when the
+    rate's faults change the simulator (drift, stuck-at), its own
+    faulted run.  Each rate's partial is checkpointed as soon as it is
+    done, so a kill mid-unit keeps the finished rates.  The partials
+    contain only JSON scalars (floats round-trip exactly), so each
+    doubles as its rate's checkpoint payload.
     """
     design = payload["design"]
     backend = payload["backend"]
-    fault_config: FaultConfig = payload["fault_config"]
     capture_step = int(payload["capture_step"])
+    samples = int(payload["samples"])
+    cache = ResultCache(payload["cache_dir"]) if payload["cache_dir"] else None
 
     clean = worker_harness(
         design, payload["ndigits"], backend, payload["delay_model"]
     )
-    faulted, stuck, drifted = _faulted_simulator(clean, fault_config)
     rng = np.random.default_rng(payload["op_seq"])
-    ports = clean.random_ports(rng, payload["samples"])
-
-    with current_tracer().span(
-        "campaign.simulate",
-        design=design,
-        rate=float(payload["rate"]),
-        backend=backend,
-        samples=int(payload["samples"]),
+    ports = clean.random_ports(rng, samples)
+    tracer = current_tracer()
+    with tracer.span(
+        "campaign.simulate", design=design, backend=backend, samples=samples
     ):
         clean_result = clean.simulator.run(ports)
         correct = clean.decode(
             clean_result.sample(clean_result.settle_step)
         ).astype(np.float64)
+    sum_abs_correct = float(np.abs(correct).sum())
 
-        faulted_result = faulted.run(ports)
-        injector = FaultInjector(fault_config, payload["fault_seq"])
-        captured, injected = injector.capture(faulted_result, capture_step)
-        values = clean.decode(captured).astype(np.float64)
-
-    err = np.abs(values - correct)
-    partial = {
-        "design": design,
-        "rate": float(payload["rate"]),
-        "shard": int(payload["shard"]),
-        "capture_step": capture_step,
-        "num_samples": int(payload["samples"]),
-        "sum_abs_err": float(err.sum()),
-        "sum_abs_correct": float(np.abs(correct).sum()),
-        "stuck_gates": stuck,
-        "drifted_gates": drifted,
-    }
-    for kind in CAPTURE_FAULT_KINDS:
-        partial[f"injected_{kind}"] = int(injected[kind])
-    if payload.get("cache_dir") and payload.get("raw_key"):
-        ResultCache(payload["cache_dir"]).put_raw(
-            payload["raw_key"], partial
-        )
-    return partial
+    partials: List[Dict[str, Any]] = []
+    for index, rate, fault_config, raw_key in payload["cells"]:
+        faulted, stuck, drifted = _faulted_simulator(clean, fault_config)
+        with tracer.span(
+            "campaign.capture",
+            design=design,
+            rate=rate,
+            faulted=faulted is not clean.simulator,
+        ):
+            faulted_result = (
+                clean_result
+                if faulted is clean.simulator
+                else faulted.run(ports)
+            )
+            injector = FaultInjector(fault_config, payload["fault_seq"])
+            captured, injected = injector.capture(faulted_result, capture_step)
+            values = clean.decode(captured).astype(np.float64)
+        partial = {
+            "design": design,
+            "rate": rate,
+            "shard": index,
+            "capture_step": capture_step,
+            "num_samples": samples,
+            "sum_abs_err": float(np.abs(values - correct).sum()),
+            "sum_abs_correct": sum_abs_correct,
+            "stuck_gates": stuck,
+            "drifted_gates": drifted,
+        }
+        for kind in CAPTURE_FAULT_KINDS:
+            partial[f"injected_{kind}"] = int(injected[kind])
+        if cache is not None:
+            cache.put_raw(raw_key, partial)
+        partials.append(partial)
+    return partials
 
 
 # ----------------------------------------------------------- parent side
@@ -265,13 +286,15 @@ def run_fault_campaign(
         ``round(rated_step / overclock)``.
 
     Checkpoint/resume: with ``config.cache_dir`` set, every completed
-    shard persists its exact partial sums before the merge.  Re-running
-    the identical campaign — e.g. after the process was killed — serves
-    completed shards from the checkpoints and computes only the missing
-    ones; the final merge is bit-identical either way because partials
-    are JSON-exact and merged in a fixed ``(design, rate, shard)``
-    order.  Returns a :class:`FaultCampaignResult` with ``run_stats``
-    and ``fault_stats`` attached.
+    ``(design, rate, shard)`` cell persists its exact partial sums
+    before the merge.  Re-running the identical campaign — e.g. after
+    the process was killed — serves completed cells from the
+    checkpoints and computes only the missing ones, one runner shard
+    per ``(design, shard)`` that still misses a rate; the final merge
+    is bit-identical either way because partials are JSON-exact and
+    merged in a fixed ``(design, rate, shard)`` order.  Returns a
+    :class:`FaultCampaignResult` with ``run_stats`` and ``fault_stats``
+    attached.
     """
     engine = resolve_backend(config.backend, "netlist")
     rates = [float(r) for r in rates]
@@ -321,66 +344,78 @@ def run_fault_campaign(
                 ]
                 for d in CAMPAIGN_DESIGNS
             }
-            payloads: List[Dict[str, Any]] = []
+            # one checkpoint cell per (design, rate, shard), in merge order
+            cells: List[Tuple[str, float, int, Optional[str]]] = []
             for design, rate in itertools.product(CAMPAIGN_DESIGNS, rates):
                 fc = fault_configs[(design, rate)]
-                for shard, (seqs, m) in enumerate(plans[design]):
+                for shard, (_seqs, m) in enumerate(plans[design]):
                     raw_key = None if cache is None else _shard_raw_key(
                         config, model, fc, design, rate, shard, m,
                         capture_steps[design], delay_sig, fingerprints[design],
                     )
-                    payloads.append(
-                        {
-                            "design": design,
-                            "rate": rate,
-                            "shard": len(payloads),
-                            "ndigits": config.ndigits,
-                            "backend": engine,
-                            "delay_model": base_model,
-                            "fault_config": fc,
-                            "capture_step": capture_steps[design],
-                            "op_seq": seqs[0],
-                            "fault_seq": seqs[1],
-                            "samples": m,
-                            "cache_dir": config.cache_dir,
-                            "raw_key": raw_key,
-                        }
-                    )
+                    cells.append((design, rate, shard, raw_key))
 
-            # resume: serve completed shards from their checkpoints
+            # resume: serve completed cells from their checkpoints
             partials: Dict[int, Dict[str, Any]] = {}
             if cache is not None:
-                for payload in payloads:
-                    checkpoint = cache.get_raw(payload["raw_key"])
+                for index, (*_, raw_key) in enumerate(cells):
+                    checkpoint = cache.get_raw(raw_key)
                     if checkpoint is not None:
-                        partials[payload["shard"]] = checkpoint
+                        partials[index] = checkpoint
                 if partials:
                     current_tracer().event(
                         "campaign.resume",
                         shards=len(partials),
-                        total=len(payloads),
+                        total=len(cells),
                     )
             resumed = len(partials)
-            missing = [p for p in payloads if p["shard"] not in partials]
+
+            # the missing cells, grouped into one unit per (design, shard):
+            # a unit simulates its operand stream once for all its rates
+            units: Dict[Tuple[str, int], Dict[str, Any]] = {}
+            for index, (design, rate, shard, raw_key) in enumerate(cells):
+                if index in partials:
+                    continue
+                unit = units.get((design, shard))
+                if unit is None:
+                    seqs, m = plans[design][shard]
+                    unit = units[(design, shard)] = {
+                        "design": design,
+                        "ndigits": config.ndigits,
+                        "backend": engine,
+                        "delay_model": base_model,
+                        "capture_step": capture_steps[design],
+                        "op_seq": seqs[0],
+                        "fault_seq": seqs[1],
+                        "samples": m,
+                        "cache_dir": config.cache_dir,
+                        "cells": [],
+                    }
+                unit["cells"].append(
+                    (index, rate, fault_configs[(design, rate)], raw_key)
+                )
+            missing = list(units.values())
             if missing:
                 computed = runner.map(
-                    _campaign_shard_worker,
+                    _campaign_unit_worker,
                     missing,
-                    samples=[p["samples"] for p in missing],
+                    samples=[u["samples"] * len(u["cells"]) for u in missing],
                 )
-                for payload, partial in zip(missing, computed):
-                    partials[payload["shard"]] = partial
+                for unit, unit_partials in zip(missing, computed):
+                    for (index, *_), partial in zip(
+                        unit["cells"], unit_partials
+                    ):
+                        partials[index] = partial
 
-            # merge in fixed (design, rate, shard) order — payloads are
-            # already laid out that way
+            # merge in fixed (design, rate, shard) order — the cell order
             result = _campaign_from_partials(
                 model,
                 rates,
-                [partials[p["shard"]] for p in payloads],
+                [partials[index] for index in range(len(cells))],
                 overclock,
             )
             result.fault_stats = _fault_stats(
-                model, partials, len(payloads), resumed, runner
+                model, partials, len(cells), resumed, runner
             )
             return result
 

@@ -16,8 +16,8 @@ onto LUT + carry logic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import functools
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 #: op name -> (min fanin, max fanin); None means unbounded
 OPS: Dict[str, Tuple[int, Optional[int]]] = {
@@ -37,9 +37,11 @@ OPS: Dict[str, Tuple[int, Optional[int]]] = {
 }
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     """One combinational gate.
+
+    A named tuple, so a gate carries no per-instance ``__dict__``: large
+    netlists hold thousands of them.
 
     Attributes
     ----------
@@ -63,6 +65,50 @@ class Gate:
     @property
     def fanin(self) -> int:
         return len(self.inputs)
+
+
+@functools.lru_cache(maxsize=4096)
+def _lut_table(table: Tuple[int, ...], fanin: int) -> Tuple[int, ...]:
+    """*table* checked as the truth table of a *fanin*-input LUT.
+
+    Returns the entries as ints; raises :class:`ValueError` on a wrong
+    length or a non-0/1 entry.  Memoised: builders emit the same few
+    tables thousands of times, so each distinct table is checked once.
+    """
+    tbl = tuple(int(b) for b in table)
+    if len(tbl) != 2 ** fanin:
+        raise ValueError(
+            f"LUT table must have {2 ** fanin} entries, got {len(tbl)}"
+        )
+    if any(b not in (0, 1) for b in tbl):
+        raise ValueError("LUT table entries must be 0/1")
+    return tbl
+
+
+@functools.lru_cache(maxsize=4096)
+def lut_cofactor(
+    table: Tuple[int, ...], fixed: Tuple[Optional[int], ...]
+) -> Tuple[int, ...]:
+    """The truth table left when some LUT inputs are tied to constants.
+
+    ``fixed[k]`` is input *k*'s constant value (0/1), or None when the
+    input is live; the result is the table over the live inputs, in
+    their original order.  Pure and memoised: the constant folding of
+    :meth:`Circuit.gate` and :class:`~repro.core.ops.NetOps` both read
+    it, and a builder re-folds the same few tables many times.
+    """
+    live = [k for k, v in enumerate(fixed) if v is None]
+    base = 0
+    for k, v in enumerate(fixed):
+        if v is not None:
+            base |= v << k
+    sub_table = []
+    for m in range(2 ** len(live)):
+        idx = base
+        for j, k in enumerate(live):
+            idx |= ((m >> j) & 1) << k
+        sub_table.append(table[idx])
+    return tuple(sub_table)
 
 
 class Circuit:
@@ -183,14 +229,7 @@ class Circuit:
         if op == "LUT":
             if table is None:
                 raise ValueError("LUT gates require a truth table")
-            tbl = tuple(int(b) for b in table)
-            if len(tbl) != 2 ** len(input_nets):
-                raise ValueError(
-                    f"LUT table must have {2 ** len(input_nets)} entries, "
-                    f"got {len(tbl)}"
-                )
-            if any(b not in (0, 1) for b in tbl):
-                raise ValueError("LUT table entries must be 0/1")
+            tbl = _lut_table(tuple(table), len(input_nets))
         elif table is not None:
             raise ValueError(f"op {op} does not take a truth table")
 
@@ -321,33 +360,21 @@ class Circuit:
 
         if op == "LUT":
             assert table is not None
-            live_idx = [
-                (k, net) for k, net in enumerate(inputs) if cv.get(net) is None
-            ]
-            fixed = {
-                k: cv[net] for k, net in enumerate(inputs) if cv.get(net) is not None
-            }
-            if len(live_idx) == len(inputs):
+            fixed = tuple(cv.get(net) for net in inputs)
+            live_nets = [net for net, v in zip(inputs, fixed) if v is None]
+            if len(live_nets) == len(inputs):
                 if len(set(table)) == 1:
                     return self._const_net(table[0])
                 return None
-            sub_table = []
-            for m in range(2 ** len(live_idx)):
-                idx = 0
-                for j, (k, _net) in enumerate(live_idx):
-                    idx |= ((m >> j) & 1) << k
-                for k, v in fixed.items():
-                    idx |= v << k
-                sub_table.append(table[idx])
+            sub_table = lut_cofactor(table, fixed)
             if len(set(sub_table)) == 1:
                 return self._const_net(sub_table[0])
-            live_nets = [net for _k, net in live_idx]
             if len(live_nets) == 1:
-                if sub_table == [0, 1]:
+                if sub_table == (0, 1):
                     return live_nets[0]
-                if sub_table == [1, 0]:
+                if sub_table == (1, 0):
                     return self.gate("NOT", live_nets[0])
-            return self._emit("LUT", tuple(live_nets), tuple(sub_table))
+            return self._emit("LUT", tuple(live_nets), sub_table)
 
         return None  # pragma: no cover - all ops handled above
 

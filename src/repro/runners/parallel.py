@@ -64,9 +64,6 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -406,6 +403,8 @@ class ParallelRunner:
         wait; with one, the wait polls at :data:`CANCEL_POLL_INTERVAL`
         so a cancellation fired mid-shard is noticed promptly.
         """
+        from concurrent.futures import TimeoutError as FutureTimeoutError
+
         if self.cancel_token is None:
             return future.result(timeout=self.shard_timeout)
         deadline = (
@@ -435,6 +434,12 @@ class ParallelRunner:
         remaining: set,
     ) -> None:
         """Pool execution with crash/timeout retry; failures stay in *remaining*."""
+        # the pool stack loads only when a pool is made: jobs=1 runs
+        # (the CLI and daemon default) never pay for multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import TimeoutError as FutureTimeoutError
+        from concurrent.futures.process import BrokenProcessPool
+
         tracer = current_tracer()
         progress = self.progress
         reason: Optional[str] = None

@@ -1,14 +1,23 @@
 """Fault campaigns: layout invariance, caching, checkpoint resume."""
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.faults import DEFAULT_RATES, FaultCampaignResult, run_fault_campaign
-from repro.runners import RunConfig
+from repro.netlist.compiled import CompiledCircuit
+from repro.runners import RunConfig, ResultCache
 
 ARGS = dict(model="jitter", rates=(0.0, 0.15), num_samples=80)
+
+#: per-cell checkpoints of DRIFT_ARGS on small_config(), written by the
+#: per-(design, rate, shard) campaign that preceded the (design, shard)
+#: units: 2 designs x 2 rates x 2 shards, merged result removed
+CHECKPOINTS = Path(__file__).resolve().parents[1] / "data" / "campaign_checkpoints"
+DRIFT_ARGS = dict(model="drift", rates=(0.0, 0.2), num_samples=80)
 
 
 def small_config(**kwargs):
@@ -133,6 +142,85 @@ class TestCacheAndResume:
         with pytest.warns(RuntimeWarning, match="corrupt"):
             resumed = run_fault_campaign(config, **ARGS)
         assert np.array_equal(golden.online_error, resumed.online_error)
+
+
+    def test_missing_rate_reruns_only_that_rate(self, tmp_path, monkeypatch):
+        config = small_config(cache_dir=str(tmp_path))
+        run_fault_campaign(config, **ARGS)
+        victim = None
+        for path in sorted(tmp_path.glob("*.json")):
+            meta = json.loads(path.read_text())
+            if meta.get("kind") == "fault_campaign":
+                path.unlink()
+                (tmp_path / f"{path.stem}.npz").unlink(missing_ok=True)
+            elif meta.get("kind") == "_raw" and victim is None:
+                victim = path
+                path.unlink()
+        assert victim is not None
+        written = []
+        put_raw = ResultCache.put_raw
+
+        def recording_put_raw(self, key, payload):
+            written.append(key)
+            return put_raw(self, key, payload)
+
+        monkeypatch.setattr(ResultCache, "put_raw", recording_put_raw)
+        resumed = run_fault_campaign(config, **ARGS)
+        assert written == [victim.stem]  # exactly one new _raw entry
+        assert resumed.run_stats.num_shards == 1
+
+    def test_resumes_checkpoints_of_per_rate_shards(self, tmp_path):
+        """Checkpoints written one per (design, rate, shard) payload
+        keep their keys and content, so such a cache resumes whole."""
+        cache_dir = tmp_path / "cache"
+        shutil.copytree(CHECKPOINTS, cache_dir)
+        golden = run_fault_campaign(small_config(), **DRIFT_ARGS)
+        resumed = run_fault_campaign(
+            small_config(cache_dir=str(cache_dir)), **DRIFT_ARGS
+        )
+        assert resumed.run_stats.cache == "miss"
+        assert resumed.run_stats.num_shards == 0
+        assert resumed.fault_stats.shards_resumed == 8
+        assert resumed.fault_stats.shards_total == 8
+        assert _curves(resumed) == _curves(golden)
+        assert _curves(golden) == (
+            [0.0, 0.004901960784313725], [0.0, 0.10532812178564081]
+        )
+
+
+class TestSimulationCount:
+    """One clean simulation per (design, shard) serves every rate."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        calls = []
+        run = CompiledCircuit.run
+
+        def counting_run(self, *args, **kwargs):
+            calls.append(self)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledCircuit, "run", counting_run)
+        return calls
+
+    def test_capture_faults_simulate_once_per_unit(self, runs):
+        # 2 designs x 2 shards, whatever the number of rates
+        config = small_config(jobs=1, backend="packed")
+        result = run_fault_campaign(
+            config, model="jitter", rates=(0.0, 0.1, 0.2), num_samples=80
+        )
+        assert len(runs) == 4
+        assert result.run_stats.num_shards == 4
+        assert result.run_stats.samples == 3 * 80 * 2
+        assert result.fault_stats.shards_total == 12
+
+    def test_drift_adds_one_run_per_drifted_rate(self, runs):
+        # rate 0 has no drift and reuses the clean run; 0.2 and 0.5 do
+        config = small_config(jobs=1, backend="packed")
+        run_fault_campaign(
+            config, model="drift", rates=(0.0, 0.2, 0.5), num_samples=80
+        )
+        assert len(runs) == 4 * (1 + 2)
 
 
 def _curves(result):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.netlist.gates import Circuit
+from repro.netlist.gates import Circuit, lut_cofactor
 from repro.netlist.sim import evaluate
 
 
@@ -106,6 +106,22 @@ class TestBasicFolds:
         assert c.lut([0, 0, 0, 1], a, c.const1()) == a
         # 2-input AND with b tied to 0 -> const 0
         assert c.lut([0, 0, 0, 1], a, c.const0()) == c.const0()
+
+    def test_lut_cofactor_matches_direct_lookup(self):
+        rng = random.Random(7)
+        for fanin in range(1, 5):
+            for _ in range(20):
+                table = tuple(rng.randint(0, 1) for _ in range(2 ** fanin))
+                fixed = tuple(rng.choice((None, 0, 1)) for _ in range(fanin))
+                live = [k for k, v in enumerate(fixed) if v is None]
+                sub = lut_cofactor(table, fixed)
+                assert len(sub) == 2 ** len(live)
+                for m, value in enumerate(sub):
+                    bits = list(fixed)
+                    for j, k in enumerate(live):
+                        bits[k] = (m >> j) & 1
+                    idx = sum(b << k for k, b in enumerate(bits))
+                    assert value == table[idx]
 
     def test_buf_is_wire(self):
         c = Circuit()

@@ -68,6 +68,22 @@ def test_command_loads_no_heavy_module(argv, traced_dir):
     assert report["code"] in (None, 0)
 
 
+@pytest.mark.parametrize("command", ["multiplier", "faults"])
+def test_default_jobs_load_no_process_pool(command, tmp_path):
+    """At the default ``jobs=1`` no pool is made, so the process-pool
+    stack (``concurrent.futures.process``, ``multiprocessing``) stays
+    unloaded."""
+    argv = [command, "--samples", "64"]
+    out = _fresh(
+        _PROBE, json.dumps(argv),
+        "concurrent.futures.process", "multiprocessing",
+        cwd=tmp_path,
+    )
+    report = json.loads(out.splitlines()[-1])
+    assert report["code"] in (None, 0)
+    assert report["loaded"] == []
+
+
 def test_parser_loads_no_fault_machinery(tmp_path):
     """``--model``/``--rates`` choices come from the lazy ``repro.faults``
     root, not from the module that defines ``FaultConfig``."""
