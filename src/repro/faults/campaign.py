@@ -35,6 +35,7 @@ Execution rides the hardened runner stack end to end:
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -45,7 +46,11 @@ from repro.faults.inject import CAPTURE_FAULT_KINDS, FaultInjector
 from repro.faults.models import FaultConfig, config_for_model
 from repro.faults.stuck import apply_stuck_faults
 from repro.faults.timing import DriftedDelayModel
-from repro.netlist.compiled import circuit_fingerprint, make_simulator
+from repro.netlist.compiled import (
+    COMPILE_CACHE_SIZE,
+    circuit_fingerprint,
+    make_simulator,
+)
 from repro.netlist.delay import (
     DelayModel,
     FpgaDelay,
@@ -125,16 +130,40 @@ class FaultCampaignResult:
 
 # --------------------------------------------------------------- worker side
 
+#: this process's faulted simulators, keyed by everything that derives
+#: them; a bounded LRU like the compile cache, so every (design, shard)
+#: unit of one (design, rate) shares one transform
+_faulted: "OrderedDict[Tuple[Any, ...], Tuple[Any, int, int]]" = OrderedDict()
+
+
 def _faulted_simulator(clean: SweepHarness, fault_config: FaultConfig):
     """``(simulator, stuck_gates, drifted_gates)`` of the faulted design.
 
     Transforms on top of the clean harness, whose shared circuit is never
     touched: drift composes onto the delay model, stuck-at faults derive
-    a new circuit.  Capture-boundary faults are the injector's job.
+    a new circuit.  Capture-boundary faults are the injector's job, so
+    without drift or stuck-at faults this is the clean simulator.  The
+    transform is memoised on the clean circuit's name and fingerprint,
+    its exact delays, the engine and the fault configuration — the
+    inputs of both seeded fault draws.
     """
+    drifts = fault_config.drift_rate > 0 and fault_config.drift_max > 0
+    if not drifts and fault_config.stuck_rate <= 0:
+        return clean.simulator, 0, 0
+    key = (
+        clean.circuit.name,
+        circuit_fingerprint(clean.circuit),
+        tuple(clean.simulator.delays),
+        clean.backend,
+        fault_config,
+    )
+    built = _faulted.get(key)
+    if built is not None:
+        _faulted.move_to_end(key)
+        return built
     model: DelayModel = clean.delay_model
     drifted = 0
-    if fault_config.drift_rate > 0 and fault_config.drift_max > 0:
+    if drifts:
         model = DriftedDelayModel(
             model,
             fault_config.drift_rate,
@@ -147,7 +176,11 @@ def _faulted_simulator(clean: SweepHarness, fault_config: FaultConfig):
     )
     if circuit is clean.circuit and model is clean.delay_model:
         return clean.simulator, stuck, drifted
-    return make_simulator(circuit, model, clean.backend), stuck, drifted
+    built = (make_simulator(circuit, model, clean.backend), stuck, drifted)
+    _faulted[key] = built
+    while len(_faulted) > COMPILE_CACHE_SIZE:
+        _faulted.popitem(last=False)
+    return built
 
 
 def _campaign_unit_worker(payload: Dict[str, Any]) -> List[Dict[str, Any]]:

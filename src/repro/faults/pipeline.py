@@ -90,24 +90,18 @@ def corrupt_cache_entry(
 ) -> None:
     """Damage one on-disk cache entry the way real storage rots.
 
-    ``mode``: ``"garbage"`` overwrites the JSON with random binary
-    bytes, ``"truncate"`` chops both files mid-way, ``"npz"`` corrupts
-    only the array file.  The hardened cache must treat every variant as
-    a miss (quarantine + recompute), never raise.
+    ``mode``: ``"garbage"`` overwrites the entry with random binary
+    bytes, ``"truncate"`` chops it mid-way.  The hardened cache must
+    treat every variant as a miss (quarantine + recompute), never raise.
     """
-    json_path = Path(cache_dir) / f"{key}.json"
-    npz_path = Path(cache_dir) / f"{key}.npz"
+    path = Path(cache_dir) / f"{key}.json"
     if mode == "garbage":
-        json_path.write_bytes(bytes(range(256)) * 4)
+        path.write_bytes(bytes(range(256)) * 4)
     elif mode == "truncate":
-        for path in (json_path, npz_path):
-            if path.exists():
-                data = path.read_bytes()
-                path.write_bytes(data[: max(1, len(data) // 3)])
-    elif mode == "npz":
-        npz_path.write_bytes(b"\x00\x01\x02 not an npz archive")
+        data = path.read_bytes()
+        path.write_bytes(data[: max(1, len(data) // 3)])
     else:
         raise ValueError(
             f"unknown corruption mode {mode!r}; "
-            "expected 'garbage', 'truncate' or 'npz'"
+            "expected 'garbage' or 'truncate'"
         )

@@ -11,8 +11,8 @@ content-addressed on-disk cache.
 * :mod:`repro.runners.parallel` — :class:`ParallelRunner` (sharding,
   process pool, crash retry, in-process fallback), :func:`shard_plan`
   (the one seed layout) and the ordered-merge helpers;
-* :mod:`repro.runners.cache` — :class:`ResultCache` (JSON + npz entries
-  addressed by content hash) and :func:`run_cached` (the one cache
+* :mod:`repro.runners.cache` — :class:`ResultCache` (one JSON file per
+  entry, addressed by content hash) and :func:`run_cached` (the one cache
   policy every entry point answers through);
 * :mod:`repro.runners.results` — the ``Result`` protocol
   (``to_dict``/``from_dict`` JSON round-trip) and its kind registry.

@@ -9,33 +9,34 @@ images, frequency factors).  Execution details — ``jobs``, ``backend``,
 ``cache_dir`` — never enter the key, so a result computed by one worker
 layout or engine is served to every other.
 
-Storage is the split format the :mod:`repro.runners.results` protocol is
-designed around:
+Each entry is one file, ``<digest>.json``: a header (cache format
+version and result ``kind``), the key components (for debuggability)
+and the result's ``to_dict()`` payload, whose array fields are the
+plain JSON lists the :mod:`repro.runners.results` codec writes.  A hit
+parses that one file and decodes it through the codec, which rebuilds
+every array at its declared dtype bit-exactly (Python's float repr
+round-trips IEEE-754 doubles, ``inf``, ``-0.0`` and subnormals
+included; a NaN comes back as the canonical quiet NaN).
 
-* ``<digest>.json`` — the result's ``to_dict()`` minus its array fields,
-  plus the key components (for debuggability) and the list of array
-  names;
-* ``<digest>.npz`` — the array fields as compressed numpy binary.
-
-Both files are written to a temporary name, fsynced, and atomically
+The file is written to a temporary name, fsynced, and atomically
 renamed, so a crashed (even SIGKILLed) writer can never leave a
-half-entry that poisons later runs.  The *pair* commits in a fixed
-order — arrays first, JSON second — and the JSON rename is the commit
-point: a reader either sees no JSON (a plain miss) or a complete JSON
-whose array file was already fully in place when the JSON appeared.
-Keys are content addresses, so two writers racing on one key are by
-construction writing identical bytes and either rename order is safe.
-A writer killed before its rename leaves only a ``*.tmp`` droppings
-file, which never matches the ``*.json``/``*.npz`` read paths and is
-swept on the next :class:`ResultCache` construction once it is
-unambiguously stale (:data:`STALE_TMP_SECONDS`).
+half-entry that poisons later runs: a reader either sees no entry (a
+plain miss) or a complete one.  Keys are content addresses, so two
+writers racing on one key are by construction writing identical bytes
+and either rename order is safe.  A writer killed before its rename
+leaves only a ``*.tmp`` droppings file, which never matches the
+``*.json`` read path and is swept on the next :class:`ResultCache`
+construction once it is unambiguously stale (:data:`STALE_TMP_SECONDS`).
 
 Robustness: the store never *trusts* on-disk bytes.  A truncated,
 hand-edited or otherwise undecodable entry is detected on read, moved
 into a ``quarantine/`` subdirectory (preserving the evidence), reported
 with a :class:`RuntimeWarning`, and treated as a miss — the caller
 recomputes and overwrites, so storage rot can cost time but never
-correctness and never a crash.
+correctness and never a crash.  An entry whose header still lists
+``arrays`` was written by the earlier two-file layout, which kept the
+arrays in a sidecar file next to the JSON; it takes the same path, and
+the quarantine moves its sidecar along, so each such entry misses once.
 
 Besides full :class:`~repro.runners.results.Result` objects, the store
 also holds *raw* JSON payloads (:meth:`ResultCache.put_raw` /
@@ -54,9 +55,7 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Dict, Mapping, Optional
-
-import numpy as np
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.obs.metrics import metrics
 from repro.obs.trace import current_tracer
@@ -94,7 +93,7 @@ def cache_key(**components: Any) -> str:
 
 
 class ResultCache:
-    """JSON + npz result store under one directory.
+    """One-file-per-entry JSON result store under one directory.
 
     Parameters
     ----------
@@ -130,49 +129,24 @@ class ResultCache:
                 pass
 
     # --------------------------------------------------------------- paths
-    def _json_path(self, key: str) -> Path:
+    def _path(self, key: str) -> Path:
         return self.cache_dir / f"{key}.json"
 
-    def _npz_path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.npz"
+    def _entry_files(self, key: str) -> List[Path]:
+        """The entry's file plus any sidecar an earlier layout wrote."""
+        return [p for p in self.cache_dir.glob(f"{key}.*") if p.stem == key]
 
     # ---------------------------------------------------------------- I/O
     def get(self, key: str) -> Optional[Any]:
         """Load the result stored under *key*, or None on miss.
 
-        A present-but-unreadable entry (truncated npz, hand-edited JSON,
-        unknown result kind, format-version mismatch) is *quarantined*:
-        moved aside with a warning and reported as a miss, so the caller
-        recomputes instead of crashing on rotten bytes.
+        A present-but-unreadable entry (truncated or hand-edited JSON,
+        unknown result kind, format-version mismatch, a header from the
+        two-file layout) is *quarantined*: moved aside with a warning and
+        reported as a miss, so the caller recomputes instead of crashing
+        on rotten bytes.
         """
-        json_path = self._json_path(key)
-        if not json_path.exists():
-            self._miss(key)
-            return None
-        try:
-            meta = json.loads(json_path.read_text())
-            if meta.get("format") != CACHE_FORMAT_VERSION:
-                raise ValueError(
-                    f"cache format {meta.get('format')!r} != "
-                    f"{CACHE_FORMAT_VERSION}"
-                )
-            if meta.get("kind") == RAW_KIND:
-                # a raw checkpoint entry under a Result key — type clash
-                self._miss(key)
-                return None
-            data = dict(meta["result"])
-            array_names = meta.get("arrays", [])
-            if array_names:
-                with np.load(self._npz_path(key)) as npz:
-                    for name in array_names:
-                        data[name] = npz[name]
-            result = result_from_dict(data)
-        except Exception as exc:
-            self._quarantine(key, exc)
-            self._miss(key)
-            return None
-        self._hit(key)
-        return result
+        return self._read(key, raw=False)
 
     def put(self, key: str, result: Any, key_components: Optional[Mapping] = None) -> None:
         """Store *result* (a :class:`~repro.runners.results.Result`) under *key*.
@@ -186,28 +160,11 @@ class ResultCache:
         metrics().count("cache.puts")
         data = result.to_dict()
         data.pop("metrics", None)
-        array_fields = getattr(type(result), "_array_fields", {})
-        arrays: Dict[str, np.ndarray] = {}
-        for name, dtype in array_fields.items():
-            if name in data:
-                arrays[name] = np.asarray(data.pop(name), dtype=dtype)
-        if arrays:
-            self._atomic_write(
-                self._npz_path(key),
-                lambda fh: np.savez_compressed(fh, **arrays),
-                binary=True,
-            )
-        meta = {
-            "format": CACHE_FORMAT_VERSION,
-            "kind": getattr(result, "kind", None),
-            "arrays": sorted(arrays),
-            "key_components": jsonable(dict(key_components or {})),
-            "result": jsonable(data),
-        }
-        self._atomic_write(
-            self._json_path(key),
-            lambda fh: fh.write(json.dumps(meta, sort_keys=True, indent=1)),
-            binary=False,
+        self._write(
+            key,
+            getattr(result, "kind", None),
+            key_components=jsonable(dict(key_components or {})),
+            result=data,
         )
 
     # ------------------------------------------------------ raw payloads
@@ -218,17 +175,7 @@ class ResultCache:
         floats round-trip bit-exactly through JSON's repr encoding, so a
         merge over resumed checkpoints equals the uninterrupted merge.
         """
-        meta = {
-            "format": CACHE_FORMAT_VERSION,
-            "kind": RAW_KIND,
-            "arrays": [],
-            "payload": jsonable(dict(payload)),
-        }
-        self._atomic_write(
-            self._json_path(key),
-            lambda fh: fh.write(json.dumps(meta, sort_keys=True, indent=1)),
-            binary=False,
-        )
+        self._write(key, RAW_KIND, payload=jsonable(dict(payload)))
 
     def get_raw(self, key: str) -> Optional[Dict[str, Any]]:
         """Load a raw payload stored by :meth:`put_raw`, or None on miss.
@@ -236,30 +183,54 @@ class ResultCache:
         Corrupt or type-mismatched entries quarantine exactly like
         :meth:`get`.
         """
-        json_path = self._json_path(key)
-        if not json_path.exists():
-            self._miss(key)
-            return None
+        return self._read(key, raw=True)
+
+    # ------------------------------------------------------------ plumbing
+    def _read(self, key: str, raw: bool) -> Optional[Any]:
+        """The one read path: a raw payload or a decoded Result, or None.
+
+        An entry of the other type under *key* is a plain miss (a type
+        clash, not rot); anything unreadable is quarantined.
+        """
         try:
-            meta = json.loads(json_path.read_text())
+            meta = json.loads(self._path(key).read_text())
             if meta.get("format") != CACHE_FORMAT_VERSION:
                 raise ValueError(
                     f"cache format {meta.get('format')!r} != "
                     f"{CACHE_FORMAT_VERSION}"
                 )
-            if meta.get("kind") != RAW_KIND:
-                # a Result entry under a raw key — type clash, plain miss
+            if (meta.get("kind") == RAW_KIND) != raw:
                 self._miss(key)
                 return None
-            payload = dict(meta["payload"])
+            if raw:
+                value = dict(meta["payload"])
+            elif meta.get("arrays"):
+                raise ValueError(
+                    f"two-file entry: arrays {meta['arrays']} are stored "
+                    "outside the JSON"
+                )
+            else:
+                value = result_from_dict(meta["result"])
+        except FileNotFoundError:
+            self._miss(key)
+            return None
         except Exception as exc:
             self._quarantine(key, exc)
             self._miss(key)
             return None
         self._hit(key)
-        return payload
+        return value
 
-    # ------------------------------------------------------------ plumbing
+    def _write(self, key: str, kind: Optional[str], **body: Any) -> None:
+        """Commit one entry: the header plus *body*, as one JSON file.
+
+        Keys keep their insertion order (no ``sort_keys``), so a decoded
+        hit re-encodes to the fresh ``to_dict()`` bytes, nested dicts
+        included.
+        """
+        meta = {"format": CACHE_FORMAT_VERSION, "kind": kind, **body}
+        self._atomic_write(self._path(key), json.dumps(meta, indent=1))
+
     def _hit(self, key: str) -> None:
         self.hits += 1
         metrics().count("cache.hits")
@@ -283,17 +254,13 @@ class ResultCache:
         moved = []
         try:
             target_dir.mkdir(parents=True, exist_ok=True)
-            for path in (self._json_path(key), self._npz_path(key)):
-                if path.exists():
-                    os.replace(path, target_dir / path.name)
-                    moved.append(path.name)
+            for path in self._entry_files(key):
+                os.replace(path, target_dir / path.name)
+                moved.append(path.name)
         except OSError:
             # quarantine is best-effort: fall back to dropping the entry
-            for path in (self._json_path(key), self._npz_path(key)):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+            for path in self._entry_files(key):
+                path.unlink(missing_ok=True)
         warnings.warn(
             f"corrupt result-cache entry {key} "
             f"({type(exc).__name__}: {exc}); "
@@ -303,7 +270,7 @@ class ResultCache:
             stacklevel=3,
         )
 
-    def _atomic_write(self, path: Path, write_fn, binary: bool) -> None:
+    def _atomic_write(self, path: Path, text: str) -> None:
         """Write-to-temp + fsync + rename: the entry appears all-or-nothing.
 
         The fsync before the rename closes the kill window in which the
@@ -315,8 +282,8 @@ class ResultCache:
             dir=self.cache_dir, prefix=path.stem, suffix=".tmp"
         )
         try:
-            with os.fdopen(fd, "wb" if binary else "w") as fh:
-                write_fn(fh)
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -329,7 +296,7 @@ class ResultCache:
 
     # -------------------------------------------------------------- admin
     def contains(self, key: str) -> bool:
-        return self._json_path(key).exists()
+        return self._path(key).exists()
 
     def stats(self) -> Dict[str, int]:
         """Hit/miss/corruption counters and entry count of this handle."""
@@ -344,10 +311,9 @@ class ResultCache:
         """Delete every entry; returns the number of entries removed."""
         removed = 0
         for path in self.cache_dir.glob("*.json"):
-            path.unlink(missing_ok=True)
+            for entry_file in self._entry_files(path.stem):
+                entry_file.unlink(missing_ok=True)
             removed += 1
-        for path in self.cache_dir.glob("*.npz"):
-            path.unlink(missing_ok=True)
         return removed
 
 

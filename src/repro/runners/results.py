@@ -11,9 +11,8 @@ declares its shape once:
 * a class-level ``kind`` string naming the result type,
 * its dataclass fields, whose annotations say how scalars are coerced,
 * a class-level ``_array_fields`` mapping ``field name -> dtype string``
-  — the dtype of every numpy array field, which also tells the on-disk
-  cache which entries to store as compact ``npz`` binary instead of
-  JSON text.
+  — the dtype of every numpy array field, written as a (nested) JSON
+  list and rebuilt at that dtype on decode.
 
 :func:`register_result` reads that declaration once and installs the
 two methods of the protocol:
@@ -30,8 +29,10 @@ two methods of the protocol:
 
 ``json.loads(json.dumps(r.to_dict()))`` then ``from_dict`` must
 reconstruct the result bit-exactly (Python's float repr round-trips
-IEEE-754 doubles), which is what lets the persistent cache serve results
-that are indistinguishable from freshly computed ones.
+IEEE-754 doubles, ``inf``, ``-0.0`` and subnormals included; a NaN
+comes back as the canonical quiet NaN), which is what lets the
+persistent cache — one JSON file of this payload per entry — serve
+results that are indistinguishable from freshly computed ones.
 :func:`result_from_dict` dispatches a loaded dict back to the right
 class via its ``"kind"`` entry.
 """

@@ -4,15 +4,14 @@ One report captures everything :func:`repro.synth.search.run_synthesis`
 decided: the candidate grid totals (how many design points existed, how
 many the analytical model pruned, how many were verified on the vector
 engine), the verified points themselves (discrete metadata in ``points``,
-float measurements in parallel numpy arrays so the JSON+npz cache stores
-them compactly), the latency-accuracy Pareto front, and the chosen
-assignment.
+float measurements in parallel numpy arrays at a declared dtype), the
+latency-accuracy Pareto front, and the chosen assignment.
 
 The class implements the :mod:`repro.runners.results` protocol
 (``kind = "synthesis"``), so reports round-trip bit-exactly through the
 on-disk :class:`~repro.runners.cache.ResultCache` — including non-finite
-values: an error-free candidate measures ``snr_db = inf``, and both
-Python's JSON encoder and npz storage preserve ``inf``/``nan`` exactly.
+values: an error-free candidate measures ``snr_db = inf``, and Python's
+JSON encoder, which writes every cache entry, preserves ``inf``/``nan``.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ class SynthesisReport:
         "measured_mre_percent": float}``.
     predicted_abs_error / measured_abs_error / measured_snr_db /
     latency_gates:
-        Float arrays parallel to ``points`` (npz-stored in the cache).
+        Float arrays parallel to ``points``.
     candidates_total / candidates_pruned / candidates_verified:
         Grid accounting: ``total = pruned + verified``.
     chosen:

@@ -91,7 +91,6 @@ class TestCacheAndResume:
             meta = json.loads(path.read_text())
             if meta.get("kind") == "fault_campaign":
                 path.unlink()
-                (tmp_path / f"{path.stem}.npz").unlink(missing_ok=True)
                 dropped += 1
         assert dropped == 1
         resumed = run_fault_campaign(config, **ARGS)
@@ -114,7 +113,6 @@ class TestCacheAndResume:
             meta = json.loads(path.read_text())
             if meta.get("kind") == "fault_campaign":
                 path.unlink()
-                (tmp_path / f"{path.stem}.npz").unlink(missing_ok=True)
             elif meta.get("kind") == "_raw" and not victims:
                 victims.append(path)
                 path.unlink()
@@ -132,7 +130,6 @@ class TestCacheAndResume:
             meta = json.loads(path.read_text())
             if meta.get("kind") == "fault_campaign":
                 path.unlink()
-                (tmp_path / f"{path.stem}.npz").unlink(missing_ok=True)
         # rot one checkpoint: it must quarantine and recompute
         victim = sorted(
             p for p in tmp_path.glob("*.json")
@@ -152,7 +149,6 @@ class TestCacheAndResume:
             meta = json.loads(path.read_text())
             if meta.get("kind") == "fault_campaign":
                 path.unlink()
-                (tmp_path / f"{path.stem}.npz").unlink(missing_ok=True)
             elif meta.get("kind") == "_raw" and victim is None:
                 victim = path
                 path.unlink()
@@ -221,6 +217,35 @@ class TestSimulationCount:
             config, model="drift", rates=(0.0, 0.2, 0.5), num_samples=80
         )
         assert len(runs) == 4 * (1 + 2)
+
+
+class TestFaultedSimulatorMemo:
+    """Each (design, rate) fault transform is derived once per process."""
+
+    def test_stuck_cli_campaign_derives_eight_transforms(
+        self, monkeypatch, capsys
+    ):
+        # 2 designs x 10 shards x 5 rates = 100 cells; rate 0 has no
+        # stuck gates, so 2 x 4 transforms serve the other 80
+        from collections import OrderedDict
+
+        import repro.faults.campaign as campaign
+        from repro.cli import main
+
+        derived = []
+        apply = campaign.apply_stuck_faults
+
+        def counting_apply(circuit, stuck_rate, seed):
+            derived.append((circuit.name, stuck_rate))
+            return apply(circuit, stuck_rate, seed)
+
+        monkeypatch.setattr(campaign, "apply_stuck_faults", counting_apply)
+        monkeypatch.setattr(campaign, "_faulted", OrderedDict())
+        assert main(["faults", "--model", "stuck", "--samples", "20000",
+                     "--jobs", "1", "--no-cache"]) == 0
+        assert " shards=80 " in capsys.readouterr().out
+        assert len(derived) == 8
+        assert len(set(derived)) == 8
 
 
 def _curves(result):

@@ -12,8 +12,10 @@ from repro.runners import (
     RunConfig,
     cache_for,
     cache_key,
+    result_from_dict,
 )
 from repro.sim.sweep import SweepResult
+from tests.runners.test_results import sample_results
 
 
 def make_sweep(scale: float = 1.0) -> SweepResult:
@@ -54,17 +56,16 @@ class TestPutGet:
             assert np.array_equal(getattr(result, name), getattr(back, name))
         assert back.error_free_step == result.error_free_step
 
-    def test_split_storage_on_disk(self, tmp_path):
+    def test_one_file_on_disk(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = cache_key(x=1)
-        cache.put(key, make_sweep(), {"x": 1})
-        assert (tmp_path / f"{key}.json").exists()
-        assert (tmp_path / f"{key}.npz").exists()
+        result = make_sweep()
+        cache.put(key, result, {"x": 1})
+        assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
         meta = json.loads((tmp_path / f"{key}.json").read_text())
-        # arrays live in the npz, not the JSON
-        assert sorted(meta["arrays"]) == sorted(SweepResult._array_fields)
-        for name in SweepResult._array_fields:
-            assert name not in meta["result"]
+        # arrays ride inline as the codec's JSON lists; no array index
+        assert "arrays" not in meta
+        assert meta["result"] == result.to_dict()
         assert meta["key_components"] == {"x": 1}
 
     def test_miss_and_hit_counters(self, tmp_path):
@@ -90,7 +91,118 @@ class TestPutGet:
         assert cache.contains(key)
         assert cache.clear() == 1
         assert not cache.contains(key)
-        assert list(tmp_path.glob("*.npz")) == []
+        assert [p for p in tmp_path.iterdir() if p.is_file()] == []
+
+
+def stored(result):
+    """The ``to_dict()`` bytes a cache entry of *result* must reproduce:
+    the fresh payload minus the metrics snapshot ``put`` strips."""
+    data = result.to_dict()
+    data.pop("metrics", None)
+    return json.dumps(data)
+
+
+class TestOneFileFormat:
+    """A hit decodes one JSON file into the fresh object, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "result", sample_results(), ids=lambda r: type(r).kind
+    )
+    def test_every_kind_round_trips_bytes_dtypes_and_shapes(
+        self, tmp_path, result
+    ):
+        cache = ResultCache(tmp_path)
+        key = cache_key(kind=result.kind)
+        cache.put(key, result, {"kind": result.kind})
+        back = cache.get(key)
+        assert type(back) is type(result)
+        assert json.dumps(back.to_dict()) == stored(result)
+        for name, dtype in type(result)._array_fields.items():
+            original = np.asarray(getattr(result, name), dtype=dtype)
+            restored = getattr(back, name)
+            assert restored.dtype == original.dtype
+            assert restored.shape == original.shape
+            assert np.array_equal(original, restored)
+        assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
+
+    def test_nonfinite_signed_zero_and_subnormal_floats_exact(self, tmp_path):
+        # JSON spells NaN without sign or payload, so the NaN here is
+        # the canonical quiet one; every other value keeps its bits
+        special = np.array(
+            [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0 / 3.0]
+        )
+        assert special[4] == np.nextafter(0.0, 1.0)  # smallest subnormal
+        result = SweepResult(
+            steps=np.arange(6, dtype=np.int64),
+            mean_abs_error=special,
+            violation_probability=np.array(
+                [-1.0 / 3.0, -5e-324, 0.0, -np.inf, np.inf, np.nan]
+            ),
+            rated_step=3,
+            settle_step=3,
+            error_free_step=3,
+            num_samples=16,
+        )
+        cache = ResultCache(tmp_path)
+        cache.put("special", result)
+        back = cache.get("special")
+        for name in ("mean_abs_error", "violation_probability"):
+            restored = getattr(back, name)
+            assert restored.dtype == np.float64
+            # bit patterns, so NaN, the sign of zero and denormals count
+            assert np.array_equal(
+                restored.view(np.uint64),
+                getattr(result, name).view(np.uint64),
+            )
+        assert json.dumps(back.to_dict()) == stored(result)
+
+    def test_two_file_entry_misses_once_and_is_rewritten_as_one_file(
+        self, tmp_path
+    ):
+        # the earlier layout: arrays in a compressed npz sidecar, the
+        # JSON header listing their names
+        result = make_sweep()
+        key = cache_key(legacy=1)
+        data = result.to_dict()
+        arrays = {
+            name: np.asarray(data.pop(name), dtype=dtype)
+            for name, dtype in SweepResult._array_fields.items()
+        }
+        np.savez_compressed(tmp_path / f"{key}.npz", **arrays)
+        (tmp_path / f"{key}.json").write_text(json.dumps({
+            "format": 2,
+            "kind": result.kind,
+            "arrays": sorted(arrays),
+            "key_components": {"legacy": 1},
+            "result": data,
+        }, sort_keys=True, indent=1))
+        cache = ResultCache(tmp_path)
+        with pytest.warns(RuntimeWarning, match="two-file entry"):
+            assert cache.get(key) is None
+        assert cache.stats()["corrupt"] == 1
+        assert sorted(
+            p.name for p in (tmp_path / QUARANTINE_DIR).iterdir()
+        ) == [f"{key}.json", f"{key}.npz"]
+        # the caller's recompute writes one file and hits from then on
+        cache.put(key, result, {"legacy": 1})
+        assert json.dumps(cache.get(key).to_dict()) == stored(result)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{key}.json", QUARANTINE_DIR,
+        ]
+
+    def test_new_entries_read_as_the_two_file_reader_read_them(
+        self, tmp_path
+    ):
+        # the two-file reader took a missing ``arrays`` as none, so an
+        # entry written now decodes there as well
+        cache = ResultCache(tmp_path)
+        key = cache_key(forward=1)
+        result = make_sweep()
+        cache.put(key, result)
+        meta = json.loads((tmp_path / f"{key}.json").read_text())
+        assert meta["format"] == 2 and meta.get("arrays", []) == []
+        back = result_from_dict(dict(meta["result"]))
+        assert json.dumps(back.to_dict()) == stored(result)
 
 
 class TestCorruption:
@@ -102,13 +214,18 @@ class TestCorruption:
         with pytest.warns(RuntimeWarning, match="corrupt result-cache"):
             assert cache.get(key) is None
 
-    def test_missing_npz_is_a_miss(self, tmp_path):
+    def test_hand_edited_array_is_quarantined(self, tmp_path):
+        # the codec decode on read is what catches a bad inline array
         cache = ResultCache(tmp_path)
         key = cache_key(x=1)
         cache.put(key, make_sweep(), {})
-        (tmp_path / f"{key}.npz").unlink()
-        with pytest.warns(RuntimeWarning):
+        path = tmp_path / f"{key}.json"
+        meta = json.loads(path.read_text())
+        meta["result"]["steps"] = ["zero", "one"]
+        path.write_text(json.dumps(meta))
+        with pytest.warns(RuntimeWarning, match="corrupt result-cache"):
             assert cache.get(key) is None
+        assert cache.stats()["corrupt"] == 1
 
     def test_unknown_kind_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -121,7 +238,7 @@ class TestCorruption:
         with pytest.warns(RuntimeWarning):
             assert cache.get(key) is None
 
-    @pytest.mark.parametrize("mode", ["garbage", "truncate", "npz"])
+    @pytest.mark.parametrize("mode", ["garbage", "truncate"])
     def test_rotten_bytes_quarantined_and_recomputed(self, tmp_path, mode):
         """The satellite scenario: garbage bytes = miss, never a crash."""
         cache = ResultCache(tmp_path)
@@ -193,10 +310,9 @@ class TestCacheFor:
 class TestCrashSafety:
     """SIGKILL mid-put must never leave an entry that reads as torn.
 
-    The commit protocol: arrays (npz) land first, the JSON rename is
-    the commit point, every rename is preceded by an fsync.  So after a
-    kill at *any* instant, a key whose JSON is visible must load
-    cleanly — and stray ``*.tmp`` droppings from the killed writer are
+    The commit protocol: each entry is one file, written to a temp
+    name and fsynced before its rename.  So after a kill at *any*
+    instant, a key whose JSON is visible must load cleanly — and stray ``*.tmp`` droppings from the killed writer are
     swept by the next cache open once they are unambiguously stale.
     """
 
@@ -260,16 +376,27 @@ while True:
                 assert result.num_samples == 16
         assert not (tmp_path / QUARANTINE_DIR).exists()
 
-    def test_committed_json_implies_readable_arrays(self, tmp_path):
-        # the ordering half of the protocol: for every visible JSON the
-        # npz it references must already be complete (npz first, JSON =
-        # commit point)
+    def test_one_fsync_per_put(self, tmp_path, monkeypatch):
+        # one file per entry: one fsync, and the rename commits it whole
+        import os
+
+        synced = []
+        fsync = os.fsync
+
+        def counting_fsync(fd):
+            synced.append(fd)
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
         cache = ResultCache(tmp_path)
         key = cache_key(ordering="check")
         cache.put(key, make_sweep())
-        meta = json.loads((tmp_path / f"{key}.json").read_text())
-        assert meta["arrays"]
-        assert (tmp_path / f"{key}.npz").exists()
+        assert len(synced) == 1
+        cache.put_raw("raw", {"a": 1})
+        assert len(synced) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{key}.json", "raw.json",
+        ]
 
 
 class TestStaleTmpSweep:
@@ -280,7 +407,7 @@ class TestStaleTmpSweep:
         from repro.runners.cache import STALE_TMP_SECONDS
 
         stale = tmp_path / "deadbeefabc123.tmp"
-        stale.write_bytes(b"half-written npz bytes")
+        stale.write_bytes(b"half-written entry bytes")
         old = time.time() - STALE_TMP_SECONDS - 120
         os.utime(stale, (old, old))
         fresh = tmp_path / "cafef00d456789.tmp"

@@ -10,8 +10,11 @@ the integration suite.
 """
 
 import asyncio
+import json
 import threading
 import time
+
+import pytest
 
 from repro.obs.metrics import metrics
 from repro.runners.config import RunConfig
@@ -311,7 +314,34 @@ class TestCacheShortCircuit:
         assert delta(after_miss, after_hit) == (0, 0, 1)
         assert opened == []
         assert cached["cached"] is True
-        assert cached["result"] == fresh["result"]
+        assert json.dumps(cached["result"], sort_keys=True) == \
+            json.dumps(fresh["result"], sort_keys=True)
+
+    @pytest.mark.parametrize("request_", [
+        ("montecarlo", {"samples": 60, "depths": [2, 3]}),
+        ("sweep", {"samples": 60, "steps": [2, 4, 6]}),
+    ], ids=lambda r: r[0])
+    def test_cached_answer_equals_fresh_as_bytes(self, tmp_path, request_):
+        """A cache hit answers the fresh answer's bytes, from one JSON
+        file per entry."""
+        config = service_config(
+            run_config=BASE.with_(cache_dir=str(tmp_path))
+        )
+
+        async def main():
+            service, client = await started(config)
+            fresh = await client.request(*request_)
+            cached = await client.request(*request_)
+            await finish(service, client)
+            return fresh, cached
+
+        fresh, cached = asyncio.run(main())
+        assert fresh["ok"] and "cached" not in fresh
+        assert cached["ok"] and cached["cached"] is True
+        assert json.dumps(cached["result"], sort_keys=True) == \
+            json.dumps(fresh["result"], sort_keys=True)
+        assert list(tmp_path.glob("*.json"))
+        assert list(tmp_path.rglob("*.npz")) == []
 
 
 class TestShedding:
