@@ -113,12 +113,11 @@ class Param(namedtuple(
 #: ``(config, params)`` is the key-component builder and *run*
 #: ``(config, params, runner=None)`` the entry-point call.  *axis* is
 #: the grid parameter a fused evaluation unions (None: never fused),
-#: *exclusive* the parameters of which a request gives at most one, and
-#: *cached* whether the result has a whole-result cache entry.
+#: *exclusive* the parameters of which a request gives at most one.
 Experiment = namedtuple(
     "Experiment",
-    "params prepare components run axis exclusive cached",
-    defaults=(None, (), True),
+    "params prepare components run axis exclusive",
+    defaults=(None, ()),
 )
 
 
@@ -224,16 +223,15 @@ def _synthesis_prepare(config, values):
 
 
 def _synthesis_components(config, params):
-    wordlengths, periods = params["wordlengths"], params["periods"]
-    return dict(
-        experiment="service.synthesis",
-        datapath=params["datapath"],
-        target_metric=params["target_metric"],
-        target_value=params["target_value"],
-        wordlengths=list(wordlengths) if wordlengths else None,
-        periods=list(periods) if periods else None,
-        num_samples=params["samples"],
-        **config.describe(),
+    from repro.synth.demos import demo_datapath
+    from repro.synth.search import depth_grids, synthesis_key_components
+
+    return synthesis_key_components(
+        config,
+        demo_datapath(params["datapath"], config.ndigits).to_graph(),
+        {"metric": params["target_metric"], "value": params["target_value"]},
+        depth_grids(config, params["wordlengths"], params["periods"]),
+        params["samples"],
     )
 
 
@@ -241,16 +239,14 @@ def _synthesis_run(config, params, runner=None):
     from repro.synth.demos import demo_datapath
     from repro.synth.search import run_synthesis
 
-    # no periods: keep run_synthesis's default grid
-    grid = {"periods": list(params["periods"])} if params["periods"] else {}
     return run_synthesis(
         config,
         demo_datapath(params["datapath"], config.ndigits),
         {"metric": params["target_metric"], "value": params["target_value"]},
         wordlengths=params["wordlengths"],
+        periods=params["periods"],
         num_samples=params["samples"],
         runner=runner,
-        **grid,
     )
 
 
@@ -297,10 +293,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
          SAMPLES._replace(cli=4000), SEED, DELTA, BACKEND),
         _synthesis_prepare, _synthesis_components, _synthesis_run,
         exclusive=("target_mre", "target_snr"),
-        # no whole-report cache entry: run_synthesis dedups its
-        # verification per candidate group, so only the coalescing key
-        # exists
-        cached=False,
     ),
 }
 

@@ -377,12 +377,11 @@ class InflightRegistry:
         """
         if (
             self._cache is None
-            or req.cache_key is None
             or not answer.get("ok")
             or "result" not in answer
         ):
             return
         self._cache.put(
-            req.cache_key, result_from_dict(answer["result"]),
+            req.key, result_from_dict(answer["result"]),
             req.key_components,
         )

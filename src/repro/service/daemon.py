@@ -519,9 +519,9 @@ class EvalService:
         }
 
     def _cache_lookup(self, req: EvalRequest) -> Optional[Dict[str, Any]]:
-        if self.cache is None or req.cache_key is None:
+        if self.cache is None:
             return None
-        hit = self.cache.get(req.cache_key)
+        hit = self.cache.get(req.key)
         if hit is None:
             return None
         metrics().count("service.cache_short_circuit")

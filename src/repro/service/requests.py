@@ -78,8 +78,7 @@ class EvalRequest:
     config: RunConfig
     params: Mapping[str, Any]
     key_components: Mapping[str, Any]
-    key: str  # dedup/coalescing content address
-    cache_key: Optional[str]  # ResultCache short-circuit key, if cached
+    key: str  # dedup/coalescing and ResultCache content address
     deadline: Optional[float]
     batch_key: Optional[str] = None  # fusion compatibility class
 
@@ -116,11 +115,9 @@ def eval_request(
     """The keyed :class:`EvalRequest` of *values* (see
     :func:`repro.experiments.normalize`)."""
     config, params, components = normalize(kind, values, base)
-    key = cache_key(**components)
     return EvalRequest(
         id=req_id, kind=kind, config=config, params=params,
-        key_components=components, key=key,
-        cache_key=key if EXPERIMENTS[kind].cached else None,
+        key_components=components, key=cache_key(**components),
         deadline=deadline,
         batch_key=batch_compatibility_key(
             kind, config, params["samples"], deadline

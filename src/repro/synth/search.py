@@ -22,10 +22,9 @@ exact-traditional), word length and period:
    (:func:`repro.vec.fused.om_sweep_vector`): candidates sharing one
    ``(wordlength, assignment)`` verify all their periods in a single
    fused pass per shard, fanned out through
-   :class:`~repro.runners.parallel.ParallelRunner` and deduplicated
-   through the result cache (a group's merged partials are checkpointed
-   under a key that includes the exact assignment, so re-runs and
-   overlapping searches never recompute).
+   :class:`~repro.runners.parallel.ParallelRunner`.  Nothing below the
+   whole report is cached: the report is one entry of
+   :func:`repro.runners.run_cached`, under :func:`synthesis_key_components`.
 4. **Select** the measured latency-accuracy Pareto front and the
    cheapest (minimum-latency, area tie-break) point meeting the target.
 
@@ -52,10 +51,10 @@ import numpy as np
 from repro.core.conversion import scaled_int_to_digits
 from repro.obs.metrics import metrics
 from repro.obs.trace import current_tracer
-from repro.runners.cache import cache_for, cache_key
+from repro.numrep.rounding import ceil_scaled
+from repro.runners.cache import run_cached
 from repro.runners.config import RunConfig
 from repro.runners.parallel import ParallelRunner, merge_float_sums, shard_plan
-from repro.runners.results import attach_metrics
 from repro.synth import REF_FRAC, check_wordlength
 from repro.synth.model import (
     MODEL_TOLERANCE_FACTOR,
@@ -69,13 +68,18 @@ from repro.vec.fused import om_sweep_vector
 __all__ = [
     "AccuracyTarget",
     "DEFAULT_PERIODS",
+    "depth_grids",
     "run_synthesis",
+    "synthesis_key_components",
 ]
 
 #: default clock-period grid, as fractions of the online settle depth
 #: ``N + delta`` (in stage units) — spans deep overclocking through the
 #: depths where wide conventional operators become feasible
 DEFAULT_PERIODS = (0.4, 0.55, 0.7, 0.85, 1.0, 1.3, 1.7, 2.2)
+
+#: default multiplier specs a search assigns
+DEFAULT_MUL_SPECS = ("online-mult", "array-mult")
 
 #: predicted-error slack of the target prune: a candidate is only
 #: pruned for missing the target when its *predicted* error overshoots
@@ -160,7 +164,7 @@ def _replayable(graph: Mapping[str, Any], assignment: Mapping[str, str]) -> bool
 
 def enumerate_assignments(
     graph: Mapping[str, Any],
-    mul_specs: Sequence[str] = ("online-mult", "array-mult"),
+    mul_specs: Sequence[str] = DEFAULT_MUL_SPECS,
     add_specs: Mapping[str, str] = None,
 ) -> List[Dict[str, str]]:
     """Every multiplier-style combination of the datapath, adders derived.
@@ -205,14 +209,57 @@ def steps_for_periods(
     """Period grid → capture depths ``b`` (stage units) at one wordlength.
 
     Periods are normalized to the online settle depth ``N + delta``;
-    ``b = ceil(p * (N + delta))``, minimum 1.  Duplicates collapse (two
-    periods rounding to the same depth are the same design point).
+    ``b = ceil(p * (N + delta))``, taken exactly
+    (:func:`repro.numrep.ceil_scaled`), minimum 1.  Duplicates collapse
+    (two periods rounding to the same depth are the same design point).
     """
     settle = ndigits + delta
-    steps = sorted(
-        {max(1, math.ceil(float(p) * settle - 1e-9)) for p in periods}
+    return sorted({max(1, ceil_scaled(float(p), settle)) for p in periods})
+
+
+def depth_grids(
+    config: RunConfig,
+    wordlengths: Optional[Sequence[int]] = None,
+    periods: Optional[Sequence[float]] = None,
+    steps: Optional[Sequence[int]] = None,
+) -> Dict[int, List[int]]:
+    """Word length → the capture depths a search verifies it at (the
+    grid arguments of :func:`run_synthesis`, defaults resolved)."""
+    return {
+        n: sorted({max(1, int(b)) for b in steps}) if steps is not None
+        else steps_for_periods(periods or DEFAULT_PERIODS, n, config.delta)
+        for n in sorted({int(n) for n in wordlengths or (config.ndigits,)})
+    }
+
+
+def synthesis_key_components(
+    config: RunConfig,
+    graph: Mapping[str, Any],
+    target: Any,
+    grids: Mapping[int, Sequence[int]],
+    num_samples: int,
+    mul_specs: Sequence[str] = DEFAULT_MUL_SPECS,
+    kappa: float = 1.0,
+) -> Dict[str, Any]:
+    """The content-address components of one :func:`run_synthesis` report.
+
+    Shared with the evaluation service, whose request key must equal the
+    key the entry point stores under.  *grids* are :func:`depth_grids`,
+    so period spellings that resolve to the same depths share one key.
+    """
+    target = _coerce_target(target)
+    return dict(
+        experiment="synthesis",
+        graph=graph,
+        target_metric=target.metric,
+        target_value=float(target.value),
+        depths=[[int(n), [int(b) for b in grids[n]]] for n in sorted(grids)],
+        num_samples=int(num_samples),
+        mul_specs=list(mul_specs),
+        kappa=float(kappa),
+        ref_frac=REF_FRAC,
+        **config.describe(),
     )
-    return steps
 
 
 # --------------------------------------------------------------------------
@@ -431,10 +478,10 @@ def run_synthesis(
     datapath,
     target,
     wordlengths: Optional[Sequence[int]] = None,
-    periods: Sequence[float] = DEFAULT_PERIODS,
+    periods: Optional[Sequence[float]] = DEFAULT_PERIODS,
     steps: Optional[Sequence[int]] = None,
     num_samples: int = 4000,
-    mul_specs: Sequence[str] = ("online-mult", "array-mult"),
+    mul_specs: Sequence[str] = DEFAULT_MUL_SPECS,
     kappa: float = 1.0,
     runner: Optional[ParallelRunner] = None,
 ) -> SynthesisReport:
@@ -444,7 +491,8 @@ def run_synthesis(
     ----------
     config:
         Execution block — ``seed``/``shard_size`` define the verification
-        draws, ``jobs``/``cache_dir`` only how they are computed.
+        draws, ``jobs``/``cache_dir`` only how they are computed (the
+        report is cached whole, under :func:`synthesis_key_components`).
         ``config.ndigits`` is the default wordlength grid.
     datapath:
         The :class:`~repro.core.synthesis.Datapath` to synthesize.
@@ -456,7 +504,8 @@ def run_synthesis(
     periods / steps:
         Clock-period grid — either normalized periods (fractions of the
         online settle depth, see :func:`steps_for_periods`) or explicit
-        capture depths in stage units (*steps* wins when given).
+        capture depths in stage units (*steps* wins when given;
+        ``periods=None`` is :data:`DEFAULT_PERIODS`).
     num_samples:
         Vector-verification operand draws per candidate group.
     mul_specs:
@@ -474,21 +523,12 @@ def run_synthesis(
     graph = datapath.to_graph()
     if len(_operator_nodes(graph)) == 0:
         raise ValueError("datapath has no operators to synthesize")
-    if wordlengths is None:
-        wordlengths = (config.ndigits,)
-    wordlengths = sorted({int(n) for n in wordlengths})
+    grids = depth_grids(config, wordlengths, periods, steps)
     tracer = current_tracer()
-    cache = cache_for(config)
     runner = runner or ParallelRunner.from_config(config)
     delta = config.delta
 
-    with tracer.span(
-        "run.synthesis",
-        target_metric=target.metric,
-        target_value=target.value,
-        wordlengths=list(wordlengths),
-        num_samples=int(num_samples),
-    ):
+    def compute() -> SynthesisReport:
         assignments = enumerate_assignments(graph, mul_specs=mul_specs)
 
         # ---------------------------------------------- analytical ranking
@@ -496,12 +536,7 @@ def run_synthesis(
         total = 0
         pruned = 0
         with tracer.span("synth.rank"):
-            for n in wordlengths:
-                depth_grid = (
-                    sorted({max(1, int(b)) for b in steps})
-                    if steps is not None
-                    else steps_for_periods(periods, n, delta)
-                )
+            for n, depth_grid in grids.items():
                 for assignment in assignments:
                     total += len(depth_grid)
                     if not _replayable(graph, assignment):
@@ -587,49 +622,22 @@ def run_synthesis(
         plan = shard_plan(config, num_samples, "synthesis")
 
         with tracer.span("synth.verify", groups=len(groups)):
-            pending: List[Tuple[Tuple, Dict[str, Any]]] = []
+            order = sorted(groups)
+            payloads = [
+                {**groups[gk], "graph": graph, "delta": delta,
+                 "seed_seq": ss, "samples": m}
+                for gk in order
+                for ss, m in plan
+            ]
+            parts = runner.map(
+                _synth_verify_worker,
+                payloads,
+                samples=[m for _ in order for _, m in plan],
+            )
             merged: Dict[Tuple, Dict[str, Any]] = {}
-            for gk in sorted(groups):
-                group = groups[gk]
-                components = dict(
-                    experiment="synth.verify",
-                    graph=graph,
-                    assignment=[list(kv) for kv in gk[1]],
-                    ndigits=group["ndigits"],
-                    delta=delta,
-                    depths=group["depths"],
-                    num_samples=int(num_samples),
-                    ref_frac=REF_FRAC,
-                    seed=config.seed,
-                    shard_size=config.shard_size,
-                )
-                key = cache_key(**components)
-                hit = cache.get_raw(key) if cache is not None else None
-                if hit is not None:
-                    merged[gk] = hit
-                else:
-                    pending.append((gk, {"key": key, **group}))
-
-            payloads = []
-            counts = []
-            for gk, group in pending:
-                for ss, m in plan:
-                    payloads.append(
-                        {
-                            "graph": graph,
-                            "assignment": group["assignment"],
-                            "ndigits": group["ndigits"],
-                            "delta": delta,
-                            "depths": group["depths"],
-                            "seed_seq": ss,
-                            "samples": m,
-                        }
-                    )
-                    counts.append(m)
-            parts = runner.map(_synth_verify_worker, payloads, samples=counts)
-            for gi, (gk, group) in enumerate(pending):
+            for gi, gk in enumerate(order):
                 shard_parts = parts[gi * len(plan) : (gi + 1) * len(plan)]
-                result = {
+                merged[gk] = {
                     "sum_abs_err": merge_float_sums(
                         [p["sum_abs_err"] for p in shard_parts]
                     ).tolist(),
@@ -642,11 +650,7 @@ def run_synthesis(
                     "sum_sq_ref": float(
                         np.sum([p["sum_sq_ref"] for p in shard_parts])
                     ),
-                    "samples": int(num_samples),
                 }
-                merged[gk] = result
-                if cache is not None:
-                    cache.put_raw(group["key"], result)
 
         # --------------------------------------------------- selection
         n_outputs = len(graph["outputs"])
@@ -739,7 +743,7 @@ def run_synthesis(
                 for m in survivors[chosen]["predicted"].modules
             ]
 
-        report = SynthesisReport(
+        return SynthesisReport(
             graph=graph,
             target_metric=target.metric,
             target_value=target.value,
@@ -758,14 +762,21 @@ def run_synthesis(
             seed=config.seed,
             ref_frac=REF_FRAC,
         )
-        report.run_stats = runner.finalize_stats(
+
+    with tracer.span(
+        "run.synthesis",
+        target_metric=target.metric,
+        target_value=target.value,
+        wordlengths=list(grids),
+        num_samples=int(num_samples),
+    ):
+        return run_cached(
+            config,
+            runner,
             "synthesis",
-            cache=(
-                "off"
-                if cache is None
-                else ("hit" if groups and not pending else "miss")
+            "vector",  # fused verification runs on no other engine
+            lambda: synthesis_key_components(
+                config, graph, target, grids, num_samples, mul_specs, kappa
             ),
-            engine="vector",  # fused verification runs on no other engine
+            compute,
         )
-        attach_metrics(report)
-    return report

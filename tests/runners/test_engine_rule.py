@@ -87,7 +87,6 @@ def test_request_and_batch_keys_omit_the_engine(kind, ndigits, seed, samples):
             parse_request({"id": 1, "kind": kind, "params": params}, base)
         )
     assert {req.key for req in parsed} == {parsed[0].key}
-    assert {req.cache_key for req in parsed} == {parsed[0].cache_key}
     assert {req.batch_key for req in parsed} == {parsed[0].batch_key}
     for req in parsed:
         assert "backend" not in req.key_components

@@ -26,12 +26,16 @@ from repro.runners import RAW_KIND, ParallelRunner, RunConfig
 from repro.sim.error_profile import run_error_profile
 from repro.sim.montecarlo import run_montecarlo
 from repro.sim.sweep import run_sweep
+from repro.synth.demos import demo_datapath
+from repro.synth.search import run_synthesis
 
 #: id -> (the entry point at its smallest geometry, the engine it runs
 #: on, its cache-key digest).  The digests were computed before the
 #: entry points shared one run path; they must never change.  The one
 #: deliberate exception: the filter study's key gained the exact
-#: per-gate delays of its datapaths (57a09a1f... before).
+#: per-gate delays of its datapaths (57a09a1f... before).  Synthesis
+#: joined last, when its report became one whole-report entry keyed by
+#: ``synthesis_key_components``; its digest was pinned then.
 ENTRY_POINTS = {
     "montecarlo": (
         lambda c: run_montecarlo(c, num_samples=200),
@@ -69,6 +73,12 @@ ENTRY_POINTS = {
             c.with_(ndigits=8), images=("uniform",), factors=(1.1,), size=5
         ),
         "packed", "70a8131fcb85067c0f9bd923c6e4db05",
+    ),
+    "synthesis": (
+        lambda c: run_synthesis(
+            c, demo_datapath("prodsum", c.ndigits), 5.0, num_samples=200
+        ),
+        "vector", "b2c367c95d469fbf36e35f100ca33727",
     ),
 }
 

@@ -320,6 +320,7 @@ class TestCacheShortCircuit:
     @pytest.mark.parametrize("request_", [
         ("montecarlo", {"samples": 60, "depths": [2, 3]}),
         ("sweep", {"samples": 60, "steps": [2, 4, 6]}),
+        ("synthesis", {"samples": 60}),
     ], ids=lambda r: r[0])
     def test_cached_answer_equals_fresh_as_bytes(self, tmp_path, request_):
         """A cache hit answers the fresh answer's bytes, from one JSON

@@ -11,6 +11,13 @@ from repro.service.requests import (
 )
 from repro.sim.montecarlo import default_depths, montecarlo_key_components
 from repro.sim.sweep import stage_sweep_key_components
+from repro.synth.demos import demo_datapath
+from repro.synth.search import (
+    AccuracyTarget,
+    depth_grids,
+    run_synthesis,
+    synthesis_key_components,
+)
 
 
 BASE = RunConfig(ndigits=4, seed=7, jobs=1, cache_dir=None)
@@ -30,7 +37,6 @@ class TestMonteCarlo:
             **montecarlo_key_components(BASE, 500, [2, 4, 6])
         )
         assert req.key == expected
-        assert req.cache_key == expected  # whole-result cached experiment
 
     def test_default_depths_mirror_the_entry_point(self):
         req = parse({"kind": "montecarlo", "params": {"samples": 100}})
@@ -81,7 +87,30 @@ class TestSynthesis:
                      "params": {"samples": 200, "target_snr": 30.0}})
         assert req.params["target_metric"] == "snr"
         assert req.params["target_value"] == 30.0
-        assert req.cache_key is None  # no whole-report cache entry
+        graph = demo_datapath("prodsum", BASE.ndigits).to_graph()
+        assert req.key == cache_key(
+            **synthesis_key_components(
+                BASE, graph, AccuracyTarget("snr", 30.0), depth_grids(BASE),
+                200,
+            )
+        )
+
+    def test_key_is_the_entry_points_stored_key(self, tmp_path):
+        req = parse({"kind": "synthesis",
+                     "params": {"samples": 100, "periods": [0.5, 1.0]}})
+        run_synthesis(
+            BASE.with_(cache_dir=str(tmp_path)),
+            demo_datapath("prodsum", BASE.ndigits), 5.0,
+            periods=[0.5, 1.0], num_samples=100,
+        )
+        assert [p.stem for p in tmp_path.glob("*.json")] == [req.key]
+
+    def test_period_spellings_of_one_grid_share_a_key(self):
+        # at ndigits=4, delta=3 both grids resolve to depths [4, 7]
+        one = parse({"kind": "synthesis", "params": {"periods": [0.5, 1.0]}})
+        two = parse({"kind": "synthesis",
+                     "params": {"periods": [0.55, 0.5, 1.0]}})
+        assert one.key == two.key
 
     def test_zero_mre_target_is_legal(self):
         req = parse({"kind": "synthesis", "params": {"target_mre": 0}})

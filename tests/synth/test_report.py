@@ -1,6 +1,7 @@
 """Round-trip tests of :class:`SynthesisReport` through the Result
-registry and the JSON+npz cache — the serialization half of the
-synthesizer (satellite: property-based, non-finite values included)."""
+registry and the one-file JSON cache, and the report's cache key — the
+serialization half of the synthesizer (property-based, non-finite
+values included)."""
 
 import json
 import math
@@ -12,8 +13,14 @@ from hypothesis import strategies as st
 
 from repro.core.synthesis import Datapath
 from repro.runners.cache import ResultCache, cache_key
+from repro.runners.config import RunConfig
 from repro.runners.results import registered_kinds, result_from_dict
 from repro.synth.report import SynthesisReport
+from repro.synth.search import (
+    AccuracyTarget,
+    depth_grids,
+    synthesis_key_components,
+)
 
 
 def _tiny_graph():
@@ -143,7 +150,7 @@ class TestRegistryRoundTrip:
 
 
 class TestCacheRoundTrip:
-    def test_npz_cache_preserves_nonfinite(self, tmp_path):
+    def test_cache_preserves_nonfinite(self, tmp_path):
         report = _report(
             [0.25, math.nan],
             [math.inf, 0.125],
@@ -161,31 +168,59 @@ class TestCacheRoundTrip:
     def test_cache_miss_on_absent_key(self, tmp_path):
         assert ResultCache(tmp_path).get(cache_key(experiment="nope")) is None
 
-    def test_cache_key_separates_assignments(self):
-        base = dict(
-            experiment="synth.verify",
-            graph=GRAPH,
-            ndigits=6,
-            delta=3,
-            depths=[4, 6, 9],
-            num_samples=2000,
-            ref_frac=24,
-            seed=2014,
-            shard_size=2500,
-        )
-        k_online = cache_key(assignment=[[MUL_LABEL, "online-mult"]], **base)
-        k_trad = cache_key(assignment=[[MUL_LABEL, "array-mult"]], **base)
-        assert k_online != k_trad
-        # and the key is stable for logically equal components
-        assert k_online == cache_key(
-            assignment=[[MUL_LABEL, "online-mult"]], **dict(base)
-        )
 
-    def test_cache_key_separates_depth_grids(self):
-        base = dict(experiment="synth.verify", graph=GRAPH, seed=2014)
-        assert cache_key(depths=[4, 9], **base) != cache_key(
-            depths=[4, 6, 9], **base
-        )
+CONFIG = RunConfig(ndigits=6, seed=2014, jobs=1, cache_dir=None)
+
+
+def _key(**changes):
+    """The report key of one search, with *changes* to its arguments."""
+    args = dict(
+        config=CONFIG,
+        graph=GRAPH,
+        target=AccuracyTarget("mre", 5.0),
+        grids=depth_grids(CONFIG, periods=(0.5, 1.0)),
+        num_samples=2000,
+    )
+    args.update(changes)
+    return cache_key(**synthesis_key_components(**args))
+
+
+def _other_graph():
+    dp = Datapath(ndigits=6)
+    x, y = dp.input("x"), dp.input("y")
+    dp.output("p", x * y + x)
+    return dp.to_graph()
+
+
+class TestReportKey:
+    @pytest.mark.parametrize("changes", [
+        {"target": AccuracyTarget("mre", 2.5)},
+        {"target": AccuracyTarget("snr", 5.0)},
+        {"grids": depth_grids(CONFIG, periods=(0.5, 0.7, 1.0))},
+        {"grids": depth_grids(CONFIG, (4, 6), periods=(0.5, 1.0))},
+        {"mul_specs": ("online-mult",)},
+        {"kappa": 1.5},
+        {"graph": _other_graph()},
+        {"num_samples": 1000},
+        {"config": CONFIG.with_(seed=7)},
+    ], ids=["target_value", "target_metric", "grid", "wordlengths",
+            "mul_specs", "kappa", "graph", "num_samples", "seed"])
+    def test_each_argument_moves_the_key(self, changes):
+        assert _key(**changes) != _key()
+
+    def test_periods_resolving_to_one_grid_share_a_key(self):
+        # 9 settle stages: 0.5 and 0.45 both capture at depth 5
+        same = depth_grids(CONFIG, periods=(0.45, 0.5, 1.0))
+        assert same == depth_grids(CONFIG, periods=(0.5, 1.0))
+        assert _key(grids=same) == _key()
+
+    def test_target_spellings_share_a_key(self):
+        assert _key(target=5) == _key(target={"metric": "mre", "value": 5})
+        assert _key(target=5) == _key()
+
+    def test_execution_details_stay_out(self):
+        config = CONFIG.with_(jobs=2, backend="packed")
+        assert _key(config=config) == _key()
 
 
 class TestViews:
