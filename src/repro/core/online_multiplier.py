@@ -197,7 +197,7 @@ class OnlineMultiplier:
             holds digit ``x_{k+1}`` for each of the ``S`` samples.
         max_ticks:
             Number of ticks to simulate (default ``N + delta``, after which
-            the wave has fully settled).
+            the wave has fully settled); ``ValueError`` if negative.
         backend:
             ``"vector"`` dispatches to the digit-level behavioral engine
             (:func:`repro.vec.om_wave_vector`); ``"packed"`` runs the
@@ -224,6 +224,8 @@ class OnlineMultiplier:
             raise ValueError(f"digit arrays must have shape ({n}, S)")
         num_samples = xdigits.shape[1]
         ticks = max_ticks if max_ticks is not None else self.num_stages
+        if ticks < 0:
+            raise ValueError(f"max_ticks must be >= 0, got {ticks}")
 
         if resolved == "vector":
             from repro.obs.metrics import metrics

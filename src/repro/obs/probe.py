@@ -41,7 +41,7 @@ from repro.obs.metrics import metrics
 from repro.obs.trace import current_tracer
 from repro.runners.cache import run_cached
 from repro.runners.config import RunConfig
-from repro.runners.parallel import ParallelRunner, merge_int_sums, shard_plan
+from repro.runners.parallel import ParallelRunner, merge_int_sums
 from repro.runners.results import register_result
 
 
@@ -147,26 +147,24 @@ def _probe_shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     Integer partials merge in shard order, so the probe result is
     independent of ``jobs`` (same guarantee as ``_mc_shard_worker``).
     """
-    from repro.core.online_multiplier import OnlineMultiplier
-    from repro.sim.montecarlo import settle_depths, uniform_digit_batch
+    from repro.sim.montecarlo import settle_depths, uniform_operands
+    from repro.vec.fused import stage_snapshots
 
-    ndigits = payload["ndigits"]
-    om = OnlineMultiplier(ndigits, payload["delta"])
-    rng = np.random.default_rng(payload["seed_seq"])
-    m = payload["samples"]
-    xd = uniform_digit_batch(ndigits, m, rng)
-    yd = uniform_digit_batch(ndigits, m, rng)
-    tracer = current_tracer()
-    with tracer.span("probe.simulate", backend=payload["backend"], samples=m):
-        waves = om.wave(xd, yd, backend=payload["backend"])
+    ndigits, delta = payload["ndigits"], payload["delta"]
+    backend, m = payload["backend"], payload["samples"]
+    s_tot = ndigits + delta
+    xd, yd = uniform_operands(payload)
+    with current_tracer().span("probe.simulate", backend=backend, samples=m):
+        waves = stage_snapshots(
+            ndigits, delta, xd, yd, range(s_tot + 1), backend
+        )
     final = waves[-1]
     final_vals = digits_to_scaled_int(final)
 
     first_error: List[List[int]] = []
     value_viol: List[int] = []
     for b in payload["depths"]:
-        b_clamped = min(int(b), waves.shape[0] - 1)
-        sampled = waves[b_clamped]
+        sampled = waves[min(int(b), s_tot)]
         wrong = sampled != final  # (N, S) digit-level mismatch, MSD first
         any_wrong = wrong.any(axis=0)
         first = np.where(any_wrong, np.argmax(wrong, axis=0), ndigits)
@@ -178,7 +176,7 @@ def _probe_shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
         )
 
     depth = settle_depths(waves)
-    chain = np.bincount(depth, minlength=om.num_stages + 1).astype(int)
+    chain = np.bincount(depth, minlength=s_tot + 1).astype(int)
     return {
         "first_error": first_error,
         "value_viol": value_viol,
@@ -201,7 +199,11 @@ def run_stage_probe(
     traced under the ambient tracer.
     """
     from repro.netlist.engines import resolve_backend
-    from repro.sim.montecarlo import capture_depths, default_depths
+    from repro.sim.montecarlo import (
+        capture_depths,
+        default_depths,
+        map_om_shards,
+    )
 
     if depths is None:
         depths = default_depths(config.ndigits, config.delta)
@@ -210,20 +212,9 @@ def run_stage_probe(
     runner = runner or ParallelRunner.from_config(config)
 
     def compute() -> StageProbeResult:
-        plan = shard_plan(config, num_samples, "stage_probe")
-        payloads = [
-            {
-                "ndigits": config.ndigits,
-                "delta": config.delta,
-                "backend": engine,
-                "depths": depths,
-                "seed_seq": ss,
-                "samples": m,
-            }
-            for ss, m in plan
-        ]
-        parts = runner.map(
-            _probe_shard_worker, payloads, samples=[m for _, m in plan]
+        parts = map_om_shards(
+            runner, _probe_shard_worker, config, num_samples, engine,
+            ("stage_probe",), depths=depths,
         )
         first_error = np.zeros(
             (len(depths), config.ndigits + 1), dtype=np.int64

@@ -54,8 +54,6 @@ class AdmissionController:
     ----------
     limits:
         Per-class occupancy ceilings (queued + running requests).
-    total:
-        Overall ceiling across classes (default: sum of the limits).
     concurrency:
         Worker slots that drain the queue — the denominator of the
         retry-after estimate.
@@ -66,7 +64,6 @@ class AdmissionController:
     def __init__(
         self,
         limits: Optional[Mapping[str, int]] = None,
-        total: Optional[int] = None,
         concurrency: int = 1,
         initial_service_time: float = 1.0,
     ) -> None:
@@ -80,7 +77,6 @@ class AdmissionController:
                 )
         if concurrency < 1:
             raise ValueError(f"concurrency must be >= 1, got {concurrency!r}")
-        self.total = sum(self.limits.values()) if total is None else total
         self.concurrency = concurrency
         self._lock = threading.Lock()
         self._pending: Dict[str, int] = {cls: 0 for cls in self.limits}
@@ -131,24 +127,17 @@ class AdmissionController:
         self._require_class(cls)
         with self._lock:
             depth = self._pending[cls]
-            total = sum(self._pending.values())
-            if depth >= self.limits[cls]:
-                # class queue full: the hint tracks this class's drain,
-                # not total occupancy (which may be dominated by other,
-                # independently-limited classes)
-                reason = (
-                    f"queue full for class {cls!r} "
-                    f"({depth}/{self.limits[cls]})"
-                )
-                ahead = depth
-            elif total >= self.total:
-                reason = f"service saturated ({total}/{self.total} pending)"
-                ahead = total
-            else:
+            if depth < self.limits[cls]:
                 self._pending[cls] = depth + 1
                 self._gauges()
                 return
-            retry_after = self._estimate_locked(ahead)
+            # class queue full: the hint tracks this class's drain, not
+            # total occupancy (which may be dominated by other,
+            # independently-limited classes)
+            reason = (
+                f"queue full for class {cls!r} ({depth}/{self.limits[cls]})"
+            )
+            retry_after = self._estimate_locked(depth)
         metrics().count("service.shed")
         current_tracer().event(
             "service.shed", cls=cls, depth=depth, retry_after=retry_after

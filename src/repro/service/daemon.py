@@ -101,9 +101,7 @@ class ServiceConfig:
     port: int = 0  # 0 = ephemeral; the bound port is EvalService.port
     concurrency: int = 2  # evaluator slots = resident warm threads
     limits: Optional[Mapping[str, int]] = None  # admission per-class caps
-    total_limit: Optional[int] = None
     default_deadline: Optional[float] = None
-    max_samples: int = 200_000
     drain_timeout: float = 30.0
 
 
@@ -153,7 +151,6 @@ class EvalService:
         )
         self.admission = AdmissionController(
             limits=self.config.limits,
-            total=self.config.total_limit,
             concurrency=self.config.concurrency,
         )
         # the service's one cache handle: requests evaluate with the
@@ -311,7 +308,6 @@ class EvalService:
                 message if isinstance(message, Mapping) else None,
                 base_config=self._request_config,
                 default_deadline=self.config.default_deadline,
-                max_samples=self.config.max_samples,
             )
         except RequestError as exc:
             metrics().count("service.bad_requests")

@@ -29,12 +29,18 @@ from repro.netlist.engines import resolve_backend
 from repro.netlist.delay import DelayModel, FpgaDelay, delay_key_components
 from repro.netlist.sim import SimulationResult
 from repro.netlist.sta import static_timing
+from repro.obs.metrics import metrics
 from repro.obs.trace import current_tracer
 from repro.runners.cache import run_cached
 from repro.runners.config import RunConfig
 from repro.runners.parallel import ParallelRunner, merge_int_sums, shard_plan
 from repro.runners.results import register_result
-from repro.sim.montecarlo import capture_depths
+from repro.sim.montecarlo import (
+    capture_depths,
+    map_om_shards,
+    uniform_operands,
+)
+from repro.vec.fused import stage_digit_mismatch_counts, stage_snapshots
 
 
 @register_result
@@ -175,60 +181,25 @@ def _profile_shard_worker(payload: Dict[str, Any]) -> np.ndarray:
 def _stage_profile_shard_worker(payload: Dict[str, Any]) -> np.ndarray:
     """One stage-timing profile shard: per-(depth, digit) mismatch counts.
 
-    The vector engine captures every requested depth plus the settled
-    reference in one fused :func:`repro.vec.fused.om_sweep_vector` pass;
-    other engines run one truncated wave per depth (the per-period
-    oracle).  Both feed the same counting helper, so the grids are
-    bit-identical.
+    Every requested depth plus the settled reference is captured in one
+    :func:`repro.vec.fused.stage_snapshots` pass on the payload's engine.
     """
-    from repro.sim.montecarlo import uniform_digit_batch
-    from repro.vec.fused import stage_digit_mismatch_counts
-
-    ndigits = payload["ndigits"]
-    delta = payload["delta"]
+    ndigits, delta = payload["ndigits"], payload["delta"]
     steps = [int(t) for t in payload["steps"]]
-    m = payload["samples"]
-    s_tot = ndigits + delta
-    rng = np.random.default_rng(payload["seed_seq"])
-    xd = uniform_digit_batch(ndigits, m, rng)
-    yd = uniform_digit_batch(ndigits, m, rng)
-    if payload["backend"] == "vector":
-        from repro.obs.metrics import metrics
-        from repro.vec.fused import om_sweep_vector
-
-        with current_tracer().span(
-            "vec.fused_sweep",
-            ndigits=ndigits,
-            periods=len(steps),
-            depths=len(steps),
-            samples=m,
-        ):
-            metrics().count("vec.fused_periods", len(steps))
-            snaps = om_sweep_vector(
-                ndigits, delta, xd, yd, steps + [s_tot]
-            )
-    else:
-        from repro.core.online_multiplier import OnlineMultiplier
-
-        om = OnlineMultiplier(ndigits, delta)
-        with current_tracer().span(
-            "profile.simulate_stage",
-            backend=payload["backend"],
-            depths=len(steps),
-            samples=m,
-        ):
-            snaps = np.stack(
-                [
-                    om.wave(
-                        xd,
-                        yd,
-                        max_ticks=min(b, s_tot),
-                        backend=payload["backend"],
-                    )[-1]
-                    for b in steps
-                ]
-                + [om.wave(xd, yd, backend=payload["backend"])[-1]]
-            )
+    xd, yd = uniform_operands(payload)
+    with current_tracer().span(
+        "vec.fused_sweep",
+        backend=payload["backend"],
+        ndigits=ndigits,
+        periods=len(steps),
+        depths=len(steps),
+        samples=payload["samples"],
+    ):
+        metrics().count("vec.fused_periods", len(steps))
+        snaps = stage_snapshots(
+            ndigits, delta, xd, yd, steps + [ndigits + delta],
+            payload["backend"],
+        )
     return stage_digit_mismatch_counts(snaps[:-1], snaps[-1])
 
 
@@ -252,20 +223,9 @@ def _run_stage_error_profile(
     runner = runner or ParallelRunner.from_config(config)
 
     def compute() -> DigitErrorProfile:
-        plan = shard_plan(config, num_samples, "error_profile", design)
-        payloads = [
-            {
-                "ndigits": config.ndigits,
-                "delta": config.delta,
-                "backend": engine,
-                "steps": grid,
-                "seed_seq": ss,
-                "samples": m,
-            }
-            for ss, m in plan
-        ]
-        parts = runner.map(
-            _stage_profile_shard_worker, payloads, samples=[m for _, m in plan]
+        parts = map_om_shards(
+            runner, _stage_profile_shard_worker, config, num_samples, engine,
+            ("error_profile", design), steps=grid,
         )
         return _profile_from_counts(design, config, grid, parts, num_samples)
 

@@ -13,7 +13,11 @@ statistics.
 :class:`~repro.runners.RunConfig`: the sample budget is sharded across
 worker processes with deterministic seed-splitting (``jobs=1`` and
 ``jobs=N`` merge bit-identically), and Monte-Carlo results are served
-from the persistent result cache when one is configured.  To derive
+from the persistent result cache when one is configured.  Every OM-wave
+entry point (these two, the stage probe, the stage sweep and the stage
+profile) lays out its shards with :func:`map_om_shards`, draws each
+shard's operands with :func:`uniform_operands` and captures through
+:func:`repro.vec.fused.stage_snapshots`.  To derive
 several statistics from one sample batch, draw it with
 :func:`uniform_digit_batch`, run :meth:`OnlineMultiplier.wave` once and
 read it directly (:func:`settle_depths` for settling depths).
@@ -23,13 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Any, ClassVar, Dict, Iterable, List, Optional, Tuple,
+    Any, Callable, ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
 
 import numpy as np
 
 from repro.core.conversion import digits_to_scaled_int
-from repro.core.online_multiplier import OnlineMultiplier
 from repro.netlist.engines import resolve_backend
 from repro.obs.trace import current_tracer
 from repro.runners.cache import run_cached
@@ -41,6 +44,7 @@ from repro.runners.parallel import (
     shard_plan,
 )
 from repro.runners.results import register_result
+from repro.vec.fused import fused_sweep_partial, stage_snapshots
 
 
 def uniform_digit_batch(
@@ -105,6 +109,50 @@ class MonteCarloResult:
 
 # --------------------------------------------------------------- shard workers
 
+def uniform_operands(payload: Dict[str, Any]) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(x, y)`` UI operand digits of one OM-wave shard.
+
+    Both are drawn from the shard's ``seed_seq``, *x* first, with
+    :func:`uniform_digit_batch` — every OM-wave shard worker draws its
+    operands here, so every statistic reads the same operand stream.
+    """
+    rng = np.random.default_rng(payload["seed_seq"])
+    n, m = payload["ndigits"], payload["samples"]
+    return uniform_digit_batch(n, m, rng), uniform_digit_batch(n, m, rng)
+
+
+def map_om_shards(
+    runner: ParallelRunner,
+    worker: Callable[[Dict[str, Any]], Any],
+    config: RunConfig,
+    num_samples: int,
+    engine: str,
+    streams: Sequence[str],
+    **grid: Any,
+) -> List[Any]:
+    """Run *worker* over the OM-wave shards of one experiment run.
+
+    Lays out the shards with ``shard_plan(config, num_samples,
+    *streams)`` and gives each worker one payload: ``ndigits``,
+    ``delta``, ``backend`` (the resolved *engine*), ``seed_seq`` and
+    ``samples``, plus the run's *grid* entries (its depth grid and the
+    like).  Returns the shard results in shard order.
+    """
+    plan = shard_plan(config, num_samples, *streams)
+    payloads = [
+        dict(
+            ndigits=config.ndigits,
+            delta=config.delta,
+            backend=engine,
+            seed_seq=ss,
+            samples=m,
+            **grid,
+        )
+        for ss, m in plan
+    ]
+    return runner.map(worker, payloads, samples=[m for _, m in plan])
+
+
 def _mc_shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     """One Monte-Carlo shard: per-depth |error| sums and violation counts.
 
@@ -112,39 +160,29 @@ def _mc_shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     merge in shard order and divide once — the float accumulation order
     is then independent of ``jobs``.
     """
-    ndigits = payload["ndigits"]
-    om = OnlineMultiplier(ndigits, payload["delta"])
-    rng = np.random.default_rng(payload["seed_seq"])
-    m = payload["samples"]
-    xd = uniform_digit_batch(ndigits, m, rng)
-    yd = uniform_digit_batch(ndigits, m, rng)
+    xd, yd = uniform_operands(payload)
     with current_tracer().span(
-        "mc.simulate", backend=payload["backend"], samples=m
+        "mc.simulate", backend=payload["backend"], samples=payload["samples"]
     ):
-        waves = om.wave(xd, yd, backend=payload["backend"])
-    correct = digits_to_scaled_int(waves[-1]).astype(np.float64)
-    scale = float(2**ndigits)
-    sum_err: List[float] = []
-    viol: List[int] = []
-    for b in payload["depths"]:
-        b_clamped = min(int(b), waves.shape[0] - 1)
-        sampled = digits_to_scaled_int(waves[b_clamped]).astype(np.float64)
-        err = np.abs(sampled - correct) / scale
-        sum_err.append(float(err.sum()))
-        viol.append(int((err > 0).sum()))
-    return {"sum_err": sum_err, "viol": viol}
+        part = fused_sweep_partial(
+            payload["ndigits"],
+            payload["delta"],
+            xd,
+            yd,
+            payload["depths"],
+            payload["backend"],
+        )
+    return {"sum_err": part["sum_err"], "viol": part["viol"]}
 
 
 def _settle_shard_worker(payload: Dict[str, Any]) -> Dict[int, int]:
     """One settling-depth shard: ``depth -> sample count`` (exact ints)."""
-    ndigits = payload["ndigits"]
-    om = OnlineMultiplier(ndigits, payload["delta"])
-    rng = np.random.default_rng(payload["seed_seq"])
-    m = payload["samples"]
-    xd = uniform_digit_batch(ndigits, m, rng)
-    yd = uniform_digit_batch(ndigits, m, rng)
-    depth = settle_depths(om.wave(xd, yd, backend=payload["backend"]))
-    values, counts = np.unique(depth, return_counts=True)
+    ndigits, delta = payload["ndigits"], payload["delta"]
+    xd, yd = uniform_operands(payload)
+    waves = stage_snapshots(
+        ndigits, delta, xd, yd, range(ndigits + delta + 1), payload["backend"]
+    )
+    values, counts = np.unique(settle_depths(waves), return_counts=True)
     return {int(v): int(c) for v, c in zip(values, counts)}
 
 
@@ -234,20 +272,9 @@ def run_montecarlo(
     runner = runner or ParallelRunner.from_config(config)
 
     def compute() -> MonteCarloResult:
-        plan = shard_plan(config, num_samples, "montecarlo")
-        payloads = [
-            {
-                "ndigits": config.ndigits,
-                "delta": config.delta,
-                "backend": engine,
-                "depths": depths,
-                "seed_seq": ss,
-                "samples": m,
-            }
-            for ss, m in plan
-        ]
-        parts = runner.map(
-            _mc_shard_worker, payloads, samples=[m for _, m in plan]
+        parts = map_om_shards(
+            runner, _mc_shard_worker, config, num_samples, engine,
+            ("montecarlo",), depths=depths,
         )
         sum_err = merge_float_sums([p["sum_err"] for p in parts])
         viol = merge_int_sums([p["viol"] for p in parts])
@@ -294,17 +321,6 @@ def run_settle_histogram(
     cheap and the dict is not a :class:`~repro.runners.results.Result`).
     """
     engine = resolve_backend(config.backend, "om-wave")
-    plan = shard_plan(config, num_samples, "settle")
-    payloads = [
-        {
-            "ndigits": config.ndigits,
-            "delta": config.delta,
-            "backend": engine,
-            "seed_seq": ss,
-            "samples": m,
-        }
-        for ss, m in plan
-    ]
     runner = runner or ParallelRunner.from_config(config)
     with current_tracer().span(
         "run.settle_histogram",
@@ -313,8 +329,9 @@ def run_settle_histogram(
         engine=engine,
         num_samples=int(num_samples),
     ):
-        parts = runner.map(
-            _settle_shard_worker, payloads, samples=[m for _, m in plan]
+        parts = map_om_shards(
+            runner, _settle_shard_worker, config, num_samples, engine,
+            ("settle",),
         )
         counts: Dict[int, int] = {}
         for part in parts:

@@ -24,16 +24,15 @@ paper's analytical timing model, Fig. 4 top row): every stage costs one
 delay unit ``mu``, a clock period cuts every chain at depth
 ``b = ceil(T_S / mu)``, and the sweep grid is a set of such depths
 (optionally derived from normalized periods via
-:func:`stage_steps_for_periods`).  On the vector engine (the default
-for stage sweeps) the whole grid is evaluated in **one fused pass**
-over the operand batch (:func:`repro.vec.fused.om_sweep_vector` — span
-``vec.fused_sweep``, metric ``vec.fused_periods``); an explicit
-``backend="packed"``/``"wave"`` runs the per-period reference oracle
-(:func:`stage_sweep_partial`, one truncated wave per depth).  Both paths
-feed their capture snapshots through the same statistics helper, so the
-resulting :class:`SweepResult` is bit-identical across backends — the
-fused kernel changes the cost of a sweep, never a digit of it
-(``tests/vec/test_fused_conformance.py``).
+:func:`stage_steps_for_periods`).  On every engine each shard captures
+the whole grid in **one pass** over its operand batch
+(:func:`repro.vec.fused.fused_sweep_partial` through
+:func:`repro.vec.fused.stage_snapshots` — span ``vec.fused_sweep``,
+metric ``vec.fused_periods``), so the resulting :class:`SweepResult`
+is bit-identical across backends.  :func:`stage_sweep_partial`, one
+truncated wave per depth, is kept as the reference the fused path is
+checked against (``tests/vec/test_fused_conformance.py``); no run
+path calls it.
 """
 
 from __future__ import annotations
@@ -63,6 +62,7 @@ from repro.netlist.delay import (
 )
 from repro.netlist.engines import resolve_backend
 from repro.numrep.rounding import ceil_scaled, floor_ratio
+from repro.obs.metrics import metrics
 from repro.obs.trace import current_tracer
 from repro.runners.cache import run_cached
 from repro.runners.config import RunConfig
@@ -73,7 +73,13 @@ from repro.runners.parallel import (
     shard_plan,
 )
 from repro.runners.results import register_result
-from repro.sim.montecarlo import capture_depths, uniform_digit_batch
+from repro.sim.montecarlo import (
+    capture_depths,
+    map_om_shards,
+    uniform_digit_batch,
+    uniform_operands,
+)
+from repro.vec.fused import fused_sweep_partial, stage_error_partials
 
 @register_result
 @dataclass
@@ -538,12 +544,11 @@ def stage_sweep_partial(
     depth (the whole stage pipeline re-runs for every period), plus one
     settled evaluation for ground truth.  Snapshots go through the same
     :func:`repro.vec.fused.stage_error_partials` helper as the fused
-    kernel, so the partials — and hence the merged
-    :class:`SweepResult` — are bit-identical to
+    path, so the partials are bit-identical to
     :func:`repro.vec.fused.fused_sweep_partial` on the same operands.
+    The conformance tests and ``benchmarks/bench_fused_sweep.py``
+    compare against it; no run path calls it.
     """
-    from repro.vec.fused import stage_error_partials
-
     om = OnlineMultiplier(ndigits, delta)
     s_tot = om.num_stages
     snaps = np.stack(
@@ -567,40 +572,27 @@ def stage_sweep_partial(
 def _stage_sweep_shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     """One stage-timing shard: draw operands, evaluate the depth grid.
 
-    The vector engine takes the fused fast path — the whole grid in a
-    single stage-by-stage pass; every other engine runs the per-period
-    oracle.  Identical partials either way.
+    The whole grid is captured in one pass on the payload's engine
+    (:func:`repro.vec.fused.fused_sweep_partial`).
     """
-    ndigits = payload["ndigits"]
-    delta = payload["delta"]
-    steps = payload["steps"]
-    m = payload["samples"]
-    rng = np.random.default_rng(payload["seed_seq"])
-    xd = uniform_digit_batch(ndigits, m, rng)
-    yd = uniform_digit_batch(ndigits, m, rng)
-    if payload["backend"] == "vector":
-        from repro.obs.metrics import metrics
-        from repro.vec.fused import fused_sweep_partial
-
-        with current_tracer().span(
-            "vec.fused_sweep",
-            ndigits=ndigits,
-            periods=int(payload["requested_periods"]),
-            depths=len(steps),
-            samples=m,
-        ):
-            metrics().count(
-                "vec.fused_periods", int(payload["requested_periods"])
-            )
-            return fused_sweep_partial(ndigits, delta, xd, yd, steps)
+    xd, yd = uniform_operands(payload)
+    periods = int(payload["requested_periods"])
     with current_tracer().span(
-        "sweep.simulate_stage",
+        "vec.fused_sweep",
         backend=payload["backend"],
-        depths=len(steps),
-        samples=m,
+        ndigits=payload["ndigits"],
+        periods=periods,
+        depths=len(payload["steps"]),
+        samples=payload["samples"],
     ):
-        return stage_sweep_partial(
-            ndigits, delta, xd, yd, steps, backend=payload["backend"]
+        metrics().count("vec.fused_periods", periods)
+        return fused_sweep_partial(
+            payload["ndigits"],
+            payload["delta"],
+            xd,
+            yd,
+            payload["steps"],
+            payload["backend"],
         )
 
 
@@ -664,21 +656,10 @@ def _run_stage_sweep(
     runner = runner or ParallelRunner.from_config(config)
 
     def compute() -> SweepResult:
-        plan = shard_plan(config, num_samples, "sweep", design)
-        payloads = [
-            {
-                "ndigits": config.ndigits,
-                "delta": config.delta,
-                "backend": engine,
-                "steps": grid,
-                "requested_periods": len(requested),
-                "seed_seq": ss,
-                "samples": m,
-            }
-            for ss, m in plan
-        ]
-        parts = runner.map(
-            _stage_sweep_shard_worker, payloads, samples=[m for _, m in plan]
+        parts = map_om_shards(
+            runner, _stage_sweep_shard_worker, config, num_samples, engine,
+            ("sweep", design), steps=grid,
+            requested_periods=len(requested),
         )
         return _sweep_from_partials(
             parts, steps=np.asarray(grid, dtype=np.int64)

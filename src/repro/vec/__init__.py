@@ -8,7 +8,9 @@ Carlo batches.
 
 :mod:`repro.vec.fused` adds the one-pass multi-period sweep kernel:
 capture snapshots for a whole grid of clock periods from a single
-stage-by-stage pass, bit-identical to evaluating each period separately.
+stage-by-stage pass, bit-identical to evaluating each period separately,
+and :func:`~repro.vec.fused.stage_snapshots`, the one dispatch that
+captures those rows on any engine.
 """
 
 from repro import _lazy
@@ -18,6 +20,7 @@ _EXPORTS = {
     "om_wave_vector": "repro.vec.engine",
     "vector_online_add": "repro.vec.engine",
     "om_sweep_vector": "repro.vec.fused",
+    "stage_snapshots": "repro.vec.fused",
     "fused_sweep_partial": "repro.vec.fused",
     "stage_error_partials": "repro.vec.fused",
     "stage_digit_mismatch_counts": "repro.vec.fused",

@@ -21,16 +21,6 @@ class TestLimits:
         adm.try_acquire("montecarlo")
         adm.try_acquire("sweep")  # full montecarlo queue does not block sweep
 
-    def test_total_limit_caps_across_classes(self):
-        adm = AdmissionController(
-            limits={"montecarlo": 4, "sweep": 4}, total=2
-        )
-        adm.try_acquire("montecarlo")
-        adm.try_acquire("sweep")
-        with pytest.raises(ShedRequest) as exc_info:
-            adm.try_acquire("montecarlo")
-        assert "saturated" in exc_info.value.reason
-
     def test_release_reopens_the_slot(self):
         adm = AdmissionController(limits={"montecarlo": 1})
         adm.try_acquire("montecarlo")
@@ -121,19 +111,6 @@ class TestRetryAfter:
             adm.try_acquire("montecarlo")
         assert exc_info.value.retry_after == pytest.approx(3.0)  # (2+1)/1
         assert adm.retry_after("montecarlo") == pytest.approx(3.0)
-
-    def test_saturation_shed_hint_counts_the_total(self):
-        adm = AdmissionController(
-            limits={"montecarlo": 8, "sweep": 8}, total=4, concurrency=1,
-            initial_service_time=1.0,
-        )
-        for _ in range(3):
-            adm.try_acquire("sweep")
-        adm.try_acquire("montecarlo")
-        with pytest.raises(ShedRequest) as exc_info:
-            adm.try_acquire("montecarlo")
-        assert "saturated" in exc_info.value.reason
-        assert exc_info.value.retry_after == pytest.approx(5.0)  # (4+1)/1
 
 
 class TestObservability:

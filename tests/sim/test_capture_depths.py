@@ -2,11 +2,14 @@
 
 A negative depth used to index the wave from its end (the settled
 product), so it reported zero error instead of failing; an empty grid
-returned an empty result.
+returned an empty result.  ``OnlineMultiplier.wave`` likewise rejects a
+negative tick budget on every engine instead of returning no ticks.
 """
 
+import numpy as np
 import pytest
 
+from repro.core.online_multiplier import OnlineMultiplier
 from repro.obs.probe import run_stage_probe
 from repro.runners import RunConfig
 from repro.sim.error_profile import run_error_profile
@@ -14,6 +17,15 @@ from repro.sim.montecarlo import run_montecarlo
 from repro.sim.sweep import run_sweep
 
 CONFIG = RunConfig(ndigits=4, jobs=1, cache_dir=None, shard_size=100)
+DIGITS = np.zeros((4, 8), dtype=np.int8)
+
+
+def _wave_cut_at_shallowest(engine):
+    """``wave`` cut at the grid's shallowest depth (-1 for an empty grid)."""
+    return lambda g: OnlineMultiplier(4).wave(
+        DIGITS, DIGITS, max_ticks=min(g, default=-1), backend=engine
+    )
+
 
 ENTRY_POINTS = {
     "montecarlo": lambda g: run_montecarlo(CONFIG, 100, depths=g),
@@ -27,6 +39,10 @@ ENTRY_POINTS = {
     "error_profile_gate": lambda g: run_error_profile(
         CONFIG, num_samples=100, steps=g
     ),
+    **{
+        f"wave_{e}": _wave_cut_at_shallowest(e)
+        for e in ("vector", "packed", "wave")
+    },
 }
 
 
