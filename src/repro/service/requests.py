@@ -129,7 +129,6 @@ def parse_request(
     message: Mapping[str, Any],
     base_config: RunConfig,
     default_deadline: Optional[float] = None,
-    max_samples: int = MAX_SAMPLES,
 ) -> EvalRequest:
     """Validate and normalize one wire request into an :class:`EvalRequest`."""
     if not isinstance(message, Mapping):
@@ -158,9 +157,9 @@ def parse_request(
         except ValueError as exc:
             raise RequestError(str(exc), "deadline") from None
     req = eval_request(kind, params, base_config, req_id, deadline)
-    if req.params["samples"] > max_samples:
+    if req.params["samples"] > MAX_SAMPLES:
         raise RequestError(
-            f"must be in [1, {max_samples}], got {req.params['samples']}",
+            f"must be in [1, {MAX_SAMPLES}], got {req.params['samples']}",
             "samples",
         )
     return req

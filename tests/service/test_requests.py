@@ -5,6 +5,7 @@ import pytest
 from repro.runners.cache import cache_key
 from repro.runners.config import RunConfig
 from repro.service.requests import (
+    MAX_SAMPLES,
     EvalRequest,
     RequestError,
     parse_request,
@@ -181,8 +182,8 @@ class TestValidation:
 
     def test_sample_ceiling_enforced(self):
         with pytest.raises(RequestError) as exc_info:
-            parse({"kind": "montecarlo", "params": {"samples": 10_000}},
-                  max_samples=5000)
+            parse({"kind": "montecarlo",
+                   "params": {"samples": MAX_SAMPLES + 1}})
         assert "samples" in str(exc_info.value)
 
     def test_default_deadline_applies_when_absent(self):
